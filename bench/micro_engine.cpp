@@ -1,13 +1,15 @@
 // Google-benchmark microbenchmarks for the building blocks: cache
 // touches, directory transitions, counter updates, the memory-system
-// access path, page migration, UPMlib scan/migrate passes and whole
-// simulated iterations. These measure *host* performance of the
-// simulator (how fast the reproduction runs), not simulated time.
+// access path, page migration, UPMlib scan/migrate passes, machine
+// bring-up, the daemon cell's kernel digest and whole simulated
+// iterations. These measure *host* performance of the simulator (how
+// fast the reproduction runs), not simulated time.
 #include <benchmark/benchmark.h>
 
 #include "repro/memsys/memory_system.hpp"
 #include "repro/nas/workload.hpp"
 #include "repro/omp/machine.hpp"
+#include "repro/os/daemon.hpp"
 #include "repro/sim/program.hpp"
 #include "repro/topology/topology.hpp"
 #include "repro/upmlib/upmlib.hpp"
@@ -164,6 +166,35 @@ void BM_CompiledRegionRun(benchmark::State& state) {
                           static_cast<std::int64_t>(program.size()));
 }
 BENCHMARK(BM_CompiledRegionRun);
+
+void BM_MachineCreate(benchmark::State& state) {
+  // Bring-up and teardown of the default 16-node machine: the fixed
+  // host cost of every cell, whatever it simulates.
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(omp::Machine::create(memsys::MachineConfig{}));
+  }
+}
+BENCHMARK(BM_MachineCreate)->Unit(benchmark::kMicrosecond);
+
+void BM_KernelDigestWithDaemon(benchmark::State& state) {
+  // The kernel's share of a fast-forward probe in a daemon cell: page
+  // table, daemon page state and the reference counters, with 4096
+  // touched frames. Each page's first miss opens its daemon window
+  // (resetting its counters); a second processor's miss then leaves a
+  // nonzero counter behind.
+  auto machine = omp::Machine::create(memsys::MachineConfig{});
+  machine->enable_kernel_daemon(os::DaemonConfig{});
+  for (std::uint64_t p = 0; p < 4096; ++p) {
+    const auto proc = static_cast<std::uint32_t>(p % 16);
+    machine->memory().access(0, {ProcId(proc), VPage(p), 1, false});
+    machine->memory().access(0,
+                             {ProcId((proc + 1) % 16), VPage(p), 1, false});
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(machine->kernel().digest(0));
+  }
+}
+BENCHMARK(BM_KernelDigestWithDaemon)->Unit(benchmark::kMicrosecond);
 
 void BM_NasIteration(benchmark::State& state) {
   // Host cost of simulating one full BT iteration (~26k events).

@@ -20,7 +20,7 @@ void mix_string(StateHash& h, const std::string& s) {
   }
 }
 
-constexpr std::uint64_t kFormatVersion = 4;
+constexpr std::uint64_t kFormatVersion = 5;
 
 std::string join(const std::vector<Ns>& values) {
   std::ostringstream os;
@@ -73,6 +73,17 @@ std::uint64_t config_identity(const RunConfig& config) {
   mix_string(h, config.trace_out);
   mix_string(h, config.replay);
   h.mix(config.pipeline ? 1 : 0);
+  // The coherence model changes every hit/miss classification, so a
+  // coherence cell must never alias its page-grain twin or a cell with
+  // another cache geometry.
+  mix_string(h, config.coherence);
+  const coherence::CoherenceConfig& c = config.coherence_config;
+  h.mix(static_cast<std::uint64_t>(c.policy));
+  h.mix(c.line_size);
+  h.mix(c.sets);
+  h.mix(c.ways);
+  h.mix_double(c.upgrade_ns);
+  h.mix_double(c.intervention_ns);
 
   const memsys::MachineConfig& m = config.machine;
   h.mix(m.num_nodes);
@@ -201,6 +212,13 @@ std::string encode_result(std::uint64_t identity, const RunResult& result) {
   os << "fault=" << f.counter_corruptions << ' ' << f.busy_rejections << ' '
      << f.slowdowns << ' ' << f.preemptions << ' ' << f.spike_lines << ' '
      << f.slowdown_ns_total << ' ' << f.preemption_ns_total << "\n";
+  const coherence::CoherenceStats& c = result.coherence_totals;
+  os << "coherence=" << (result.coherence_enabled ? 1 : 0) << ' '
+     << c.hit_lines << ' ' << c.cold_miss_lines << ' '
+     << c.capacity_miss_lines << ' ' << c.coherence_miss_lines << ' '
+     << c.upgrades << ' ' << c.invalidations_sent << ' '
+     << c.invalidations_received << ' ' << c.writebacks << ' '
+     << c.dirty_fetches << "\n";
 
   // Per-iteration trace metrics: one line of columns per metric the
   // JSON writer serializes (iteration index, migrations, queue p95,
@@ -339,6 +357,12 @@ bool decode_result(const std::string& text, std::uint64_t expected_identity,
     return false;
   }
   r.fault_stats = {v[0], v[1], v[2], v[3], v[4], v[5], v[6]};
+  if (!want("coherence", 10)) {
+    return false;
+  }
+  r.coherence_enabled = v[0] != 0;
+  r.coherence_totals = {v[1], v[2], v[3], v[4], v[5],
+                        v[6], v[7], v[8], v[9]};
 
   std::vector<std::uint64_t> iters;
   std::vector<std::uint64_t> migrations;

@@ -15,9 +15,10 @@
 //
 // The encoding carries everything results_to_json() serializes
 // (totals, per-iteration times, engine statistics, fault statistics,
-// trace digest and the per-iteration trace metrics); it does NOT carry
-// the event trace itself or the region records, so a decoded cell's
-// RunResult is JSON-identical to the original but not trace-complete.
+// coherence counters, trace digest and the per-iteration trace
+// metrics); it does NOT carry the event trace itself or the region
+// records, so a decoded cell's RunResult is JSON-identical to the
+// original but not trace-complete.
 //
 // Checkpoint files additionally embed the *sweep-level* identity (a
 // hash over every cell of the sweep that wrote them): resuming against
@@ -36,10 +37,10 @@
 namespace repro::harness {
 
 /// Hash of every RunConfig field that can influence the simulation's
-/// result (placement, engines, iterations, machine geometry, fault
-/// plan, ...). Host-side knobs (cell_timeout_ms, trace_dir) are
-/// excluded: they change how a run is supervised, not what it
-/// computes.
+/// result (placement, engines, iterations, machine geometry, coherence
+/// model, fault plan, ...). Host-side knobs (cell_timeout_ms,
+/// trace_dir) are excluded: they change how a run is supervised, not
+/// what it computes.
 [[nodiscard]] std::uint64_t config_identity(const RunConfig& config);
 
 /// Hash of a whole sweep: every cell's config_identity, in input

@@ -1,5 +1,7 @@
 #include "repro/os/daemon.hpp"
 
+#include <algorithm>
+
 #include "repro/common/assert.hpp"
 #include "repro/os/kernel.hpp"
 
@@ -13,7 +15,11 @@ KernelMigrationDaemon::KernelMigrationDaemon(DaemonConfig config)
 
 Ns KernelMigrationDaemon::on_miss(Kernel& kernel, ProcId accessor,
                                   VPage page, NodeId home, Ns now) {
-  PageState& st = pages_[page];
+  if (page.value() >= pages_.size()) {
+    pages_.resize(std::max<std::size_t>(page.value() + 1, pages_.size() * 2));
+  }
+  PageState& st = pages_[page.value()];
+  st.seen = true;
 
   // Counter aging: the kernel evaluates reference counters over fixed
   // windows; a page first touched after its window expired gets a fresh
@@ -123,9 +129,17 @@ std::uint64_t KernelMigrationDaemon::digest(Ns now) const {
     const Ns age = now - t;
     return static_cast<std::uint64_t>(age > limit ? limit + 1 : age);
   };
-  std::uint64_t combined = pages_.size();
-  for (const auto& [page, st] : pages_) {
-    StateHash entry_hash(avalanche64(page.value()));
+  // Entries combine by addition, so the value does not depend on the
+  // order pages were first missed in; they are walked in page order.
+  std::uint64_t seen = 0;
+  std::uint64_t combined = 0;
+  for (std::size_t page = 0; page < pages_.size(); ++page) {
+    const PageState& st = pages_[page];
+    if (!st.seen) {
+      continue;
+    }
+    ++seen;
+    StateHash entry_hash(avalanche64(page));
     entry_hash.mix(st.window_open ? rel(st.window_start, config_.window_ns)
                                   : ~std::uint64_t{0});
     entry_hash.mix(st.window_open ? 1 : 0);
@@ -139,7 +153,7 @@ std::uint64_t KernelMigrationDaemon::digest(Ns now) const {
     combined += avalanche64(entry_hash.value());
   }
   StateHash hash;
-  hash.mix(combined);
+  hash.mix(seen + combined);
   hash.mix(any_migration_yet_
                ? rel(last_any_migration_, config_.global_min_interval_ns)
                : ~std::uint64_t{0});
@@ -148,7 +162,7 @@ std::uint64_t KernelMigrationDaemon::digest(Ns now) const {
 }
 
 void KernelMigrationDaemon::advance_replayed(Ns dt) {
-  for (auto& [page, st] : pages_) {
+  for (PageState& st : pages_) {
     st.window_start += dt;
     st.last_migration += dt;
   }

@@ -19,7 +19,7 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
+#include <vector>
 
 #include "repro/common/hash.hpp"
 #include "repro/common/strong_id.hpp"
@@ -105,15 +105,19 @@ class KernelMigrationDaemon {
  private:
   struct PageState {
     Ns window_start = 0;
-    bool window_open = false;
     Ns last_migration = 0;
     std::uint32_t migrations = 0;
+    /// The page has missed at least once; only such pages are digested.
+    bool seen = false;
+    bool window_open = false;
     bool frozen = false;
   };
 
   DaemonConfig config_;
   DaemonStats stats_;
-  std::unordered_map<VPage, PageState> pages_;
+  /// Indexed by virtual page: pages are dense from 0 (vm::AddressSpace),
+  /// so the per-miss lookup is one bounds check and one load.
+  std::vector<PageState> pages_;
   Ns last_any_migration_ = 0;
   bool any_migration_yet_ = false;
   trace::TraceSink* trace_ = nullptr;

@@ -7,16 +7,23 @@
 // are hot, while UPMlib resets them at iteration boundaries and so keeps
 // full-precision per-iteration traces.
 //
-// The dense backend materializes the full frames x nodes array up
-// front (exact hardware shape; fine at 16 nodes). At 512 nodes that
-// array alone is tens of GiB, so the sparse backend allocates counter
-// rows lazily, only for frames that have ever been incremented;
-// untouched frames read as a shared zero row. Digests are
-// backend-identical: both mix frames x nodes and then every nonzero
-// counter in frame-major order.
+// Both backends allocate lazily and read untouched frames as one shared
+// zero row, so a machine's bring-up and digest cost follow the frames a
+// run touches, not its installed memory (the full array of a 16-node
+// machine, 16 x 32768 frames x 16 counters, is 32 MiB to zero).
+// The dense backend (<= 64 procs) groups frames into fixed chunks of
+// kChunkFrames rows, each allocated zeroed on its first increment, and
+// keeps a per-chunk bitmap of the frames that may hold a nonzero
+// counter: digest() and reset_all() walk only those. The sparse
+// backend (past 64 procs) allocates single rows behind an
+// open-addressed index. Digests are backend-identical and equal a full
+// scan of the frames x nodes array: both mix frames x nodes and then
+// every nonzero counter at its frame-major flat index, in ascending
+// frame order.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -42,7 +49,7 @@ class RefCounters {
   /// kernel daemon after a migration).
   void reset(FrameId frame);
 
-  /// Zeroes everything.
+  /// Zeroes everything (walks only touched frames in the dense backend).
   void reset_all();
 
   [[nodiscard]] std::uint32_t max_value() const { return max_; }
@@ -55,29 +62,42 @@ class RefCounters {
   /// Behavioural digest of every nonzero counter (frame-major order).
   /// Counters feed the kernel migration daemon's comparator, so runs
   /// with a daemon installed must include them in the machine digest;
-  /// without one they are pure statistics.
+  /// without one they are pure statistics. Costs O(touched frames).
   [[nodiscard]] std::uint64_t digest() const;
+
+  /// Frames per dense-backend chunk (one touched-bitmap word each).
+  static constexpr std::size_t kChunkFrames = 64;
 
  private:
   std::size_t num_frames_;
   std::size_t num_nodes_;
   std::uint32_t max_;
   bool sparse_;
+  std::vector<std::uint32_t> zero_row_;
 
-  // Dense backend: frame-major [frame][node].
-  std::vector<std::uint32_t> values_;
+  // Dense backend: chunk c holds the rows of frames c*kChunkFrames
+  // onward, frame-major ([frame][node]), and is null until its first
+  // increment. Bit f of touched_[c] is set by an increment of frame
+  // c*kChunkFrames+f and cleared when that row is zeroed, so a clear
+  // bit means an all-zero row.
+  std::vector<std::unique_ptr<std::uint32_t[]>> chunks_;
+  std::vector<std::uint64_t> touched_;
 
   // Sparse backend: rows allocated on first increment, never freed
   // (row indices stay stable), zeroed on reset.
   FlatMap<std::uint32_t> row_of_;      // frame -> row index
   std::vector<std::uint32_t> rows_;    // row-major pool, num_nodes_ each
-  std::vector<std::uint32_t> zero_row_;
 
-  [[nodiscard]] std::size_t index(FrameId frame, NodeId node) const;
-  /// Row for `frame`, or nullptr when it was never incremented.
+  /// Row for `frame`, or nullptr when no storage backs it yet (it then
+  /// reads as all zeros).
   [[nodiscard]] const std::uint32_t* find_row(FrameId frame) const;
-  /// Row for `frame`, allocating a zeroed one when absent.
+  /// Row for `frame`, allocating a zeroed one when absent. The dense
+  /// backend's common case (chunk already allocated) stays small enough
+  /// to inline into increment; everything else goes through add_row.
   [[nodiscard]] std::uint32_t* ensure_row(FrameId frame);
+  /// ensure_row's slow path: a dense frame's first chunk allocation, or
+  /// any sparse frame.
+  [[nodiscard]] std::uint32_t* add_row(std::uint64_t frame);
 };
 
 }  // namespace repro::vm

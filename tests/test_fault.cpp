@@ -518,6 +518,81 @@ TEST(Watchdog, EnvTimeoutIsStrictlyParsed) {
   EXPECT_EQ(effective_cell_timeout_ms(0), 0u);
 }
 
+RunConfig coherence_cell(const std::string& policy) {
+  RunConfig config = small_config("ft", false);
+  config.coherence = policy;
+  return config;
+}
+
+TEST(Checkpoint, CoherenceCellsResumeTheirOwnResults) {
+  // A page-grain cell, its MSI twin and an MSI cell with another cache
+  // geometry share one checkpoint directory: each must resume its own
+  // result, coherence counters included.
+  const std::string dir = temp_dir("coherence_resume");
+  RunConfig wide = coherence_cell("msi");
+  wide.coherence_config.sets = 128;
+  const std::vector<RunConfig> configs = {coherence_cell(""),
+                                          coherence_cell("msi"), wide};
+  SweepOptions options;
+  options.jobs = 1;
+  options.checkpoint_dir = dir;
+  const SweepOutcome first = run_sweep(configs, options);
+  ASSERT_TRUE(first.ok());
+  const SweepOutcome resumed = run_sweep(configs, options);
+  ASSERT_TRUE(resumed.ok());
+  EXPECT_EQ(resumed.stats.cells_resumed, configs.size());
+  EXPECT_EQ(results_to_json(resumed.results), results_to_json(first.results));
+
+  const RunResult& page_grain = resumed.results[0];
+  const RunResult& msi = resumed.results[1];
+  const RunResult& msi_wide = resumed.results[2];
+  EXPECT_NE(msi.total, page_grain.total);
+  EXPECT_NE(msi_wide.total, msi.total);
+  EXPECT_FALSE(page_grain.coherence_enabled);
+  EXPECT_TRUE(msi.coherence_enabled);
+  EXPECT_EQ(page_grain.coherence_totals.miss_lines(), 0u);
+  EXPECT_NE(msi.coherence_totals.miss_lines(), 0u);
+}
+
+TEST(Checkpoint, IdentityCoversTheCoherenceModel) {
+  const RunConfig base = coherence_cell("msi");
+  const std::uint64_t id = config_identity(base);
+  EXPECT_NE(config_identity(coherence_cell("")), id);
+  EXPECT_NE(config_identity(coherence_cell("mesi")), id);
+  std::vector<RunConfig> changed(6, base);
+  changed[0].coherence_config.policy = coherence::Policy::kMesi;
+  changed[1].coherence_config.line_size = 64;
+  changed[2].coherence_config.sets = 128;
+  changed[3].coherence_config.ways = 4;
+  changed[4].coherence_config.upgrade_ns += 1.0;
+  changed[5].coherence_config.intervention_ns += 1.0;
+  for (std::size_t i = 0; i < changed.size(); ++i) {
+    EXPECT_NE(config_identity(changed[i]), id) << "field " << i;
+  }
+}
+
+TEST(Checkpoint, EncodeDecodeKeepsCoherenceCounters) {
+  const RunConfig config = coherence_cell("mesi");
+  const RunResult original = run_benchmark(config);
+  ASSERT_TRUE(original.coherence_enabled);
+  const std::uint64_t id = config_identity(config);
+  RunResult decoded;
+  ASSERT_TRUE(decode_result(encode_result(id, original), id, &decoded));
+  EXPECT_TRUE(decoded.coherence_enabled);
+  const coherence::CoherenceStats& a = original.coherence_totals;
+  const coherence::CoherenceStats& b = decoded.coherence_totals;
+  EXPECT_EQ(b.hit_lines, a.hit_lines);
+  EXPECT_EQ(b.cold_miss_lines, a.cold_miss_lines);
+  EXPECT_EQ(b.capacity_miss_lines, a.capacity_miss_lines);
+  EXPECT_EQ(b.coherence_miss_lines, a.coherence_miss_lines);
+  EXPECT_EQ(b.upgrades, a.upgrades);
+  EXPECT_EQ(b.invalidations_sent, a.invalidations_sent);
+  EXPECT_EQ(b.invalidations_received, a.invalidations_received);
+  EXPECT_EQ(b.writebacks, a.writebacks);
+  EXPECT_EQ(b.dirty_fetches, a.dirty_fetches);
+  EXPECT_EQ(results_to_json({decoded}), results_to_json({original}));
+}
+
 TEST(Checkpoint, SweepIdentityGuardRefusesForeignCells) {
   const std::string dir = temp_dir("sweep_guard");
   RunConfig config = small_config("ft", false);

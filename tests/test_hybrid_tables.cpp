@@ -252,18 +252,51 @@ TEST(HybridPageCache, BackendsAgreeOnLruBehaviourAndDigest) {
   EXPECT_FALSE(sparse.contains(VPage(1)));
 }
 
+/// The counter digest's definition: a scan of the whole frames x nodes
+/// array mixing every nonzero counter at its frame-major flat index.
+/// Both backends walk only touched frames and must match it exactly.
+std::uint64_t full_scan_digest(const vm::RefCounters& counters) {
+  StateHash hash;
+  hash.mix(counters.num_frames() * counters.num_nodes());
+  for (std::uint64_t f = 0; f < counters.num_frames(); ++f) {
+    const auto row = counters.read(FrameId(f));
+    for (std::size_t n = 0; n < row.size(); ++n) {
+      if (row[n] != 0) {
+        hash.mix(f * counters.num_nodes() + n);
+        hash.mix(row[n]);
+      }
+    }
+  }
+  return hash.value();
+}
+
 TEST(HybridRefCounters, BackendsAgreeOnReadsArgmaxAndDigest) {
-  constexpr std::size_t kFrames = 2048;
+  // Not a multiple of the dense chunk size: the last chunk is partial.
+  constexpr std::size_t kFrames = 2000;
   constexpr std::size_t kNodes = 32;
+  static_assert(kFrames % vm::RefCounters::kChunkFrames != 0);
   vm::RefCounters dense(kFrames, kNodes, /*counter_bits=*/11,
                         /*sparse=*/false);
   vm::RefCounters sparse(kFrames, kNodes, /*counter_bits=*/11,
                          /*sparse=*/true);
+  const auto expect_same_state = [&](std::uint32_t step) {
+    const std::uint64_t reference = full_scan_digest(dense);
+    ASSERT_EQ(dense.digest(), reference) << "step " << step;
+    ASSERT_EQ(sparse.digest(), reference) << "step " << step;
+    ASSERT_EQ(full_scan_digest(sparse), reference) << "step " << step;
+  };
 
   Rng rng{99};
   for (std::uint32_t step = 0; step < 4000; ++step) {
+    if (step == 2500) {
+      // Mid-sequence: everything back to zero, then more increments
+      // land on the same (still allocated) storage.
+      dense.reset_all();
+      sparse.reset_all();
+      ASSERT_NO_FATAL_FAILURE(expect_same_state(step));
+    }
     const std::uint64_t roll = rng.next();
-    const FrameId frame(roll % kFrames);
+    const FrameId frame(step % 64 == 0 ? kFrames - 1 : roll % kFrames);
     const NodeId node(static_cast<std::uint32_t>((roll >> 16) % kNodes));
     if ((roll >> 40) % 16 == 0) {
       dense.reset(frame);
@@ -273,12 +306,9 @@ TEST(HybridRefCounters, BackendsAgreeOnReadsArgmaxAndDigest) {
       dense.increment(frame, node, n);
       sparse.increment(frame, node, n);
     }
-    if ((step % 997) == 0) {
-      ASSERT_EQ(dense.digest(), sparse.digest()) << "step " << step;
-    }
+    ASSERT_NO_FATAL_FAILURE(expect_same_state(step));
   }
-  EXPECT_EQ(dense.digest(), sparse.digest());
-  for (std::uint64_t f = 0; f < kFrames; f += 7) {
+  for (std::uint64_t f = 0; f < kFrames; ++f) {
     EXPECT_EQ(dense.argmax_node(FrameId(f)), sparse.argmax_node(FrameId(f)));
     EXPECT_EQ(dense.read(FrameId(f), NodeId(3)),
               sparse.read(FrameId(f), NodeId(3)));
@@ -286,7 +316,7 @@ TEST(HybridRefCounters, BackendsAgreeOnReadsArgmaxAndDigest) {
   // An untouched frame reads as zeros in both backends.
   dense.reset_all();
   sparse.reset_all();
-  EXPECT_EQ(dense.digest(), sparse.digest());
+  ASSERT_NO_FATAL_FAILURE(expect_same_state(4000));
 }
 
 // The satellite acceptance gate: the full 30-cell golden grid (every

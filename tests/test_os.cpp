@@ -3,6 +3,9 @@
 // migration daemon's windowed policy, and the user-level MMCI.
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+#include <memory>
+
 #include "repro/common/assert.hpp"
 #include "repro/memsys/config.hpp"
 #include "repro/os/daemon.hpp"
@@ -257,6 +260,58 @@ TEST(Daemon, GlobalIntervalThrottles) {
   touch(kernel, ProcId(1), VPage(1), 20, 5);
   EXPECT_EQ(kernel.daemon()->stats().migrations, 1u);
   EXPECT_GT(kernel.daemon()->stats().suppressed_global, 0u);
+}
+
+// A kernel whose daemon saw its first miss on each of `pages`, in the
+// given order, all at time 0. Page p is first touched by processor
+// p % 4, so placement does not depend on the order either.
+std::unique_ptr<Kernel> daemon_kernel(
+    const topo::Topology& topology, const DaemonConfig& daemon_config,
+    std::initializer_list<std::uint64_t> pages) {
+  auto kernel = std::make_unique<Kernel>(small_config(), topology);
+  kernel->set_daemon(std::make_unique<KernelMigrationDaemon>(daemon_config));
+  for (const std::uint64_t p : pages) {
+    touch(*kernel, ProcId(static_cast<std::uint32_t>(p % 4)), VPage(p), 1, 0);
+  }
+  return kernel;
+}
+
+TEST(Daemon, DigestCoversPageStateNotFirstMissOrder) {
+  const topo::FatHypercube topology(4);
+  constexpr Ns kNow = 100;
+  // Equal per-page state reached in opposite orders (the two daemons
+  // also grow their page-state vectors to different sizes on the way).
+  const auto forward = daemon_kernel(topology, fast_daemon(), {0, 1, 5, 9});
+  const auto backward = daemon_kernel(topology, fast_daemon(), {9, 5, 1, 0});
+  const std::uint64_t base = forward->daemon()->digest(kNow);
+  EXPECT_EQ(backward->daemon()->digest(kNow), base);
+
+  // Window state: page 5's window opens later.
+  const auto late = daemon_kernel(topology, fast_daemon(), {0, 1, 9});
+  touch(*late, ProcId(1), VPage(5), 1, 10);
+  EXPECT_NE(late->daemon()->digest(kNow), base);
+
+  // Migration count: page 5 migrates once in `once` and twice in
+  // `twice`; both leave its window closed, and with zero cooloff and
+  // global interval the migration times saturate out of the digest.
+  const auto once = daemon_kernel(topology, fast_daemon(), {0, 1, 5, 9});
+  touch(*once, ProcId(2), VPage(5), 11, 10);
+  ASSERT_EQ(once->daemon()->stats().migrations, 1u);
+  const auto twice = daemon_kernel(topology, fast_daemon(), {0, 1, 5, 9});
+  touch(*twice, ProcId(2), VPage(5), 11, 10);
+  touch(*twice, ProcId(3), VPage(5), 1, 20);   // reopens the window
+  touch(*twice, ProcId(3), VPage(5), 11, 30);  // second migration
+  ASSERT_EQ(twice->daemon()->stats().migrations, 2u);
+  EXPECT_NE(once->daemon()->digest(kNow), base);
+  EXPECT_NE(twice->daemon()->digest(kNow), once->daemon()->digest(kNow));
+
+  // Frozen flag: the same single migration, but it freezes the page.
+  auto freezing = fast_daemon();
+  freezing.max_migrations_per_page = 1;
+  const auto frozen = daemon_kernel(topology, freezing, {0, 1, 5, 9});
+  touch(*frozen, ProcId(2), VPage(5), 11, 10);
+  ASSERT_EQ(frozen->daemon()->stats().migrations, 1u);
+  EXPECT_NE(frozen->daemon()->digest(kNow), once->daemon()->digest(kNow));
 }
 
 // --- MMCI -------------------------------------------------------------------
