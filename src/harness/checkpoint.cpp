@@ -8,6 +8,7 @@
 
 #include "repro/common/hash.hpp"
 #include "repro/harness/atomic_file.hpp"
+#include "repro/tracefmt/reader.hpp"
 
 namespace repro::harness {
 
@@ -21,6 +22,18 @@ void mix_string(StateHash& h, const std::string& s) {
 }
 
 constexpr std::uint64_t kFormatVersion = 5;
+
+/// Stands in for the content digest of a trace that cannot be opened,
+/// so identities never throw; such a cell fails in run_benchmark.
+constexpr std::uint64_t kUnreadableTrace = 0x7472616365455252ull;
+
+std::uint64_t trace_content_digest(const std::string& path) {
+  try {
+    return tracefmt::TraceReader(path).content_digest();
+  } catch (const tracefmt::TraceError&) {
+    return kUnreadableTrace;
+  }
+}
 
 std::string join(const std::vector<Ns>& values) {
   std::ostringstream os;
@@ -69,9 +82,14 @@ std::uint64_t config_identity(const RunConfig& config) {
   h.mix(config.trace ? 1 : 0);
   // The trace frontend changes what a cell computes (a dump writes a
   // file; a replay substitutes the workload), so replayed cells must
-  // never alias their direct twins in the checkpoint store.
+  // never alias their direct twins in the checkpoint store. A replay
+  // computes what its trace holds, so the trace's content is mixed
+  // too: a different trace re-dumped to the same path is a new cell.
   mix_string(h, config.trace_out);
   mix_string(h, config.replay);
+  if (!config.replay.empty()) {
+    h.mix(trace_content_digest(config.replay));
+  }
   h.mix(config.pipeline ? 1 : 0);
   // The coherence model changes every hit/miss classification, so a
   // coherence cell must never alias its page-grain twin or a cell with

@@ -38,9 +38,11 @@ namespace repro::harness {
 
 /// Hash of every RunConfig field that can influence the simulation's
 /// result (placement, engines, iterations, machine geometry, coherence
-/// model, fault plan, ...). Host-side knobs (cell_timeout_ms,
-/// trace_dir) are excluded: they change how a run is supervised, not
-/// what it computes.
+/// model, fault plan, ...), plus, for a replay cell, the trace's
+/// content digest (tracefmt::TraceReader::content_digest; a fixed
+/// sentinel when the file cannot be opened, so this never throws).
+/// Host-side knobs (cell_timeout_ms, trace_dir) are excluded: they
+/// change how a run is supervised, not what it computes.
 [[nodiscard]] std::uint64_t config_identity(const RunConfig& config);
 
 /// Hash of a whole sweep: every cell's config_identity, in input

@@ -30,6 +30,11 @@
 // fewer-than-p leftover iterations are then simulated for real from
 // the time-shifted steady state. Results are byte-identical to the
 // full simulation, including the canonical trace dump and its digest.
+// Determinism covers the machine, not the frontend: the harness caps
+// each replay at the iterations the workload proves dispatch what the
+// cached block dispatched (nas::Workload::repeating_iterations) --
+// all of them for a compiled model, those with equal chunk digests
+// for a replayed RTRC trace.
 //
 // Cells that never reach a fixed point never fast-forward, by
 // construction rather than by special-casing: the kernel daemon's
@@ -75,6 +80,11 @@ class FastForward {
   /// True when the last probe() established the fixed point (or
   /// fixed cycle): remaining iterations can be synthesized.
   [[nodiscard]] bool ready() const { return ready_; }
+
+  /// The detected steady-state cycle length in iterations, valid
+  /// while ready(): iteration next_step + j of a replay repeats
+  /// next_step - period() + j % period().
+  [[nodiscard]] std::uint32_t period() const { return period_iters_; }
 
   /// Synthesizes as many whole steady-state blocks as fit in
   /// [next_step, iterations] from the cached block and returns how

@@ -88,13 +88,15 @@ struct RunConfig {
   /// trace). Placement, UPMlib distribution, the kernel daemon,
   /// coherence and tracing all compose unchanged; replaying a cell's
   /// dump under the cell's own config is byte-identical to simulating
-  /// it directly. Forces the fast-forward off (replay must consume the
-  /// trace cursor for every iteration).
+  /// it directly. The fast-forward seeks past the iterations it
+  /// synthesizes, up to the first whose chunk digests differ from the
+  /// steady-state block's.
   std::string replay;
   /// With `replay`: decode trace chunks on a producer thread and feed
   /// the timing backend over a bounded lock-free SPSC ring buffer
   /// (byte-identical to single-threaded replay; see
-  /// sim::TraceReplayer).
+  /// sim::TraceReplayer). The producer cannot seek, so a pipelined
+  /// replay simulates every iteration.
   bool pipeline = false;
   /// Line-grain coherence protocol: "" (off, the page-grain default --
   /// byte-identical to builds without repro::coherence), "msi" or

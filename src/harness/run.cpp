@@ -269,13 +269,21 @@ RunResult run_benchmark(const RunConfig& config) {
   // analyzer (it inspects every *executed* region, so synthesized
   // iterations would change its input), the coherence model (cache
   // and directory state is not periodic in general, so a replayed
-  // block would misreport the line-grain counters), a trace dump (a
-  // skipped iteration would be missing from the file) or trace replay
-  // (every iteration must consume its slice of the trace cursor).
-  const bool fast_forward =
-      !config.no_fast_forward && !analyze && coh == nullptr &&
-      config.trace_out.empty() && config.replay.empty() &&
-      Env::global().get_bool("REPRO_FAST_FORWARD", true);
+  // block would misreport the line-grain counters) or a trace dump (a
+  // skipped iteration would be missing from the file). A trace replay
+  // fast-forwards when its workload can seek past the synthesized
+  // iterations: an indexed trace under serial decode.
+  bool fast_forward = !config.no_fast_forward && !analyze && coh == nullptr &&
+                      config.trace_out.empty() &&
+                      Env::global().get_bool("REPRO_FAST_FORWARD", true);
+  if (fast_forward) {
+    const std::string blocker = workload->fast_forward_blocker();
+    if (!blocker.empty()) {
+      REPRO_LOG_INFO(benchmark, " ", result.label,
+                     ": no fast-forward: ", blocker);
+      fast_forward = false;
+    }
+  }
   std::unique_ptr<FastForward> ff;
   if (fast_forward) {
     ff = std::make_unique<FastForward>(*machine, upmlib.get(), sink);
@@ -308,8 +316,20 @@ RunResult run_benchmark(const RunConfig& config) {
     if (ff != nullptr) {
       ff->probe();
       if (ff->ready()) {
+        // Synthesize only the iterations the workload proves repeat
+        // the probed block; the first that differs is simulated.
+        const std::uint32_t remaining = iterations - step + 1;
+        const std::uint32_t proven =
+            workload->repeating_iterations(step, ff->period(), remaining);
+        if (proven < remaining) {
+          REPRO_LOG_INFO(benchmark, " ", result.label, ": iteration ",
+                         step + proven,
+                         " differs from the steady state, fast-forward "
+                         "stops before it");
+        }
         result.iterations_replayed =
-            ff->replay(step, iterations, result.iteration_times);
+            ff->replay(step, step - 1 + proven, result.iteration_times);
+        workload->skip_iterations(step, result.iterations_replayed);
         step += result.iterations_replayed;
         if (step > iterations) {
           break;

@@ -74,6 +74,36 @@ class Workload {
   /// record--replay protocol (BT and SP).
   [[nodiscard]] virtual bool supports_record_replay() const { return false; }
 
+  // Steady-state fast-forward hooks (see harness::FastForward). The
+  // harness synthesizes a block of timed iterations only when the
+  // workload proves they dispatch what the probed block dispatched.
+
+  /// Why the fast-forward may not synthesize this workload's
+  /// iterations; empty when it may.
+  [[nodiscard]] virtual std::string fast_forward_blocker() const {
+    return {};
+  }
+
+  /// How many of the `count` iterations from `step` on dispatch the
+  /// same stream as the `period` iterations before `step` (iteration
+  /// step + j repeats step - period + j % period), stopping at the
+  /// first that does not. The compiled models dispatch the same
+  /// stream every iteration outside record--replay, which never
+  /// fast-forwards, so all of them repeat.
+  [[nodiscard]] virtual std::uint32_t repeating_iterations(
+      std::uint32_t step, std::uint32_t period, std::uint32_t count) const {
+    (void)step;
+    (void)period;
+    return count;
+  }
+
+  /// The harness synthesized iterations [step, step + count) instead
+  /// of running them; the next iteration() call is step + count.
+  virtual void skip_iterations(std::uint32_t step, std::uint32_t count) {
+    (void)step;
+    (void)count;
+  }
+
   /// Hot page count (after setup), for sizing assertions in tests.
   [[nodiscard]] virtual std::uint64_t hot_page_count() const = 0;
 

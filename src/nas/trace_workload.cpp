@@ -41,7 +41,8 @@ void restore_binding(omp::Runtime& rt,
 class TraceWorkload final : public Workload {
  public:
   TraceWorkload(const std::string& path, const TraceWorkloadOptions& options)
-      : replayer_(path, sim::TraceReplayer::Options{options.pipeline, 256}) {}
+      : replayer_(path, sim::TraceReplayer::Options{options.pipeline, 256}),
+        pipelined_(options.pipeline) {}
 
   [[nodiscard]] std::string name() const override {
     return replayer_.meta().benchmark;
@@ -106,7 +107,86 @@ class TraceWorkload final : public Workload {
     return pages;
   }
 
+  [[nodiscard]] std::string fast_forward_blocker() const override {
+    if (pipelined_) {
+      return "pipelined decode cannot seek";
+    }
+    if (markers().empty()) {
+      return "trace has no iteration index";
+    }
+    return {};
+  }
+
+  /// Proof by chunk table: iterations whose chunk runs have equal
+  /// rows -- sizes, counts and payload digests -- dispatch the same
+  /// records, because every marker sits alone in its chunk and delta
+  /// state resets per record.
+  [[nodiscard]] std::uint32_t repeating_iterations(
+      std::uint32_t step, std::uint32_t period,
+      std::uint32_t count) const override {
+    REPRO_REQUIRE(period >= 1 && step > period);
+    for (std::uint32_t j = 0; j < count; ++j) {
+      if (step + j > markers().size() ||
+          !same_chunks(step + j, step - period + j % period)) {
+        return j;
+      }
+    }
+    return count;
+  }
+
+  /// Seeks to step + count's marker. The skipped chunks are still
+  /// digest-checked, so a corrupt trace fails as it would in a full
+  /// replay.
+  void skip_iterations(std::uint32_t step, std::uint32_t count) override {
+    if (count == 0) {
+      return;
+    }
+    REPRO_REQUIRE(pending_.has_value() && pending_->step == step &&
+                  step + count - 1 <= markers().size());
+    const std::size_t end = body_end(step + count - 1);
+    for (std::size_t c = markers()[step - 1] + 1; c < end; ++c) {
+      replayer_.reader().verify_chunk(c);
+    }
+    replayer_.seek(end);
+    pending_.reset();
+    sim::ReplayItem item;
+    if (replayer_.next(item)) {
+      pending_ = std::move(item);
+    }
+  }
+
  private:
+  [[nodiscard]] const std::vector<std::size_t>& markers() const {
+    return replayer_.reader().iteration_chunks();
+  }
+
+  /// One past iteration `step`'s last chunk.
+  [[nodiscard]] std::size_t body_end(std::uint32_t step) const {
+    return step < markers().size() ? markers()[step]
+                                   : replayer_.reader().num_chunks();
+  }
+
+  /// Iterations `a` and `b` (marker chunks excluded) have equal rows.
+  [[nodiscard]] bool same_chunks(std::uint32_t a, std::uint32_t b) const {
+    const tracefmt::TraceReader& reader = replayer_.reader();
+    const std::size_t a0 = markers()[a - 1] + 1;
+    const std::size_t b0 = markers()[b - 1] + 1;
+    const std::size_t n = body_end(a) - a0;
+    if (body_end(b) - b0 != n) {
+      return false;
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      const tracefmt::ChunkInfo& x = reader.chunk(a0 + i);
+      const tracefmt::ChunkInfo& y = reader.chunk(b0 + i);
+      if (x.payload_bytes != y.payload_bytes ||
+          x.record_count != y.record_count || x.op_count != y.op_count ||
+          x.payload_digest != y.payload_digest) {
+        return false;
+      }
+    }
+    return true;
+  }
+
   /// Dispatches items until the next phase marker (stashed in
   /// pending_) or the end of the trace.
   void replay_phase(omp::Machine& machine) {
@@ -132,6 +212,7 @@ class TraceWorkload final : public Workload {
   }
 
   sim::TraceReplayer replayer_;
+  bool pipelined_;
   std::optional<sim::ReplayItem> pending_;
 };
 

@@ -4,7 +4,8 @@
 // thread bindings and sequential advances.
 //
 // Two execution modes behind one next() interface:
-//   - serial: chunks decode lazily on the caller's thread;
+//   - serial: chunks decode lazily on the caller's thread, and the
+//     cursor can seek to any chunk;
 //   - pipelined: a producer thread decodes chunks ahead of the
 //     consumer over a bounded lock-free SPSC ring buffer
 //     (common/ring_buffer.hpp), overlapping decode with the timing
@@ -76,6 +77,11 @@ class TraceReplayer {
   /// Moves the next item into `out`; false at end of trace. In
   /// pipelined mode a producer-side decode error is rethrown here.
   bool next(ReplayItem& out);
+
+  /// Serial mode only: the next item comes from the start of chunk
+  /// `chunk` (num_chunks() = end of trace); buffered records of the
+  /// current chunk are dropped.
+  void seek(std::size_t chunk);
 
  private:
   [[nodiscard]] bool decode_next_serial(ReplayItem& out);

@@ -81,6 +81,14 @@ bool TraceReplayer::decode_next_serial(ReplayItem& out) {
   }
 }
 
+void TraceReplayer::seek(std::size_t chunk) {
+  REPRO_REQUIRE_MSG(ring_ == nullptr, "a pipelined replayer cannot seek");
+  REPRO_REQUIRE(chunk <= reader_.num_chunks());
+  chunk_ = chunk;
+  buffer_.clear();
+  buffer_at_ = 0;
+}
+
 void TraceReplayer::producer_loop() {
   try {
     std::vector<tracefmt::Record> records;

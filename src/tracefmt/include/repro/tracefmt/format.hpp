@@ -18,7 +18,11 @@
 // the file and decode any chunk without touching the others, while a
 // pipe consumer can stream header + chunks sequentially (inline
 // kDefineName records precede every first use of a region name).
-// The full spec lives in DESIGN.md §16.
+// Every kIterationBegin marker sits alone in its chunk, so each timed
+// iteration is a run of whole chunks and two iterations that dispatch
+// the same stream carry equal chunk digests (older files that mixed
+// markers into body chunks still decode; they just have no iteration
+// index). The full spec lives in DESIGN.md §16.
 #pragma once
 
 #include <cstddef>
@@ -221,6 +225,18 @@ inline void put_varint(std::vector<std::uint8_t>& out, std::uint64_t v) {
 
 inline void put_svarint(std::vector<std::uint8_t>& out, std::int64_t v) {
   put_varint(out, zigzag(v));
+}
+
+/// The payload of a chunk that holds nothing but iteration `step`'s
+/// kIterationBegin record. TraceWriter gives every marker a chunk of
+/// its own, so TraceReader can find each iteration from the chunk
+/// table alone: one record, no ops, and the digest of these bytes.
+[[nodiscard]] inline std::vector<std::uint8_t> marker_payload(
+    std::uint32_t step) {
+  std::vector<std::uint8_t> out{
+      static_cast<std::uint8_t>(RecordKind::kIterationBegin)};
+  put_varint(out, step);
+  return out;
 }
 
 /// Bounds-checked read cursor over a byte buffer.

@@ -40,9 +40,28 @@ class TraceReader {
     return names_.at(id);
   }
 
-  /// Decodes chunk `i` into `out` (cleared first). Verifies the
-  /// payload digest against the chunk header before decoding; a
-  /// mismatch or malformed payload throws TraceError.
+  /// The chunk holding iteration `step`'s marker at [step - 1], for
+  /// steps 1..meta().iterations. Derived at open from the chunk table
+  /// alone (see marker_payload); empty when some marker does not sit
+  /// alone in its chunk, as in files written before that layout.
+  [[nodiscard]] const std::vector<std::size_t>& iteration_chunks() const {
+    return iteration_chunks_;
+  }
+
+  /// Digest of the trace's content, read from the header, the chunk
+  /// and name tables and the footer only: the meta digest plus every
+  /// table row, whose payload digests stand in for the payloads.
+  [[nodiscard]] std::uint64_t content_digest() const {
+    return content_digest_;
+  }
+
+  /// Checks chunk `i` without decoding it: its header must agree with
+  /// the chunk table and its payload must match its digest, else
+  /// TraceError.
+  void verify_chunk(std::size_t i) const;
+
+  /// Decodes chunk `i` into `out` (cleared first), after verify_chunk;
+  /// a malformed payload throws TraceError.
   void decode_chunk(std::size_t i, std::vector<Record>& out) const;
 
  private:
@@ -53,6 +72,8 @@ class TraceReader {
   TraceMeta meta_;
   std::vector<ChunkInfo> chunks_;
   std::vector<std::string> names_;
+  std::vector<std::size_t> iteration_chunks_;
+  std::uint64_t content_digest_ = 0;
   std::uint64_t total_records_ = 0;
   std::uint64_t total_ops_ = 0;
 };

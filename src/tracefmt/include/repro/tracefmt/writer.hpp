@@ -39,6 +39,8 @@ class TraceWriter {
   TraceWriter& operator=(const TraceWriter&) = delete;
 
   void cold_begin();
+  /// Writes iteration `step`'s marker into a chunk of its own (the
+  /// open chunk is cut before and after it; see marker_payload).
   void iteration_begin(std::uint32_t step);
   /// Appends one region record. `binding` is thread-to-processor
   /// (empty = identity); `columns` is a borrowed view of the compiled

@@ -220,6 +220,11 @@ TraceReader::TraceReader(const std::string& path) {
   if (table_magic != kTableMagic) {
     throw TraceError("chunk table marker missing");
   }
+  // Every chunk costs at least its header, so a count the file cannot
+  // hold is corrupt: reject it before reserving for it.
+  if (footer.chunk_count > size_ / sizeof(ChunkHeader)) {
+    throw TraceError("chunk table count exceeds the file size");
+  }
   Cursor table{data_, size_ - sizeof(FileFooter),
                footer.chunk_table_offset + sizeof(kTableMagic)};
   chunks_.reserve(footer.chunk_count);
@@ -239,10 +244,42 @@ TraceReader::TraceReader(const std::string& path) {
 
   Cursor names{data_, size_ - sizeof(FileFooter), footer.name_table_offset};
   const std::uint64_t name_count = names.varint();
+  if (name_count > size_) {
+    throw TraceError("name table count exceeds the file size");
+  }
   names_.reserve(name_count);
   for (std::uint64_t i = 0; i < name_count; ++i) {
     names_.push_back(read_string(names));
   }
+
+  // Index the iterations from the table rows: step's marker chunk holds
+  // one record, no ops and exactly marker_payload(step). Steps must
+  // appear 1..iterations in order; a file whose markers share chunks
+  // with other records gets no index.
+  std::vector<std::uint8_t> marker = marker_payload(1);
+  std::uint64_t marker_digest = fnv1a(marker.data(), marker.size());
+  for (std::size_t i = 0;
+       i < chunks_.size() && iteration_chunks_.size() < meta_.iterations;
+       ++i) {
+    const ChunkInfo& c = chunks_[i];
+    if (c.record_count == 1 && c.op_count == 0 &&
+        c.payload_bytes == marker.size() && c.payload_digest == marker_digest) {
+      iteration_chunks_.push_back(i);
+      marker = marker_payload(
+          static_cast<std::uint32_t>(iteration_chunks_.size() + 1));
+      marker_digest = fnv1a(marker.data(), marker.size());
+    }
+  }
+  if (iteration_chunks_.size() != meta_.iterations) {
+    iteration_chunks_.clear();
+  }
+
+  // The meta digest, then every byte from the chunk-table marker to
+  // EOF: chunk rows (payload digests included), names and footer.
+  content_digest_ = fnv1a(
+      data_ + footer.chunk_table_offset, size_ - footer.chunk_table_offset,
+      fnv1a(reinterpret_cast<const std::uint8_t*>(&header.meta_digest),
+            sizeof(header.meta_digest)));
 }
 
 TraceReader::~TraceReader() {
@@ -251,8 +288,7 @@ TraceReader::~TraceReader() {
   }
 }
 
-void TraceReader::decode_chunk(std::size_t i, std::vector<Record>& out) const {
-  out.clear();
+void TraceReader::verify_chunk(std::size_t i) const {
   const ChunkInfo& info = chunks_.at(i);
   const auto header =
       read_struct<ChunkHeader>(data_, size_, info.offset, "chunk header");
@@ -270,7 +306,15 @@ void TraceReader::decode_chunk(std::size_t i, std::vector<Record>& out) const {
   if (fnv1a(payload, header.payload_bytes) != header.payload_digest) {
     throw TraceError("chunk " + std::to_string(i) + " digest mismatch");
   }
-  decode_payload(header, payload, out);
+}
+
+void TraceReader::decode_chunk(std::size_t i, std::vector<Record>& out) const {
+  out.clear();
+  verify_chunk(i);
+  const std::uint64_t offset = chunks_[i].offset;
+  const auto header =
+      read_struct<ChunkHeader>(data_, size_, offset, "chunk header");
+  decode_payload(header, data_ + offset + sizeof(ChunkHeader), out);
 }
 
 StreamReader::StreamReader(std::istream& in) : in_(&in) {

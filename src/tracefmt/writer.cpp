@@ -99,9 +99,14 @@ void TraceWriter::cold_begin() {
 }
 
 void TraceWriter::iteration_begin(std::uint32_t step) {
-  payload_.push_back(static_cast<std::uint8_t>(RecordKind::kIterationBegin));
-  put_varint(payload_, step);
+  // Cut before and after the marker: it sits alone in its chunk and
+  // each iteration's records start a fresh chunk run, so iterations
+  // that dispatch the same stream encode to equal chunk digests.
+  flush_chunk();
+  const std::vector<std::uint8_t> marker = marker_payload(step);
+  payload_.insert(payload_.end(), marker.begin(), marker.end());
   end_record(0);
+  flush_chunk();
 }
 
 void TraceWriter::advance(std::uint64_t ns) {

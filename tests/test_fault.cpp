@@ -593,6 +593,35 @@ TEST(Checkpoint, EncodeDecodeKeepsCoherenceCounters) {
   EXPECT_EQ(results_to_json({decoded}), results_to_json({original}));
 }
 
+TEST(Checkpoint, ReplayCellsAreKeyedByTraceContent) {
+  const std::string dir = temp_dir("replay_content");
+  const std::string trace = dir + "/cell.rtrc";
+  (void)dump_trace(small_config("ft", false), trace);
+  RunConfig config = small_config("ft", false);
+  config.replay = trace;
+  SweepOptions options;
+  options.jobs = 1;
+  options.checkpoint_dir = dir + "/ckpt";
+  const SweepOutcome first = run_sweep({config}, options);
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(first.results[0].benchmark, "CG");
+
+  // Another benchmark's trace at the same path is another cell.
+  RunConfig mg = small_config("ft", false);
+  mg.benchmark = "MG";
+  (void)dump_trace(mg, trace);
+  const SweepOutcome resumed = run_sweep({config}, options);
+  ASSERT_TRUE(resumed.ok());
+  EXPECT_EQ(resumed.stats.cells_resumed, 0u);
+  EXPECT_EQ(resumed.results[0].benchmark, "MG");
+  EXPECT_NE(resumed.results[0].total, first.results[0].total);
+
+  // An unreadable trace still has an identity; the cell fails when run.
+  config.replay = dir + "/missing.rtrc";
+  EXPECT_NO_THROW((void)sweep_identity({config}));
+  EXPECT_FALSE(run_sweep({config}, options).ok());
+}
+
 TEST(Checkpoint, SweepIdentityGuardRefusesForeignCells) {
   const std::string dir = temp_dir("sweep_guard");
   RunConfig config = small_config("ft", false);

@@ -1,8 +1,9 @@
 // Trace-format and replay-frontend tests: RTRC encode/decode round
 // trips (including a randomized RegionProgram fuzz), corruption
 // rejection, the SPSC ring buffer, pipelined-vs-serial replay
-// equivalence, and the harness-level replay path (dry dump == live
-// dump, golden-cell byte identity, error cases).
+// equivalence, the iteration index, and the harness-level replay path
+// (dry dump == live dump, golden-cell byte identity, fast-forwarded
+// replay, error cases).
 //
 // Suite naming matters for CI: TraceFmt, RingBuffer and PipelineReplay
 // also run under the TSan leg (they exercise the producer/consumer
@@ -10,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -149,6 +151,165 @@ std::vector<RegionProgram> replayed_programs(const std::string& path,
     }
   }
   return out;
+}
+
+std::vector<std::uint8_t> read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+void write_bytes(const std::string& path,
+                 const std::vector<std::uint8_t>& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+}
+
+template <typename T>
+void append_raw(std::vector<std::uint8_t>& out, const T& value) {
+  const auto* p = reinterpret_cast<const std::uint8_t*>(&value);
+  out.insert(out.end(), p, p + sizeof(T));
+}
+
+/// How rewrite_trace makes one iteration run `extra_ns` longer.
+enum class Lengthen : std::uint8_t {
+  kExtraRecord,    // a new advance record right after the marker
+  kFirstAdvance,   // the iteration's first advance record, in place
+};
+
+/// Re-encodes `src` record by record through a TraceWriter into `dst`,
+/// lengthening iteration `step` by `extra_ns` (0 = a faithful copy).
+void rewrite_trace(const std::string& src, const std::string& dst,
+                   std::uint32_t step, std::uint64_t extra_ns,
+                   Lengthen how = Lengthen::kExtraRecord) {
+  tracefmt::TraceReader reader(src);
+  tracefmt::TraceWriter writer(dst, reader.meta());
+  std::vector<tracefmt::Record> records;
+  std::uint32_t current = 0;  // 0 = the cold start
+  bool lengthened = extra_ns == 0;
+  for (std::size_t c = 0; c < reader.num_chunks(); ++c) {
+    reader.decode_chunk(c, records);
+    for (const tracefmt::Record& r : records) {
+      switch (r.kind) {
+        case tracefmt::RecordKind::kDefineName:
+          break;  // the writer interns names on first use itself
+        case tracefmt::RecordKind::kColdBegin:
+          writer.cold_begin();
+          break;
+        case tracefmt::RecordKind::kIterationBegin:
+          writer.iteration_begin(r.step);
+          current = r.step;
+          if (current == step && !lengthened &&
+              how == Lengthen::kExtraRecord) {
+            writer.advance(extra_ns);
+            lengthened = true;
+          }
+          break;
+        case tracefmt::RecordKind::kAdvance:
+          if (current == step && !lengthened) {
+            writer.advance(r.ns + extra_ns);
+            lengthened = true;
+          } else {
+            writer.advance(r.ns);
+          }
+          break;
+        case tracefmt::RecordKind::kRegion: {
+          const tracefmt::RegionData& d = r.region;
+          tracefmt::RegionColumns columns;
+          columns.pages = d.pages.data();
+          columns.compute = d.compute.data();
+          columns.lines = d.lines.data();
+          columns.line_begin = d.line_begin.data();
+          columns.flags = d.flags.data();
+          columns.offsets = d.offsets.data();
+          columns.num_threads = d.num_threads();
+          columns.size = d.size();
+          columns.max_access_lines = d.max_access_lines;
+          columns.max_line_begin = d.max_line_begin;
+          writer.region(reader.name(d.name_id), d.binding, columns);
+          break;
+        }
+      }
+    }
+  }
+  (void)writer.finish();
+  ASSERT_TRUE(lengthened) << "iteration " << step << " has no advance";
+}
+
+void put_chunk_row(std::vector<std::uint8_t>& out,
+                   const tracefmt::ChunkInfo& row) {
+  tracefmt::put_varint(out, row.offset);
+  tracefmt::put_varint(out, row.payload_bytes);
+  tracefmt::put_varint(out, row.record_count);
+  tracefmt::put_varint(out, row.op_count);
+  append_raw(out, row.payload_digest);
+}
+
+/// Re-assembles `src` with chunks [first, end) merged into one, so the
+/// iteration markers from there on share a chunk with region records,
+/// as older writers laid them out (built from the format.hpp structs,
+/// bypassing TraceWriter).
+void merge_chunks_from(const std::string& src, const std::string& dst,
+                       std::size_t first) {
+  const std::vector<std::uint8_t> bytes = read_bytes(src);
+  tracefmt::TraceReader reader(src);
+  tracefmt::FileFooter footer;
+  std::memcpy(&footer, bytes.data() + bytes.size() - sizeof(footer),
+              sizeof(footer));
+  tracefmt::ChunkInfo merged;
+  merged.offset = reader.chunk(first).offset;
+  std::vector<std::uint8_t> payload;
+  for (std::size_t c = first; c < reader.num_chunks(); ++c) {
+    const tracefmt::ChunkInfo& info = reader.chunk(c);
+    const auto begin = bytes.begin() + static_cast<std::ptrdiff_t>(
+                                           info.offset +
+                                           sizeof(tracefmt::ChunkHeader));
+    payload.insert(payload.end(), begin,
+                   begin + static_cast<std::ptrdiff_t>(info.payload_bytes));
+    merged.record_count += info.record_count;
+    merged.op_count += info.op_count;
+  }
+  merged.payload_bytes = payload.size();
+  merged.payload_digest = tracefmt::fnv1a(payload.data(), payload.size());
+
+  std::vector<std::uint8_t> out(
+      bytes.begin(), bytes.begin() + static_cast<std::ptrdiff_t>(merged.offset));
+  tracefmt::ChunkHeader header;
+  header.payload_bytes = merged.payload_bytes;
+  header.record_count = merged.record_count;
+  header.op_count = merged.op_count;
+  header.payload_digest = merged.payload_digest;
+  append_raw(out, header);
+  out.insert(out.end(), payload.begin(), payload.end());
+  const std::uint64_t table_offset = out.size();
+  append_raw(out, tracefmt::kTableMagic);
+  for (std::size_t c = 0; c < first; ++c) {
+    put_chunk_row(out, reader.chunk(c));
+  }
+  put_chunk_row(out, merged);
+  const std::uint64_t names_offset = out.size();
+  out.insert(out.end(),
+             bytes.begin() +
+                 static_cast<std::ptrdiff_t>(footer.name_table_offset),
+             bytes.end() - static_cast<std::ptrdiff_t>(sizeof(footer)));
+  footer.chunk_count = first + 1;
+  footer.chunk_table_offset = table_offset;
+  footer.name_table_offset = names_offset;
+  append_raw(out, footer);
+  write_bytes(dst, out);
+}
+
+harness::RunConfig tiny_config(const std::string& placement, bool upmlib) {
+  harness::RunConfig config;
+  config.benchmark = "CG";
+  config.placement = placement;
+  config.iterations = 3;
+  config.workload.size_scale = 0.25;
+  if (upmlib) {
+    config.upm_mode = nas::UpmMode::kDistribution;
+  }
+  return config;
 }
 
 // ---------------------------------------------------------------------
@@ -413,6 +574,91 @@ TEST(TraceFmt, RejectsTruncationCorruptionAndBadMagic) {
     EXPECT_THROW(tracefmt::TraceReader reader(variant.path),
                  tracefmt::TraceError);
   }
+
+  // Table counts the file cannot hold are rejected before anything is
+  // reserved for them.
+  tracefmt::FileFooter footer;
+  std::memcpy(&footer, bytes.data() + bytes.size() - sizeof(footer),
+              sizeof(footer));
+  {
+    tracefmt::FileFooter huge = footer;
+    huge.chunk_count = std::uint64_t{1} << 60;
+    std::vector<char> bad = bytes;
+    std::memcpy(bad.data() + bad.size() - sizeof(huge), &huge, sizeof(huge));
+    write_variant(bad);
+    EXPECT_THROW(tracefmt::TraceReader reader(variant.path),
+                 tracefmt::TraceError);
+  }
+  {
+    std::vector<std::uint8_t> bad(
+        bytes.begin(),
+        bytes.begin() + static_cast<std::ptrdiff_t>(footer.name_table_offset));
+    tracefmt::put_varint(bad, std::uint64_t{1} << 40);
+    append_raw(bad, footer);
+    write_variant(std::vector<char>(bad.begin(), bad.end()));
+    EXPECT_THROW(tracefmt::TraceReader reader(variant.path),
+                 tracefmt::TraceError);
+  }
+}
+
+TEST(TraceFmt, EveryIterationMarkerSitsAloneInItsChunk) {
+  TempFile file("markers.rtrc");
+  harness::RunConfig config = tiny_config("ft", false);
+  config.iterations = 5;
+  (void)harness::dump_trace(config, file.path);
+
+  tracefmt::TraceReader reader(file.path);
+  std::vector<std::size_t> marker_chunks;
+  std::vector<std::uint32_t> steps;
+  std::vector<tracefmt::Record> out;
+  for (std::size_t c = 0; c < reader.num_chunks(); ++c) {
+    reader.decode_chunk(c, out);
+    for (const tracefmt::Record& r : out) {
+      if (r.kind == tracefmt::RecordKind::kIterationBegin) {
+        EXPECT_EQ(out.size(), 1u) << "marker " << r.step << " shares chunk "
+                                  << c;
+        marker_chunks.push_back(c);
+        steps.push_back(r.step);
+      }
+    }
+  }
+  EXPECT_EQ(steps, (std::vector<std::uint32_t>{1, 2, 3, 4, 5}));
+  EXPECT_EQ(reader.iteration_chunks(), marker_chunks);
+}
+
+TEST(TraceFmt, TraceWithMarkersInBodyChunksReplaysWithoutSkipping) {
+  TempFile dump("merged_src.rtrc");
+  TempFile merged("merged.rtrc");
+  harness::RunConfig config = tiny_config("ft", false);
+  config.iterations = 6;
+  (void)harness::dump_trace(config, dump.path);
+  std::size_t step4 = 0;
+  {
+    tracefmt::TraceReader reader(dump.path);
+    ASSERT_EQ(reader.iteration_chunks().size(), 6u);
+    step4 = reader.iteration_chunks()[3];
+  }
+  config.trace = true;
+  const harness::RunResult direct = harness::run_benchmark(config);
+  ASSERT_GT(direct.iterations_replayed, 0u);
+
+  // Every record in one chunk, and markers 1-3 alone but 4-6 inside
+  // one merged chunk: neither file has an iteration index.
+  for (const std::size_t first : {std::size_t{0}, step4}) {
+    SCOPED_TRACE(first);
+    merge_chunks_from(dump.path, merged.path, first);
+    {
+      tracefmt::TraceReader reader(merged.path);
+      ASSERT_EQ(reader.num_chunks(), first + 1);
+      EXPECT_TRUE(reader.iteration_chunks().empty());
+    }
+    config.replay = merged.path;
+    const harness::RunResult replayed = harness::run_benchmark(config);
+    EXPECT_EQ(replayed.trace_digest, direct.trace_digest);
+    EXPECT_EQ(replayed.iteration_times, direct.iteration_times);
+    EXPECT_EQ(replayed.iterations_replayed, 0u);
+    EXPECT_EQ(replayed.iterations_simulated, 6u);
+  }
 }
 
 // ---------------------------------------------------------------------
@@ -579,18 +825,6 @@ TEST(PipelineReplay, DestructionWithUnconsumedItemsDoesNotHang) {
 // ---------------------------------------------------------------------
 // ReplayHarness: the harness-level dump/replay path and its contracts.
 
-harness::RunConfig tiny_config(const std::string& placement, bool upmlib) {
-  harness::RunConfig config;
-  config.benchmark = "CG";
-  config.placement = placement;
-  config.iterations = 3;
-  config.workload.size_scale = 0.25;
-  if (upmlib) {
-    config.upm_mode = nas::UpmMode::kDistribution;
-  }
-  return config;
-}
-
 TEST(ReplayHarness, ConflictingFrontendConfigsRejected) {
   TempFile file("conflict.rtrc");
   {
@@ -659,6 +893,86 @@ TEST(ReplayHarness, ReplayResultCarriesTheTraceBenchmarkName) {
   EXPECT_EQ(result.iteration_times.size(), 3u);
 }
 
+TEST(ReplayHarness, FastForwardSimulatesTheIterationThatDiffers) {
+  TempFile dump("differs_src.rtrc");
+  TempFile same("differs_same.rtrc");
+  TempFile altered("differs.rtrc");
+  harness::RunConfig config = tiny_config("rr", false);
+  config.iterations = 10;
+  (void)harness::dump_trace(config, dump.path);
+  // The rewrite itself is lossless; only the lengthening differs.
+  rewrite_trace(dump.path, same.path, 7, 0);
+  ASSERT_EQ(read_bytes(same.path), read_bytes(dump.path));
+  config.trace = true;
+  config.replay = dump.path;
+  const harness::RunResult original = harness::run_benchmark(config);
+
+  // One extra record changes iteration 7's chunk sizes and counts; a
+  // longer advance in place changes only a payload digest.
+  for (const auto& [how, extra] :
+       {std::pair{Lengthen::kExtraRecord, std::uint64_t{12345}},
+        std::pair{Lengthen::kFirstAdvance, std::uint64_t{1}}}) {
+    SCOPED_TRACE(extra);
+    rewrite_trace(dump.path, altered.path, 7, extra, how);
+    if (how == Lengthen::kFirstAdvance) {
+      tracefmt::TraceReader reader(altered.path);
+      const tracefmt::ChunkInfo& six =
+          reader.chunk(reader.iteration_chunks()[5] + 1);
+      const tracefmt::ChunkInfo& seven =
+          reader.chunk(reader.iteration_chunks()[6] + 1);
+      ASSERT_EQ(seven.payload_bytes, six.payload_bytes);
+      ASSERT_EQ(seven.record_count, six.record_count);
+      ASSERT_NE(seven.payload_digest, six.payload_digest);
+    }
+    config.replay = altered.path;
+    config.no_fast_forward = false;
+    const harness::RunResult fast = harness::run_benchmark(config);
+    config.pipeline = true;  // its producer cannot seek
+    const harness::RunResult pipelined = harness::run_benchmark(config);
+    config.pipeline = false;
+    config.no_fast_forward = true;
+    const harness::RunResult full = harness::run_benchmark(config);
+
+    // The replayed block starts at step 3 at the earliest (three
+    // probes) and must end before iteration 7.
+    EXPECT_GT(fast.iterations_replayed, 0u);
+    EXPECT_LE(fast.iterations_replayed, 4u);
+    EXPECT_EQ(pipelined.iterations_replayed, 0u);
+    EXPECT_EQ(full.iterations_replayed, 0u);
+    for (const harness::RunResult* r : {&fast, &pipelined}) {
+      EXPECT_EQ(r->trace_digest, full.trace_digest);
+      EXPECT_EQ(r->iteration_times, full.iteration_times);
+      EXPECT_EQ(r->total, full.total);
+    }
+    ASSERT_EQ(fast.iteration_times.size(), 10u);
+    EXPECT_EQ(fast.iteration_times[6], original.iteration_times[6] + extra);
+  }
+}
+
+TEST(ReplayHarness, CorruptChunkInASkippedIterationStillThrows) {
+  TempFile dump("corrupt_skip.rtrc");
+  harness::RunConfig config = tiny_config("rr", false);
+  config.iterations = 10;
+  (void)harness::dump_trace(config, dump.path);
+  config.replay = dump.path;
+  // Intact, iteration 8 lies inside the synthesized block.
+  EXPECT_LT(harness::run_benchmark(config).iterations_simulated, 8u);
+
+  std::size_t flip = 0;
+  {
+    tracefmt::TraceReader reader(dump.path);
+    ASSERT_EQ(reader.iteration_chunks().size(), 10u);
+    const tracefmt::ChunkInfo& body =
+        reader.chunk(reader.iteration_chunks()[7] + 1);
+    flip = body.offset + sizeof(tracefmt::ChunkHeader) +
+           body.payload_bytes / 2;
+  }
+  std::vector<std::uint8_t> bytes = read_bytes(dump.path);
+  bytes[flip] ^= 0x40;
+  write_bytes(dump.path, bytes);
+  EXPECT_THROW((void)harness::run_benchmark(config), tracefmt::TraceError);
+}
+
 // ---------------------------------------------------------------------
 // ReplayGolden: every golden cell replays byte-identically.
 
@@ -715,6 +1029,13 @@ TEST(ReplayGolden, EveryGoldenCellReplaysByteIdentically) {
               migration_vector(direct_results[i]))
         << key;
     EXPECT_EQ(replay_results[i].benchmark, direct_results[i].benchmark)
+        << key;
+    // Replay fast-forwards exactly where direct simulation does.
+    EXPECT_EQ(replay_results[i].iterations_simulated,
+              direct_results[i].iterations_simulated)
+        << key;
+    EXPECT_EQ(replay_results[i].iterations_replayed,
+              direct_results[i].iterations_replayed)
         << key;
   }
 }
