@@ -1,11 +1,13 @@
 // Google-benchmark microbenchmarks for the building blocks: cache
 // touches, directory transitions, counter updates, the memory-system
 // access path, page migration, UPMlib scan/migrate passes, machine
-// bring-up, the daemon cell's kernel digest and whole simulated
-// iterations. These measure *host* performance of the simulator (how
-// fast the reproduction runs), not simulated time.
+// bring-up, the daemon cell's kernel digest, the line-grain coherence
+// model's per-line cost and whole simulated iterations. These measure
+// *host* performance of the simulator (how fast the reproduction
+// runs), not simulated time.
 #include <benchmark/benchmark.h>
 
+#include "repro/coherence/model.hpp"
 #include "repro/memsys/memory_system.hpp"
 #include "repro/nas/workload.hpp"
 #include "repro/omp/machine.hpp"
@@ -195,6 +197,34 @@ void BM_KernelDigestWithDaemon(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_KernelDigestWithDaemon)->Unit(benchmark::kMicrosecond);
+
+void BM_CoherenceLineStream(benchmark::State& state) {
+  // Host cost per coherent line: the default 16-proc machine under
+  // MESI, each proc sweeping whole pages (128-line accesses) over its
+  // own 360 pages, every 4th page written -- the capacity-miss,
+  // Exclusive-fill and dirty-writeback path of a NAS sweep.
+  const memsys::MachineConfig machine;
+  coherence::CoherenceConfig config;
+  config.policy = coherence::Policy::kMesi;
+  coherence::CoherenceModel model(machine, config);
+  constexpr std::uint64_t kPagesPerProc = 360;
+  const std::uint32_t procs = static_cast<std::uint32_t>(machine.num_procs());
+  memsys::LineAccess access;
+  access.lines = machine.lines_per_page();
+  std::uint64_t step = 0;
+  for (auto _ : state) {
+    const auto proc = static_cast<std::uint32_t>(step % procs);
+    const std::uint64_t k = (step / procs) % kPagesPerProc;
+    access.proc = ProcId(proc);
+    access.page = VPage(1 + proc * kPagesPerProc + k);
+    access.write = k % 4 == 0;
+    benchmark::DoNotOptimize(model.on_access(0, access));
+    ++step;
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(access.lines));
+}
+BENCHMARK(BM_CoherenceLineStream);
 
 void BM_NasIteration(benchmark::State& state) {
   // Host cost of simulating one full BT iteration (~26k events).

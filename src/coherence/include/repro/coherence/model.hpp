@@ -20,6 +20,13 @@
 // writer proceeds (SWMR) -- means no stale version can ever be
 // observed; tests/test_coherence.cpp checks exactly that against an
 // independent flat-memory oracle, plus the structural audit() below.
+//
+// Directory layout: the first access to a virtual page allocates one
+// contiguous block of lines_per_page() directory slots (and their
+// sharer words); `page_base_[page]` holds the block's first slot, so a
+// line's slot is base + index and an access resolves its page once.
+// Each cached way also carries its line's slot, which lets evictions
+// and upgrades reach the directory entry without any lookup.
 #pragma once
 
 #include <cstdint>
@@ -27,7 +34,6 @@
 #include <vector>
 
 #include "repro/coherence/config.hpp"
-#include "repro/common/flat_map.hpp"
 #include "repro/common/hash.hpp"
 #include "repro/common/strong_id.hpp"
 #include "repro/common/units.hpp"
@@ -115,41 +121,60 @@ class CoherenceModel final : public memsys::LineModel {
     std::uint64_t version = 0;
     std::uint64_t lru = 0;  ///< last-touch stamp (per-proc counter)
     LineState state = LineState::kInvalid;
+    std::uint32_t slot = 0;  ///< directory slot of `line` (valid ways)
   };
+  // `slot` sits in the padding after `state`. Ways are allocated up
+  // front for every proc (16 x 64 sets x 8 ways = 256 KiB by default),
+  // so their size is the model's fixed cost per cell.
+  static_assert(sizeof(Way) == 32);
 
-  /// Directory entry; entries persist once created so the "ever filled"
-  /// and "invalidated" bitmaps survive eviction (miss classification).
+  /// Directory entry. A page's slots exist from its first access, but a
+  /// line's entry counts as created only from its first miss; entries
+  /// persist once created so the "ever filled" and "invalidated"
+  /// bitmaps survive eviction (miss classification).
   struct Entry {
     std::uint64_t memory_version = 0;
     std::uint32_t owner = kNoOwner;  ///< proc holding E or M, if any
     bool dirty = false;              ///< owner's copy is M
+    bool created = false;            ///< the line has missed at least once
   };
   static constexpr std::uint32_t kNoOwner = ~0u;
-
-  struct Touch {
-    bool miss = false;
-  };
+  /// No block (page_base_) or no created entry (slot_of).
+  static constexpr std::uint32_t kNoSlot = ~0u;
 
   [[nodiscard]] Way* find_way(std::uint32_t proc, std::uint64_t line);
   [[nodiscard]] const Way* find_way(std::uint32_t proc,
                                     std::uint64_t line) const;
-  [[nodiscard]] std::uint32_t entry_slot(std::uint64_t line);
+  /// First slot of `page`'s directory block, allocating it (and growing
+  /// page_base_) on the page's first access.
+  [[nodiscard]] std::uint32_t page_block(VPage page);
+  /// First slot of `page`'s block, or kNoSlot if it was never accessed.
+  [[nodiscard]] std::uint32_t block_of(std::uint64_t page) const;
+  /// Slot of `line`'s created entry, or kNoSlot.
+  [[nodiscard]] std::uint32_t slot_of(std::uint64_t line) const;
+  /// Calls fn(line, slot) for every created entry in ascending global
+  /// line order (pages ascending, then lines within the page).
+  template <typename Fn>
+  void for_each_entry(Fn&& fn) const;
   /// Touches one coherence line for `proc`; classifies, mutates cache +
   /// directory state, accumulates into `out` and the stats, and emits
-  /// per-line events. `page` and `index` locate the line for events.
+  /// per-line events. `page` and `index` locate the line for events;
+  /// `slot` is its directory slot.
   void touch_line(Ns now, std::uint32_t proc, VPage page,
-                  std::uint32_t index, bool write, memsys::LineOutcome& out);
+                  std::uint32_t index, std::uint32_t slot, bool write,
+                  memsys::LineOutcome& out);
   /// Invalidates every cached copy of `line` except `keeper`; marks the
   /// victims' inv-pending bits (their next miss is a coherence miss).
   /// Returns the victim count.
   [[nodiscard]] std::uint32_t invalidate_others(std::uint32_t slot,
                                                 std::uint64_t line,
                                                 std::uint32_t keeper);
-  /// Inserts `line` for `proc` (choosing an invalid or LRU way),
-  /// evicting the victim: dirty victims write back (memory version
-  /// update + posted occupancy at their home). Returns the way.
-  Way& fill_line(std::uint32_t proc, std::uint64_t line, LineState state,
-                 std::uint64_t version, memsys::LineOutcome& out);
+  /// Inserts `line` (directory slot `slot`) for `proc`, choosing an
+  /// invalid or LRU way and evicting the victim: dirty victims write
+  /// back (memory version update + posted occupancy at their home).
+  /// Returns the way.
+  Way& fill_line(std::uint32_t proc, std::uint64_t line, std::uint32_t slot,
+                 LineState state, std::uint64_t version);
 
   // Sharer-word helpers (words-per-entry scales past 64 procs).
   [[nodiscard]] bool test_bit(const std::uint64_t* words,
@@ -180,8 +205,8 @@ class CoherenceModel final : public memsys::LineModel {
 
   std::vector<Way> ways_;          // [proc][set][way], flat
   std::vector<std::uint64_t> lru_clock_;  // per proc
-  FlatMap<std::uint32_t> index_;   // global line -> slot
-  std::vector<Entry> entries_;     // by slot
+  std::vector<std::uint32_t> page_base_;  // by VPage: block's first slot
+  std::vector<Entry> entries_;     // by slot, clpp_ per accessed page
   std::vector<std::uint64_t> words_;  // 3 * wpe_ per slot
   std::vector<CoherenceStats> stats_;
   std::uint64_t next_version_ = 0;

@@ -1,6 +1,7 @@
 #include "repro/coherence/model.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "repro/common/assert.hpp"
 
@@ -100,15 +101,48 @@ const CoherenceModel::Way* CoherenceModel::find_way(
   return nullptr;
 }
 
-std::uint32_t CoherenceModel::entry_slot(std::uint64_t line) {
-  if (const std::uint32_t* slot = index_.find(line)) {
-    return *slot;
+std::uint32_t CoherenceModel::page_block(VPage page) {
+  if (page.value() >= page_base_.size()) {
+    page_base_.resize(page.value() + 1, kNoSlot);
   }
-  const auto slot = static_cast<std::uint32_t>(entries_.size());
-  index_[line] = slot;
-  entries_.emplace_back();
-  words_.resize(words_.size() + 3 * static_cast<std::size_t>(wpe_), 0);
-  return slot;
+  std::uint32_t& base = page_base_[page.value()];
+  if (base == kNoSlot) {
+    REPRO_REQUIRE_MSG(entries_.size() + clpp_ < kNoSlot,
+                      "coherence directory exceeds 2^32 line slots");
+    base = static_cast<std::uint32_t>(entries_.size());
+    entries_.resize(entries_.size() + clpp_);
+    words_.resize(words_.size() + 3 * static_cast<std::size_t>(wpe_) * clpp_,
+                  0);
+  }
+  return base;
+}
+
+std::uint32_t CoherenceModel::block_of(std::uint64_t page) const {
+  return page < page_base_.size() ? page_base_[page] : kNoSlot;
+}
+
+std::uint32_t CoherenceModel::slot_of(std::uint64_t line) const {
+  const std::uint32_t base = block_of(line / clpp_);
+  if (base == kNoSlot) {
+    return kNoSlot;
+  }
+  const std::uint32_t slot = base + static_cast<std::uint32_t>(line % clpp_);
+  return entries_[slot].created ? slot : kNoSlot;
+}
+
+template <typename Fn>
+void CoherenceModel::for_each_entry(Fn&& fn) const {
+  for (std::uint64_t page = 0; page < page_base_.size(); ++page) {
+    const std::uint32_t base = page_base_[page];
+    if (base == kNoSlot) {
+      continue;
+    }
+    for (std::uint32_t index = 0; index < clpp_; ++index) {
+      if (entries_[base + index].created) {
+        fn(line_id(VPage(page), index), base + index);
+      }
+    }
+  }
 }
 
 std::uint32_t CoherenceModel::invalidate_others(std::uint32_t slot,
@@ -146,10 +180,9 @@ std::uint32_t CoherenceModel::invalidate_others(std::uint32_t slot,
 
 CoherenceModel::Way& CoherenceModel::fill_line(std::uint32_t proc,
                                                std::uint64_t line,
+                                               std::uint32_t slot,
                                                LineState state,
-                                               std::uint64_t version,
-                                               memsys::LineOutcome& out) {
-  (void)out;
+                                               std::uint64_t version) {
   const std::size_t set = line % config_.sets;
   Way* base = ways_.data() + (proc * config_.sets + set) * config_.ways;
   Way* victim = base;
@@ -167,16 +200,13 @@ CoherenceModel::Way& CoherenceModel::fill_line(std::uint32_t proc,
     // asynchronous writeback for dirty ones. The victim's inv-pending
     // bit stays clear -- refetching it later is a capacity miss, not a
     // coherence miss.
-    const std::uint64_t vline = victim->line;
-    const std::uint32_t* vslot = index_.find(vline);
-    REPRO_ASSERT(vslot != nullptr);
-    Entry& ve = entries_[*vslot];
-    clear_bit(sharer_words(*vslot), proc);
+    Entry& ve = entries_[victim->slot];
+    clear_bit(sharer_words(victim->slot), proc);
     if (victim->state == LineState::kModified) {
       ve.memory_version = victim->version;
       ve.owner = kNoOwner;
       ve.dirty = false;
-      writeback_scratch_.push_back(vline / clpp_);
+      writeback_scratch_.push_back(victim->line / clpp_);
       ++stats_[proc].writebacks;
     } else if (ve.owner == proc) {
       ve.owner = kNoOwner;
@@ -186,13 +216,14 @@ CoherenceModel::Way& CoherenceModel::fill_line(std::uint32_t proc,
   victim->line = line;
   victim->version = version;
   victim->state = state;
+  victim->slot = slot;
   victim->lru = ++lru_clock_[proc];
   return *victim;
 }
 
 void CoherenceModel::touch_line(Ns now, std::uint32_t proc, VPage page,
-                                std::uint32_t index, bool write,
-                                memsys::LineOutcome& out) {
+                                std::uint32_t index, std::uint32_t slot,
+                                bool write, memsys::LineOutcome& out) {
   const std::uint64_t line = line_id(page, index);
   CoherenceStats& st = stats_[proc];
   Way* way = find_way(proc, line);
@@ -205,11 +236,10 @@ void CoherenceModel::touch_line(Ns now, std::uint32_t proc, VPage page,
         // and MESI digests differ while results stay identical).
         way->state = LineState::kModified;
         way->version = ++next_version_;
-        entries_[*index_.find(line)].dirty = true;
+        entries_[slot].dirty = true;
       } else {
         // S -> M upgrade: a directory round trip that invalidates
         // every other copy before the write proceeds (SWMR).
-        const std::uint32_t slot = *index_.find(line);
         const std::uint32_t victims = invalidate_others(slot, line, proc);
         out.invalidation_copies += victims;
         st.invalidations_sent += victims;
@@ -240,7 +270,7 @@ void CoherenceModel::touch_line(Ns now, std::uint32_t proc, VPage page,
   }
 
   // Miss: classify against the line's history with this processor.
-  const std::uint32_t slot = entry_slot(line);
+  entries_[slot].created = true;
   if (test_bit(inv_words(slot), proc)) {
     clear_bit(inv_words(slot), proc);
     ++st.coherence_miss_lines;
@@ -277,7 +307,7 @@ void CoherenceModel::touch_line(Ns now, std::uint32_t proc, VPage page,
       sink_->emit(lane_, ev);
     }
     const std::uint64_t version = ++next_version_;
-    fill_line(proc, line, LineState::kModified, version, out);
+    fill_line(proc, line, slot, LineState::kModified, version);
     Entry& after = entries_[slot];
     after.owner = proc;
     after.dirty = true;
@@ -310,7 +340,7 @@ void CoherenceModel::touch_line(Ns now, std::uint32_t proc, VPage page,
       config_.policy == Policy::kMesi && copies == 0 ? LineState::kExclusive
                                                      : LineState::kShared;
   const std::uint64_t version = e.memory_version;
-  fill_line(proc, line, fill_state, version, out);
+  fill_line(proc, line, slot, fill_state, version);
   Entry& after = entries_[slot];
   if (fill_state == LineState::kExclusive) {
     after.owner = proc;
@@ -328,6 +358,7 @@ memsys::LineOutcome CoherenceModel::on_access(
   writeback_scratch_.clear();
   memsys::LineOutcome out;
   const CoherenceStats before = stats_[proc];
+  const std::uint32_t base = page_block(access.page);
   for (std::uint32_t i = 0; i < access.lines; ++i) {
     // Coalesced read runs wrap: touches past the first lap of the page
     // are repeats of already-filled lines and classify as hits, which
@@ -335,10 +366,14 @@ memsys::LineOutcome CoherenceModel::on_access(
     const std::uint32_t m = (access.line_begin + i) % lpp_;
     if (fine_ > 1) {
       for (std::uint32_t f = 0; f < fine_; ++f) {
-        touch_line(now, proc, access.page, m * fine_ + f, access.write, out);
+        const std::uint32_t index = m * fine_ + f;
+        touch_line(now, proc, access.page, index, base + index, access.write,
+                   out);
       }
     } else {
-      touch_line(now, proc, access.page, m / coarse_, access.write, out);
+      const std::uint32_t index = m / coarse_;
+      touch_line(now, proc, access.page, index, base + index, access.write,
+                 out);
     }
   }
   if (sink_ != nullptr) {
@@ -381,14 +416,18 @@ memsys::LineOutcome CoherenceModel::on_access(
 }
 
 void CoherenceModel::flush_page(VPage page) {
+  const std::uint32_t base = block_of(page.value());
+  if (base == kNoSlot) {
+    return;
+  }
   for (std::uint32_t idx = 0; idx < clpp_; ++idx) {
-    const std::uint64_t line = line_id(page, idx);
-    const std::uint32_t* slot = index_.find(line);
-    if (slot == nullptr) {
+    const std::uint32_t slot = base + idx;
+    Entry& e = entries_[slot];
+    if (!e.created) {
       continue;
     }
-    Entry& e = entries_[*slot];
-    std::uint64_t* sharers = sharer_words(*slot);
+    const std::uint64_t line = line_id(page, idx);
+    std::uint64_t* sharers = sharer_words(slot);
     for (std::uint32_t w = 0; w < wpe_; ++w) {
       std::uint64_t word = sharers[w];
       while (word != 0) {
@@ -409,8 +448,8 @@ void CoherenceModel::flush_page(VPage page) {
     // Forget the access history too: a flushed page's next touch is a
     // cold miss, matching the page-grain flush semantics tests rely on.
     for (std::uint32_t w = 0; w < wpe_; ++w) {
-      ever_words(*slot)[w] = 0;
-      inv_words(*slot)[w] = 0;
+      ever_words(slot)[w] = 0;
+      inv_words(slot)[w] = 0;
     }
   }
 }
@@ -418,7 +457,7 @@ void CoherenceModel::flush_page(VPage page) {
 void CoherenceModel::clear() {
   std::fill(ways_.begin(), ways_.end(), Way{});
   std::fill(lru_clock_.begin(), lru_clock_.end(), 0);
-  index_.clear();
+  page_base_.clear();
   entries_.clear();
   words_.clear();
   next_version_ = 0;
@@ -450,16 +489,9 @@ void CoherenceModel::digest(StateHash& hash) const {
       hash.mix(static_cast<std::uint64_t>(base[i].state));
     }
   }
-  // FlatMap iteration order is unspecified; digest in sorted-key order.
-  std::vector<std::uint64_t> keys;
-  keys.reserve(index_.size());
-  index_.for_each(
-      [&keys](std::uint64_t key, std::uint32_t) { keys.push_back(key); });
-  std::sort(keys.begin(), keys.end());
-  for (const std::uint64_t key : keys) {
-    const std::uint32_t slot = *index_.find(key);
+  for_each_entry([this, &hash](std::uint64_t line, std::uint32_t slot) {
     const Entry& e = entries_[slot];
-    hash.mix(key);
+    hash.mix(line);
     hash.mix(e.memory_version);
     hash.mix(e.owner);
     hash.mix(static_cast<std::uint64_t>(e.dirty));
@@ -467,7 +499,7 @@ void CoherenceModel::digest(StateHash& hash) const {
     for (std::uint32_t w = 0; w < 3 * wpe_; ++w) {
       hash.mix(words[w]);
     }
-  }
+  });
 }
 
 CoherenceModel::LineState CoherenceModel::state_of(ProcId proc,
@@ -480,11 +512,11 @@ CoherenceModel::LineState CoherenceModel::state_of(ProcId proc,
 std::vector<std::uint32_t> CoherenceModel::sharers_of(
     std::uint64_t line) const {
   std::vector<std::uint32_t> procs;
-  const std::uint32_t* slot = index_.find(line);
-  if (slot == nullptr) {
+  const std::uint32_t slot = slot_of(line);
+  if (slot == kNoSlot) {
     return procs;
   }
-  const std::uint64_t* words = sharer_words(*slot);
+  const std::uint64_t* words = sharer_words(slot);
   for (std::uint32_t w = 0; w < wpe_; ++w) {
     std::uint64_t word = words[w];
     while (word != 0) {
@@ -502,13 +534,14 @@ std::uint64_t CoherenceModel::probe_version(ProcId proc,
   if (const Way* way = find_way(proc.value(), line)) {
     return way->version;
   }
-  const std::uint32_t* slot = index_.find(line);
-  return slot == nullptr ? 0 : entries_[*slot].memory_version;
+  const std::uint32_t slot = slot_of(line);
+  return slot == kNoSlot ? 0 : entries_[slot].memory_version;
 }
 
 void CoherenceModel::audit() const {
-  // Cache side: every valid way is registered in the directory, and
-  // exclusive states are consistent with the entry.
+  // Cache side: every valid way is registered in the directory (at the
+  // slot it carries), and exclusive states are consistent with the
+  // entry.
   for (std::uint32_t p = 0; p < num_procs_; ++p) {
     const Way* base = ways_.data() +
                       static_cast<std::size_t>(p) * config_.sets *
@@ -520,10 +553,12 @@ void CoherenceModel::audit() const {
       }
       REPRO_REQUIRE_MSG(way.line % config_.sets == i / config_.ways,
                         "cached line in the wrong set");
-      const std::uint32_t* slot = index_.find(way.line);
-      REPRO_REQUIRE_MSG(slot != nullptr, "cached line unknown to directory");
-      const Entry& e = entries_[*slot];
-      REPRO_REQUIRE_MSG(test_bit(sharer_words(*slot), p),
+      const std::uint32_t slot = slot_of(way.line);
+      REPRO_REQUIRE_MSG(slot != kNoSlot, "cached line unknown to directory");
+      REPRO_REQUIRE_MSG(way.slot == slot,
+                        "cached way carries another line's directory slot");
+      const Entry& e = entries_[slot];
+      REPRO_REQUIRE_MSG(test_bit(sharer_words(slot), p),
                         "cached line missing its sharer bit");
       if (way.state == LineState::kModified) {
         REPRO_REQUIRE_MSG(e.owner == p && e.dirty,
@@ -539,7 +574,7 @@ void CoherenceModel::audit() const {
   }
   // Directory side: sharer bits point at real copies, and any M or E
   // copy is the line's only copy (single-writer, multiple-reader).
-  index_.for_each([this](std::uint64_t line, std::uint32_t slot) {
+  for_each_entry([this](std::uint64_t line, std::uint32_t slot) {
     const Entry& e = entries_[slot];
     const std::uint64_t* words = sharer_words(slot);
     std::uint32_t copies = 0;

@@ -6,9 +6,10 @@
 //    into CoherenceModel and checked after *every* access against an
 //    independent flat-memory version oracle (a write is globally
 //    visible the moment it completes; SWMR means no observer can ever
-//    read a stale version), plus the structural audit() and an
+//    read a stale version) and the structural audit(), plus an
 //    MSI-vs-MESI differential on one stream (identical values, sharer
-//    sets and miss classification; MESI may only *reduce* upgrades).
+//    sets and miss classification; MESI may only *reduce* upgrades)
+//    and the model's state digest pinned after the fuzz streams.
 //
 //  * CoherenceInvariants -- directed state-machine walks: protocol
 //    transitions, inclusion/eviction behaviour (dirty evictions write
@@ -20,9 +21,11 @@
 //    {base, upmlib} x {msi, mesi}) whose trace digests and
 //    per-iteration invalidation vectors are pinned in
 //    tests/golden/coherence_digests.txt and required byte-identical
-//    across --jobs counts, plus a coherence-off cell byte-compared
-//    against the pre-existing page-grain golden (the model off is
-//    indistinguishable from a build without it).
+//    across --jobs counts; CG ft x {msi, mesi} (the capacity-miss,
+//    writeback and Exclusive-fill path) pinned the same way in
+//    tests/golden/coherence_cg_digests.txt; plus a coherence-off cell
+//    byte-compared against the pre-existing page-grain golden (the
+//    model off is indistinguishable from a build without it).
 //
 //  * CoherenceAnalyzer -- the analysis.false-sharing rule scored
 //    against simulation ground truth: predicted (page, line) pairs
@@ -30,7 +33,7 @@
 //    (precision = recall = 1), and the padded twin FSP must be clean
 //    and quiet.
 //
-// Regenerate the golden grid after an intentional change with:
+// Regenerate both golden files after an intentional change with:
 //
 //   REPRO_UPDATE_GOLDEN=1 ./build/tests/test_coherence
 #include <gtest/gtest.h>
@@ -99,6 +102,7 @@ struct FuzzOp {
   std::uint32_t lines = 1;
   bool write = false;
   bool flush = false;  ///< flush_page(page) instead of an access
+  bool clear = false;  ///< clear() the whole model instead of an access
 };
 
 /// Deterministic stream over 2 pages x 8 line positions: 16-ish hot
@@ -122,9 +126,45 @@ std::vector<FuzzOp> fuzz_stream(std::uint64_t seed, std::size_t n,
   return ops;
 }
 
+/// A far page (the directory's page table grows when it first
+/// appears) and a page no access ever touches (only flushed).
+constexpr std::uint64_t kFarPage = 4097;
+constexpr std::uint64_t kUntouchedPage = 2;
+
+/// The page-layout input: fuzz_stream's mix, except that from a third
+/// of the way in a third of the accesses move to kFarPage, the whole
+/// model is cleared (and reused) halfway through, and every 1000th op
+/// flushes kUntouchedPage -- beyond the touched pages before the far
+/// page arrives, between them after.
+std::vector<FuzzOp> layout_stream(std::uint64_t seed, std::size_t n) {
+  std::vector<FuzzOp> ops = fuzz_stream(seed, n, /*with_flushes=*/true);
+  std::mt19937_64 rng(seed ^ 0x9E3779B97F4A7C15ull);
+  for (std::size_t i = n / 3; i < n; ++i) {
+    if (rng() % 3 == 0) {
+      ops[i].page = kFarPage;
+    }
+  }
+  for (std::size_t i = 500; i < n; i += 1000) {
+    ops[i].flush = true;
+    ops[i].page = kUntouchedPage;
+  }
+  ops[n / 2] = FuzzOp{};
+  ops[n / 2].clear = true;
+  return ops;
+}
+
 /// Applies one op to a model and the oracle (oracle optional so the
 /// differential test can drive two models off one oracle update).
 void apply(CoherenceModel& model, const FuzzOp& op, VersionOracle* oracle) {
+  if (op.clear) {
+    // clear() drops memory contents with the caches (flush_all), so
+    // versions restart from zero and the oracle restarts with them.
+    model.clear();
+    if (oracle != nullptr) {
+      *oracle = VersionOracle{};
+    }
+    return;
+  }
   if (op.flush) {
     model.flush_page(VPage(op.page));
     return;
@@ -154,34 +194,92 @@ void apply(CoherenceModel& model, const FuzzOp& op, VersionOracle* oracle) {
   }
 }
 
+/// A page nobody touched has no sharers and reads memory's initial 0.
+void expect_untouched(const CoherenceModel& model, VPage page) {
+  for (std::uint32_t index = 0; index < model.lines_per_page(); ++index) {
+    const std::uint64_t line = model.line_id(page, index);
+    EXPECT_TRUE(model.sharers_of(line).empty()) << "line " << line;
+    for (std::uint32_t p = 0; p < 4; ++p) {
+      EXPECT_EQ(model.probe_version(ProcId(p), line), 0u) << "line " << line;
+    }
+  }
+}
+
 TEST(CoherenceFuzz, RandomStreamMatchesFlatMemoryOracle) {
   for (const Policy policy : {Policy::kMsi, Policy::kMesi}) {
-    CoherenceModel model(fuzz_machine(), fuzz_config(policy));
-    VersionOracle oracle;
-    std::uint64_t touched = 0;
-    const std::vector<FuzzOp> ops =
-        fuzz_stream(/*seed=*/0xC0FFEE + static_cast<int>(policy),
-                    /*n=*/20000, /*with_flushes=*/true);
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-      apply(model, ops[i], &oracle);
-      if (!ops[i].flush) {
-        touched += ops[i].lines;
+    const std::uint64_t seed = 0xC0FFEE + static_cast<int>(policy);
+    const std::vector<std::vector<FuzzOp>> inputs = {
+        fuzz_stream(seed, /*n=*/20000, /*with_flushes=*/true),
+        layout_stream(seed, /*n=*/20000)};
+    for (std::size_t input = 0; input < inputs.size(); ++input) {
+      const std::vector<FuzzOp>& ops = inputs[input];
+      CoherenceModel model(fuzz_machine(), fuzz_config(policy));
+      VersionOracle oracle;
+      std::uint64_t touched = 0;
+      for (std::size_t i = 0; i < ops.size(); ++i) {
+        apply(model, ops[i], &oracle);
+        if (!ops[i].flush && !ops[i].clear) {
+          touched += ops[i].lines;
+        }
+        if (ops[i].flush && ops[i].page == kUntouchedPage) {
+          expect_untouched(model, VPage(kUntouchedPage));
+        }
+        ASSERT_NO_THROW(model.audit()) << "input " << input << " op " << i;
       }
-      if (i % 512 == 0) {
-        ASSERT_NO_THROW(model.audit()) << "op " << i;
-      }
-    }
-    ASSERT_NO_THROW(model.audit());
 
-    // Accounting: every touched line is exactly one of hit / cold /
-    // capacity / coherence.
-    const CoherenceStats totals = model.total_stats();
-    EXPECT_EQ(totals.hit_lines + totals.miss_lines(), touched);
-    EXPECT_GT(totals.cold_miss_lines, 0u);
-    EXPECT_GT(totals.capacity_miss_lines, 0u);
-    EXPECT_GT(totals.coherence_miss_lines, 0u);
-    EXPECT_GT(totals.writebacks, 0u);
-    EXPECT_EQ(totals.invalidations_sent, totals.invalidations_received);
+      // Accounting: every touched line is exactly one of hit / cold /
+      // capacity / coherence (clear() keeps the statistics).
+      const CoherenceStats totals = model.total_stats();
+      EXPECT_EQ(totals.hit_lines + totals.miss_lines(), touched);
+      EXPECT_GT(totals.cold_miss_lines, 0u);
+      EXPECT_GT(totals.capacity_miss_lines, 0u);
+      EXPECT_GT(totals.coherence_miss_lines, 0u);
+      EXPECT_GT(totals.writebacks, 0u);
+      EXPECT_EQ(totals.invalidations_sent, totals.invalidations_received);
+    }
+  }
+}
+
+// No simulated run reaches CoherenceModel::digest (coherence cells
+// never fast-forward), so it is pinned here: the state after each fuzz
+// input, per protocol. digest() mixes directory entries in ascending
+// global line id whatever the directory's layout, and these constants
+// come from a different layout (a hash keyed by line id, walked in
+// sorted-key order). One more access must move the digest.
+TEST(CoherenceFuzz, DigestAfterRandomStreamIsPinned) {
+  struct Pin {
+    Policy policy;
+    bool layout;  ///< layout_stream instead of fuzz_stream
+    std::uint64_t digest;
+  };
+  const Pin pins[] = {
+      {Policy::kMsi, false, 0xadd30e747e4985c3ull},
+      {Policy::kMesi, false, 0x2617940ceb31fd94ull},
+      {Policy::kMsi, true, 0xd620b716b8085995ull},
+      {Policy::kMesi, true, 0x7eb6ce50ab12d811ull},
+  };
+  for (const Pin& pin : pins) {
+    const std::uint64_t seed = 0xC0FFEE + static_cast<int>(pin.policy);
+    CoherenceModel model(fuzz_machine(), fuzz_config(pin.policy));
+    for (const FuzzOp& op :
+         pin.layout ? layout_stream(seed, /*n=*/20000)
+                    : fuzz_stream(seed, /*n=*/20000, /*with_flushes=*/true)) {
+      apply(model, op, nullptr);
+    }
+    StateHash before;
+    model.digest(before);
+    EXPECT_EQ(before.value(), pin.digest)
+        << std::hex << "0x" << before.value() << " for "
+        << policy_name(pin.policy) << (pin.layout ? " layout" : " fuzz");
+
+    FuzzOp read;
+    read.proc = 3;
+    read.page = 1;
+    read.line_begin = 7;
+    apply(model, read, nullptr);
+    StateHash after;
+    model.digest(after);
+    EXPECT_NE(after.value(), before.value());
   }
 }
 
@@ -383,6 +481,8 @@ namespace {
 
 constexpr const char* kCoherenceGoldenFile =
     GOLDEN_DIR "/coherence_digests.txt";
+constexpr const char* kCoherenceCgGoldenFile =
+    GOLDEN_DIR "/coherence_cg_digests.txt";
 constexpr const char* kPageGrainGoldenFile = GOLDEN_DIR "/trace_digests.txt";
 
 /// The golden coherence grid: the false-sharing workload under both
@@ -408,20 +508,49 @@ std::vector<RunConfig> coherence_grid() {
   return configs;
 }
 
+/// CG under first-touch at quarter size: sweeps far larger than the
+/// 64 KiB private caches, so nearly every line is a capacity miss and
+/// every written line a dirty eviction, and MESI's read fills are
+/// Exclusive. No line is ever written while another copy exists.
+std::vector<RunConfig> coherence_cg_cells() {
+  std::vector<RunConfig> configs;
+  for (const std::string policy : {"msi", "mesi"}) {
+    RunConfig config;
+    config.benchmark = "CG";
+    config.placement = "ft";
+    config.coherence = policy;
+    config.iterations = 3;
+    config.workload.size_scale = 0.25;
+    config.trace = true;
+    configs.push_back(std::move(config));
+  }
+  return configs;
+}
+
 std::string key_of(const RunResult& result) {
   return result.benchmark + " " + result.label;
 }
 
-/// Line invalidations per timed iteration (the coherence analogue of
-/// the page-grain suite's migration vector).
-std::vector<std::uint64_t> invalidation_vector(const RunResult& result) {
+/// One per-iteration coherence counter over the timed iterations (the
+/// coherence analogue of the page-grain suite's migration vector).
+std::vector<std::uint64_t> per_iteration(
+    const RunResult& result,
+    std::uint64_t trace::IterationMetrics::*counter) {
   std::vector<std::uint64_t> out;
   for (const trace::IterationMetrics& m : result.iteration_metrics) {
     if (m.iteration >= 1) {
-      out.push_back(m.line_invalidations);
+      out.push_back(m.*counter);
     }
   }
   return out;
+}
+
+std::vector<std::uint64_t> invalidation_vector(const RunResult& result) {
+  return per_iteration(result, &trace::IterationMetrics::line_invalidations);
+}
+
+std::vector<std::uint64_t> fill_vector(const RunResult& result) {
+  return per_iteration(result, &trace::IterationMetrics::line_fills);
 }
 
 std::string render_vector(const std::vector<std::uint64_t>& v) {
@@ -435,9 +564,11 @@ std::string render_vector(const std::vector<std::uint64_t>& v) {
   return os.str();
 }
 
+/// One golden row: the canonical-dump digest and one rendered
+/// per-iteration vector (invalidations for FS, line fills for CG).
 struct GoldenEntry {
   std::string digest;
-  std::string invalidations;
+  std::string per_iteration;
 };
 
 std::map<std::string, GoldenEntry> load_goldens(const char* path) {
@@ -452,27 +583,47 @@ std::map<std::string, GoldenEntry> load_goldens(const char* path) {
     std::string benchmark;
     std::string label;
     GoldenEntry entry;
-    fields >> benchmark >> label >> entry.digest >> entry.invalidations;
+    fields >> benchmark >> label >> entry.digest >> entry.per_iteration;
     goldens[benchmark + " " + label] = entry;
   }
   return goldens;
 }
 
-void write_goldens(const std::vector<RunResult>& results) {
-  std::ofstream out(kCoherenceGoldenFile);
-  ASSERT_TRUE(out.good()) << "cannot write " << kCoherenceGoldenFile;
-  out << "# Golden coherence-grid digests (FNV-1a 64 of the canonical "
-         "dump)\n"
-         "# for FS x {ft, rr} x {base, upmlib} x {msi, mesi},\n"
-         "# iterations=4.\n"
-         "#\n"
-         "# Regenerate: REPRO_UPDATE_GOLDEN=1 ./build/tests/"
-         "test_coherence\n"
-         "#\n"
-         "# benchmark label digest line_invalidations_per_iteration\n";
+using VectorOf = std::vector<std::uint64_t> (*)(const RunResult&);
+
+void write_goldens(const char* path, const char* header,
+                   const std::vector<RunResult>& results, VectorOf vector) {
+  std::ofstream out(path);
+  ASSERT_TRUE(out.good()) << "cannot write " << path;
+  out << header;
   for (const RunResult& r : results) {
     out << key_of(r) << ' ' << r.trace_digest << ' '
-        << render_vector(invalidation_vector(r)) << '\n';
+        << render_vector(vector(r)) << '\n';
+  }
+  std::cout << "[  UPDATED ] " << path << " (" << results.size()
+            << " entries)\n";
+}
+
+/// Compares `results` row by row against the golden file at `path`,
+/// which must hold exactly one entry per result.
+void expect_goldens(const char* path, const std::vector<RunResult>& results,
+                    VectorOf vector) {
+  const std::map<std::string, GoldenEntry> goldens = load_goldens(path);
+  ASSERT_FALSE(goldens.empty())
+      << "no goldens at " << path
+      << "; generate them with REPRO_UPDATE_GOLDEN=1";
+  ASSERT_EQ(goldens.size(), results.size())
+      << "golden file entry count does not match the grid; regenerate "
+         "with REPRO_UPDATE_GOLDEN=1";
+  for (const RunResult& r : results) {
+    const auto it = goldens.find(key_of(r));
+    ASSERT_NE(it, goldens.end()) << "no golden entry for " << key_of(r);
+    EXPECT_EQ(r.trace_digest, it->second.digest)
+        << key_of(r)
+        << ": canonical trace changed; if intentional, regenerate with "
+           "REPRO_UPDATE_GOLDEN=1 and review the diff";
+    EXPECT_EQ(render_vector(vector(r)), it->second.per_iteration)
+        << key_of(r) << ": per-iteration coherence counts changed";
   }
 }
 
@@ -502,31 +653,63 @@ TEST(CoherenceGolden, GridStableAcrossJobsAndMatchesCheckedInGoldens) {
   }
 
   if (Env::global().get_bool("REPRO_UPDATE_GOLDEN", false)) {
-    write_goldens(serial);
-    std::cout << "[  UPDATED ] " << kCoherenceGoldenFile << " ("
-              << serial.size() << " entries)\n";
+    write_goldens(kCoherenceGoldenFile,
+                  "# Golden coherence-grid digests (FNV-1a 64 of the "
+                  "canonical dump)\n"
+                  "# for FS x {ft, rr} x {base, upmlib} x {msi, mesi},\n"
+                  "# iterations=4.\n"
+                  "#\n"
+                  "# Regenerate: REPRO_UPDATE_GOLDEN=1 ./build/tests/"
+                  "test_coherence\n"
+                  "#\n"
+                  "# benchmark label digest "
+                  "line_invalidations_per_iteration\n",
+                  serial, invalidation_vector);
     return;
   }
+  expect_goldens(kCoherenceGoldenFile, serial, invalidation_vector);
+}
 
-  const std::map<std::string, GoldenEntry> goldens =
-      load_goldens(kCoherenceGoldenFile);
-  ASSERT_FALSE(goldens.empty())
-      << "no goldens at " << kCoherenceGoldenFile
-      << "; generate them with REPRO_UPDATE_GOLDEN=1";
-  ASSERT_EQ(goldens.size(), configs.size())
-      << "golden file entry count does not match the grid; regenerate "
-         "with REPRO_UPDATE_GOLDEN=1";
-  for (const RunResult& r : serial) {
-    const auto it = goldens.find(key_of(r));
-    ASSERT_NE(it, goldens.end()) << "no golden entry for " << key_of(r);
-    EXPECT_EQ(r.trace_digest, it->second.digest)
-        << key_of(r)
-        << ": canonical trace changed; if intentional, regenerate with "
-           "REPRO_UPDATE_GOLDEN=1 and review the diff";
-    EXPECT_EQ(render_vector(invalidation_vector(r)),
-              it->second.invalidations)
-        << key_of(r) << ": per-iteration invalidation counts changed";
+// The capacity side of the protocol, which the FS grid never reaches
+// (and cannot join: CG sends no invalidations). Each kLineFill event in
+// the canonical dump packs its access's cold / capacity / coherence /
+// dirty-fetch counts, so the digest pins per-access classification
+// that run totals could mask.
+TEST(CoherenceGolden, CgCapacityPathMatchesCheckedInGoldens) {
+  const std::vector<RunConfig> configs = coherence_cg_cells();
+  const std::vector<RunResult> results = run_experiments(configs, 2);
+  ASSERT_EQ(results.size(), configs.size());
+  for (const RunResult& r : results) {
+    ASSERT_EQ(r.trace_digest.size(), 16u) << key_of(r);
+    EXPECT_TRUE(r.coherence_enabled) << key_of(r);
+    const coherence::CoherenceStats& totals = r.coherence_totals;
+    EXPECT_EQ(totals.invalidations_sent, 0u) << key_of(r);
+    EXPECT_EQ(totals.coherence_miss_lines, 0u) << key_of(r);
+    EXPECT_GT(totals.capacity_miss_lines, totals.cold_miss_lines)
+        << key_of(r);
+    EXPECT_GT(totals.writebacks, 0u) << key_of(r);
   }
+  // CG never writes a line it holds Shared, so MESI's only difference
+  // from MSI (silent E->M upgrades) has nothing to act on: the cells
+  // fill Shared vs Exclusive internally and must still trace alike.
+  EXPECT_EQ(results[0].coherence_totals.upgrades, 0u);
+  EXPECT_EQ(results[1].coherence_totals.upgrades, 0u);
+  EXPECT_EQ(results[0].trace_digest, results[1].trace_digest);
+
+  if (Env::global().get_bool("REPRO_UPDATE_GOLDEN", false)) {
+    write_goldens(kCoherenceCgGoldenFile,
+                  "# Golden coherence digests (FNV-1a 64 of the canonical "
+                  "dump)\n"
+                  "# for CG ft x {msi, mesi}, scale 0.25, iterations=3.\n"
+                  "#\n"
+                  "# Regenerate: REPRO_UPDATE_GOLDEN=1 ./build/tests/"
+                  "test_coherence\n"
+                  "#\n"
+                  "# benchmark label digest line_fills_per_iteration\n",
+                  results, fill_vector);
+    return;
+  }
+  expect_goldens(kCoherenceCgGoldenFile, results, fill_vector);
 }
 
 // The off switch really is off: a run with RunConfig::coherence empty
