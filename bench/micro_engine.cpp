@@ -2,10 +2,12 @@
 // touches, directory transitions, counter updates, the memory-system
 // access path, page migration, UPMlib scan/migrate passes, machine
 // bring-up, the daemon cell's kernel digest, the line-grain coherence
-// model's per-line cost and whole simulated iterations. These measure
-// *host* performance of the simulator (how fast the reproduction
-// runs), not simulated time.
+// model's per-line cost, the canonical-trace digest and whole
+// simulated iterations. These measure *host* performance of the
+// simulator (how fast the reproduction runs), not simulated time.
 #include <benchmark/benchmark.h>
+
+#include <string>
 
 #include "repro/coherence/model.hpp"
 #include "repro/memsys/memory_system.hpp"
@@ -14,6 +16,7 @@
 #include "repro/os/daemon.hpp"
 #include "repro/sim/program.hpp"
 #include "repro/topology/topology.hpp"
+#include "repro/trace/export.hpp"
 #include "repro/upmlib/upmlib.hpp"
 #include "repro/vm/counters.hpp"
 
@@ -225,6 +228,45 @@ void BM_CoherenceLineStream(benchmark::State& state) {
                           static_cast<std::int64_t>(access.lines));
 }
 BENCHMARK(BM_CoherenceLineStream);
+
+void BM_TraceDigest(benchmark::State& state) {
+  // Host cost per event of a traced cell's digest (canonical sort,
+  // line formatting and FNV-1a): 8 lanes x 4096 events, every kind,
+  // equal-time ties across lanes, payloads of one to thirteen digits.
+  trace::TraceSink sink;
+  constexpr std::uint16_t kLanes = 8;
+  constexpr std::uint32_t kEventsPerLane = 4096;
+  for (std::uint16_t l = 0; l < kLanes; ++l) {
+    sink.register_lane("lane" + std::to_string(l));
+  }
+  const std::uint32_t phases[] = {sink.intern_phase("x_solve"),
+                                  sink.intern_phase("y_solve"),
+                                  sink.intern_phase("z_solve")};
+  for (std::uint32_t i = 0; i < kEventsPerLane; ++i) {
+    sink.set_iteration(i / 512);
+    sink.set_phase(phases[i % 3]);
+    for (std::uint16_t l = 0; l < kLanes; ++l) {
+      trace::TraceEvent ev;
+      ev.time = static_cast<Ns>(i) * 1000 + (l % 2) * 250;
+      ev.kind = static_cast<trace::EventKind>((i + l) %
+                                              trace::kNumEventKinds);
+      ev.page = 1 + static_cast<std::uint64_t>(i) * 977;
+      ev.a = static_cast<std::uint64_t>(i) << (l * 4);
+      ev.b = l;
+      ev.cost = i % 7 == 0 ? 25000 : 0;
+      ev.node = static_cast<std::int32_t>(l) - 1;
+      ev.src = static_cast<std::int32_t>(i % 16);
+      ev.dst = static_cast<std::int32_t>((i + l) % 16);
+      sink.emit(l, ev);
+    }
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(trace::digest(sink));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(sink.size()));
+}
+BENCHMARK(BM_TraceDigest)->Unit(benchmark::kMicrosecond);
 
 void BM_NasIteration(benchmark::State& state) {
   // Host cost of simulating one full BT iteration (~26k events).

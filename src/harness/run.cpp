@@ -449,9 +449,7 @@ RunResult run_benchmark(const RunConfig& config) {
           trace_dir + "/TRACE_" + benchmark + "_" + result.label;
       // Render in memory, land atomically: a killed run leaves either
       // no dump or a complete one, never a truncated file.
-      std::ostringstream canonical;
-      trace::write_canonical(canonical, *sink);
-      atomic_write_file(stem + ".trace", canonical.str());
+      atomic_write_file(stem + ".trace", trace::canonical_dump(*sink));
       std::ostringstream chrome;
       trace::write_chrome_trace(chrome, *sink);
       atomic_write_file(stem + ".chrome.json", chrome.str());

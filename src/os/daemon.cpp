@@ -14,7 +14,8 @@ KernelMigrationDaemon::KernelMigrationDaemon(DaemonConfig config)
 }
 
 Ns KernelMigrationDaemon::on_miss(Kernel& kernel, ProcId accessor,
-                                  VPage page, NodeId home, Ns now) {
+                                  VPage page, const memsys::HomeInfo& home,
+                                  Ns now) {
   if (page.value() >= pages_.size()) {
     pages_.resize(std::max<std::size_t>(page.value() + 1, pages_.size() * 2));
   }
@@ -24,9 +25,11 @@ Ns KernelMigrationDaemon::on_miss(Kernel& kernel, ProcId accessor,
   // Counter aging: the kernel evaluates reference counters over fixed
   // windows; a page first touched after its window expired gets a fresh
   // window (counters reset). This is what makes the daemon blind to
-  // pages with modest per-window remote traffic.
+  // pages with modest per-window remote traffic. The counters live on
+  // the home frame the miss already resolved, so neither the reset nor
+  // the read below probes the page table again.
   if (!st.window_open || now - st.window_start > config_.window_ns) {
-    kernel.reset_counters(page);
+    kernel.reset_counters(home.frame);
     st.window_start = now;
     st.window_open = true;
     ++stats_.window_resets;
@@ -34,12 +37,12 @@ Ns KernelMigrationDaemon::on_miss(Kernel& kernel, ProcId accessor,
   }
 
   const NodeId accessor_node = kernel.node_of(accessor);
-  if (accessor_node == home) {
+  if (accessor_node == home.node) {
     return 0;
   }
-  const auto counts = kernel.read_counters(page);
+  const auto counts = kernel.counters().read(home.frame);
   const std::uint32_t remote = counts[accessor_node.value()];
-  const std::uint32_t local = counts[home.value()];
+  const std::uint32_t local = counts[home.node.value()];
   if (remote <= local || remote - local <= config_.threshold) {
     return 0;
   }
@@ -56,7 +59,7 @@ Ns KernelMigrationDaemon::on_miss(Kernel& kernel, ProcId accessor,
     ev.time = now;
     ev.page = page.value();
     ev.node = static_cast<std::int32_t>(accessor_node.value());
-    ev.src = static_cast<std::int32_t>(home.value());
+    ev.src = static_cast<std::int32_t>(home.node.value());
     ev.a = static_cast<std::uint64_t>(decision);
     ev.cost = cost;
     trace_->emit(trace_lane_, ev);

@@ -24,6 +24,7 @@
 #include "repro/common/hash.hpp"
 #include "repro/common/strong_id.hpp"
 #include "repro/common/units.hpp"
+#include "repro/memsys/backend.hpp"
 #include "repro/trace/sink.hpp"
 
 namespace repro::os {
@@ -64,10 +65,12 @@ class KernelMigrationDaemon {
   explicit KernelMigrationDaemon(DaemonConfig config);
 
   /// Called by the kernel on every miss batch, after the counters were
-  /// incremented. Returns the interrupt-handler cost to charge to the
+  /// incremented. `home` is the page's resolved home: the daemon reads
+  /// and resets the counters of `home.frame`, without another page-table
+  /// probe. Returns the interrupt-handler cost to charge to the
   /// faulting processor (0 when nothing fires).
-  Ns on_miss(Kernel& kernel, ProcId accessor, VPage page, NodeId home,
-             Ns now);
+  Ns on_miss(Kernel& kernel, ProcId accessor, VPage page,
+             const memsys::HomeInfo& home, Ns now);
 
   [[nodiscard]] const DaemonStats& stats() const { return stats_; }
   [[nodiscard]] const DaemonConfig& config() const { return config_; }

@@ -134,6 +134,10 @@ class Kernel final : public memsys::MemoryBackend {
   [[nodiscard]] bool is_mapped(VPage page) const;
   [[nodiscard]] std::span<const std::uint32_t> read_counters(VPage page) const;
   void reset_counters(VPage page);
+  /// By frame, for callers that already resolved the page (the
+  /// migration daemon gets the home frame with every miss); reads go
+  /// through counters().
+  void reset_counters(FrameId frame);
   [[nodiscard]] NodeId node_of(ProcId proc) const;
 
   [[nodiscard]] const KernelStats& stats() const { return stats_; }

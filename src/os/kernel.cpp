@@ -41,43 +41,45 @@ NodeId Kernel::node_of(ProcId proc) const {
 }
 
 memsys::HomeInfo Kernel::resolve(ProcId accessor, VPage page, bool write) {
-  if (const auto frame = table_.lookup(page)) {
-    table_.note_mapper(page, accessor);
-    if (write) {
-      table_.mark_dirty(page);
-      if (!table_.entry(page).replicas.empty()) {
-        // Writing a replicated page collapses every replica (the
-        // page-grain coherence action); the cost lands on the writer.
-        pending_penalty_ += collapse_replicas(page);
-      }
-      return {phys_.node_of(*frame), *frame};
+  // One page-table probe per access: the mapper set, the dirty bit and
+  // the replica list are all updated on the entry it returns.
+  vm::PageTable::Entry* entry = table_.find(page);
+  if (entry == nullptr) {
+    // Page fault: the active placement policy chooses the home node.
+    ++stats_.page_faults;
+    const NodeId preferred = policy_->place(page, accessor);
+    const auto frame = phys_.allocate(preferred);
+    REPRO_REQUIRE_MSG(frame.has_value(), "machine out of physical memory");
+    entry = &table_.map(page, *frame);
+  }
+  entry->note_mapper(accessor);
+  const FrameId frame = entry->frame;
+  const NodeId home = phys_.node_of(frame);
+  if (write) {
+    entry->dirty = true;
+    if (!entry->replicas.empty()) {
+      // Writing a replicated page collapses every replica (the
+      // page-grain coherence action); the cost lands on the writer.
+      pending_penalty_ += collapse_replicas(page);
     }
-    // Reads are served from the closest copy; the reference counters
-    // stay aggregated on the primary frame.
-    const vm::PageTable::Entry& entry = table_.entry(page);
-    NodeId best = phys_.node_of(*frame);
-    unsigned best_hops = topology_->hops(node_of(accessor), best);
-    for (const FrameId replica : entry.replicas) {
+    return {home, frame};
+  }
+  // Reads are served from the closest copy; the reference counters
+  // stay aggregated on the primary frame.
+  NodeId best = home;
+  if (!entry->replicas.empty()) {
+    const NodeId from = node_of(accessor);
+    unsigned best_hops = topology_->hops(from, best);
+    for (const FrameId replica : entry->replicas) {
       const NodeId node = phys_.node_of(replica);
-      const unsigned h = topology_->hops(node_of(accessor), node);
+      const unsigned h = topology_->hops(from, node);
       if (h < best_hops) {
         best_hops = h;
         best = node;
       }
     }
-    return {best, *frame};
   }
-  // Page fault: the active placement policy chooses the home node.
-  ++stats_.page_faults;
-  const NodeId preferred = policy_->place(page, accessor);
-  const auto frame = phys_.allocate(preferred);
-  REPRO_REQUIRE_MSG(frame.has_value(), "machine out of physical memory");
-  table_.map(page, *frame);
-  table_.note_mapper(page, accessor);
-  if (write) {
-    table_.mark_dirty(page);
-  }
-  return {phys_.node_of(*frame), *frame};
+  return {best, frame};
 }
 
 Ns Kernel::on_miss(ProcId accessor, VPage page, const memsys::HomeInfo& home,
@@ -86,7 +88,7 @@ Ns Kernel::on_miss(ProcId accessor, VPage page, const memsys::HomeInfo& home,
   Ns penalty = pending_penalty_;
   pending_penalty_ = 0;
   if (daemon_ != nullptr) {
-    penalty += daemon_->on_miss(*this, accessor, page, home.node, now);
+    penalty += daemon_->on_miss(*this, accessor, page, home, now);
   }
   return penalty;
 }
@@ -170,11 +172,12 @@ MigrationResult Kernel::migrate_page(VPage page, NodeId target) {
 }
 
 Ns Kernel::on_write_hit(ProcId /*accessor*/, VPage page) {
-  if (!table_.is_mapped(page)) {
+  vm::PageTable::Entry* entry = table_.find(page);
+  if (entry == nullptr) {
     return 0;
   }
-  table_.mark_dirty(page);
-  if (table_.entry(page).replicas.empty()) {
+  entry->dirty = true;
+  if (entry->replicas.empty()) {
     return 0;
   }
   return collapse_replicas(page);
@@ -269,6 +272,8 @@ void Kernel::reset_counters(VPage page) {
   REPRO_REQUIRE_MSG(frame.has_value(), "page not mapped");
   counters_.reset(*frame);
 }
+
+void Kernel::reset_counters(FrameId frame) { counters_.reset(frame); }
 
 std::uint64_t Kernel::digest(Ns now) const {
   StateHash hash;

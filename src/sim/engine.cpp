@@ -25,23 +25,7 @@ double RegionResult::imbalance() const {
 
 Engine::Engine(memsys::MemorySystem& memory) : memory_(&memory) {}
 
-void Engine::heap_push(Pending pending) {
-  heap_.push_back(pending);
-  std::size_t i = heap_.size() - 1;
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / 2;
-    if (!earlier(heap_[i], heap_[parent])) {
-      break;
-    }
-    std::swap(heap_[i], heap_[parent]);
-    i = parent;
-  }
-}
-
-Engine::Pending Engine::heap_pop() {
-  const Pending top = heap_.front();
-  heap_.front() = heap_.back();
-  heap_.pop_back();
+void Engine::sift_down_root() {
   const std::size_t n = heap_.size();
   std::size_t i = 0;
   while (true) {
@@ -60,7 +44,6 @@ Engine::Pending Engine::heap_pop() {
     std::swap(heap_[i], heap_[best]);
     i = best;
   }
-  return top;
 }
 
 RegionResult Engine::run(Ns start, const RegionProgram& program,
@@ -84,28 +67,33 @@ RegionResult Engine::run(Ns start, const RegionProgram& program,
 
   cursor_.assign(num_threads, 0);
   heap_.clear();
+  // Every thread starts at `start`, in ascending thread order: the
+  // array is sorted by earlier(), so it is already a valid heap.
   for (std::uint32_t t = 0; t < num_threads; ++t) {
     cursor_[t] = program.thread_begin(t);
     if (program.thread_begin(t) != program.thread_end(t)) {
-      heap_push({start, t});
+      heap_.push_back({start, t});
     }
   }
 
   while (!heap_.empty()) {
-    const Pending cur = heap_pop();
+    const Pending cur = heap_.front();
 
-    // The popped thread holds the earliest event. Its ops cannot be
-    // overtaken by any other thread until its clock reaches the next
-    // queued event, so that whole run executes as one batch. At an
-    // exact tie the scalar schedule pops the lower thread id first,
-    // hence `run_at_limit` when this thread wins that tie-break. The
-    // limit is invariant during the batch: only this thread's clock
-    // moves.
+    // The root holds the earliest event. Its ops cannot be overtaken
+    // by any other thread until its clock reaches the next queued
+    // event -- the root's smaller child -- so that whole run executes
+    // as one batch. At an exact tie the scalar schedule pops the lower
+    // thread id first, hence `run_at_limit` when this thread wins that
+    // tie-break. The limit is invariant during the batch: only this
+    // thread's clock moves.
     Ns limit = std::numeric_limits<Ns>::max();
     bool run_at_limit = true;
-    if (!heap_.empty()) {
-      limit = heap_.front().clock;
-      run_at_limit = cur.thread < heap_.front().thread;
+    if (heap_.size() > 1) {
+      const Pending& next =
+          heap_.size() > 2 && earlier(heap_[2], heap_[1]) ? heap_[2]
+                                                          : heap_[1];
+      limit = next.clock;
+      run_at_limit = cur.thread < next.thread;
     }
 
     const ProcId proc =
@@ -116,12 +104,18 @@ RegionResult Engine::run(Ns start, const RegionProgram& program,
     cursor_[cur.thread] += batch.executed;
     ops_executed_ += batch.executed;
 
+    // Re-seat the root in place with one sift-down. The schedule order
+    // is total, so the sequence of roots is the same whatever the
+    // heap's internal layout.
     if (cursor_[cur.thread] < program.thread_end(cur.thread)) {
-      heap_push({batch.clock, cur.thread});
+      heap_.front().clock = batch.clock;
     } else {
       result.thread_end[cur.thread] = batch.clock;
       result.end = std::max(result.end, batch.clock);
+      heap_.front() = heap_.back();
+      heap_.pop_back();
     }
+    sift_down_root();
   }
   return result;
 }

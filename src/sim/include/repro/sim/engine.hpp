@@ -71,8 +71,9 @@ class Engine {
     return a.clock != b.clock ? a.clock < b.clock : a.thread < b.thread;
   }
 
-  void heap_push(Pending pending);
-  Pending heap_pop();
+  /// Restores the heap after the root's clock grew or the root was
+  /// replaced by the last element.
+  void sift_down_root();
 
   memsys::MemorySystem* memory_;
   std::uint64_t ops_executed_ = 0;

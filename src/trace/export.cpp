@@ -1,7 +1,11 @@
 #include "repro/trace/export.hpp"
 
+#include <array>
+#include <charconv>
+#include <concepts>
+#include <cstdio>
+#include <cstring>
 #include <ostream>
-#include <sstream>
 
 namespace repro::trace {
 
@@ -19,33 +23,74 @@ void escape_json(std::ostream& os, const std::string& s) {
 /// Microsecond timestamp for the Chrome viewer (its native unit).
 double us(Ns t) { return static_cast<double>(t) / 1e3; }
 
-}  // namespace
+/// One canonical line under construction: integers are written by
+/// std::to_chars, so the bytes equal what an std::ostream renders for
+/// the same values. Sized for the longest event line (under 240
+/// bytes); table lines put only their id here and the name beside it.
+class LineBuffer {
+ public:
+  LineBuffer& operator<<(std::string_view text) {
+    std::memcpy(end_, text.data(), text.size());
+    end_ += text.size();
+    return *this;
+  }
+  LineBuffer& operator<<(char c) {
+    *end_++ = c;
+    return *this;
+  }
+  template <std::integral T>
+  LineBuffer& operator<<(T value) {
+    end_ = std::to_chars(end_, bytes_.data() + bytes_.size(), value).ptr;
+    return *this;
+  }
+  [[nodiscard]] std::string_view view() const {
+    return {bytes_.data(), static_cast<std::size_t>(end_ - bytes_.data())};
+  }
+  void clear() { end_ = bytes_.data(); }
 
-void write_canonical(std::ostream& os, const TraceSink& sink) {
-  os << "# repro-trace v1\n";
+ private:
+  std::array<char, 256> bytes_{};
+  char* end_ = bytes_.data();
+};
+
+/// Feeds the canonical dump to `put` (called with std::string_view
+/// pieces, in order): header, lane table, phase table, then one line
+/// per event in canonical order. The single formatter behind both the
+/// written dump and its digest, so the digest hashes exactly the
+/// dump's bytes without building the dump.
+template <typename Put>
+void render_canonical(const TraceSink& sink, Put&& put) {
+  put("# repro-trace v1\n");
+  LineBuffer line;
   for (std::uint16_t l = 0; l < sink.num_lanes(); ++l) {
-    os << "lane " << l << ' ' << sink.lane_name(l) << '\n';
+    line.clear();
+    line << "lane " << l << ' ';
+    put(line.view());
+    put(sink.lane_name(l));
+    put("\n");
   }
   for (std::uint32_t p = 1; p < sink.num_phases(); ++p) {
-    os << "phase " << p << ' ' << sink.phase_name(p) << '\n';
+    line.clear();
+    line << "phase " << p << ' ';
+    put(line.view());
+    put(sink.phase_name(p));
+    put("\n");
   }
   for (const TraceEvent& e : sink.canonical_events()) {
-    os << e.time << ' ' << event_kind_name(e.kind) << " lane=" << e.lane
-       << " seq=" << e.seq << " it=" << e.iteration << " ph=" << e.phase
-       << " node=" << e.node << " src=" << e.src << " dst=" << e.dst
-       << " page=" << e.page << " a=" << e.a << " b=" << e.b
-       << " cost=" << e.cost << '\n';
+    line.clear();
+    line << e.time << ' ' << event_kind_name(e.kind) << " lane=" << e.lane
+         << " seq=" << e.seq << " it=" << e.iteration << " ph=" << e.phase
+         << " node=" << e.node << " src=" << e.src << " dst=" << e.dst
+         << " page=" << e.page << " a=" << e.a << " b=" << e.b
+         << " cost=" << e.cost << '\n';
+    put(line.view());
   }
 }
 
-std::string canonical_dump(const TraceSink& sink) {
-  std::ostringstream os;
-  write_canonical(os, sink);
-  return os.str();
-}
+constexpr std::uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ull;
 
-std::uint64_t fnv1a64(std::string_view bytes) {
-  std::uint64_t hash = 0xcbf29ce484222325ull;
+/// Continues a 64-bit FNV-1a hash over `bytes`.
+std::uint64_t fnv1a64_update(std::uint64_t hash, std::string_view bytes) {
   for (const char c : bytes) {
     hash ^= static_cast<std::uint8_t>(c);
     hash *= 0x00000100000001b3ull;
@@ -53,14 +98,35 @@ std::uint64_t fnv1a64(std::string_view bytes) {
   return hash;
 }
 
+}  // namespace
+
+void write_canonical(std::ostream& os, const TraceSink& sink) {
+  render_canonical(sink, [&os](std::string_view piece) {
+    os.write(piece.data(), static_cast<std::streamsize>(piece.size()));
+  });
+}
+
+std::string canonical_dump(const TraceSink& sink) {
+  std::string dump;
+  render_canonical(sink, [&dump](std::string_view piece) {
+    dump.append(piece);
+  });
+  return dump;
+}
+
+std::uint64_t fnv1a64(std::string_view bytes) {
+  return fnv1a64_update(kFnvOffsetBasis, bytes);
+}
+
 std::string digest(const TraceSink& sink) {
-  const std::uint64_t h = fnv1a64(canonical_dump(sink));
-  std::ostringstream os;
-  os << std::hex;
-  os.width(16);
-  os.fill('0');
-  os << h;
-  return os.str();
+  std::uint64_t hash = kFnvOffsetBasis;
+  render_canonical(sink, [&hash](std::string_view piece) {
+    hash = fnv1a64_update(hash, piece);
+  });
+  char hex[17];
+  std::snprintf(hex, sizeof hex, "%016llx",
+                static_cast<unsigned long long>(hash));
+  return hex;
 }
 
 void write_chrome_trace(std::ostream& os, const TraceSink& sink) {

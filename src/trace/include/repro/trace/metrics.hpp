@@ -1,7 +1,7 @@
 // MetricsRegistry: per-iteration counters derived from a trace.
 //
-// The trace is the single source of truth; the registry replays the
-// canonical event stream and buckets it by outer iteration, producing
+// The trace is the single source of truth; the registry walks every
+// lane's events and buckets them by outer iteration, producing
 // the numbers the paper's tables are made of (migrations per
 // invocation, remote-access ratio, queue-pressure percentiles,
 // barrier time) without any second accounting path in the simulator.
@@ -54,7 +54,9 @@ struct IterationMetrics {
 
 class MetricsRegistry {
  public:
-  /// Derives metrics from the sink's canonical event stream.
+  /// Derives metrics from the sink's events. Every field is a sum or
+  /// a percentile per iteration, so the result equals a walk of the
+  /// canonical stream; the lanes are read in place, unsorted.
   explicit MetricsRegistry(const TraceSink& sink);
 
   /// Per-iteration rows, ascending by iteration; only iterations that

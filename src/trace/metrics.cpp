@@ -25,69 +25,85 @@ Ns percentile95(std::vector<Ns> samples) {
 }
 
 MetricsRegistry::MetricsRegistry(const TraceSink& sink) {
-  std::map<std::uint32_t, IterationMetrics> buckets;
-  std::map<std::uint32_t, std::vector<Ns>> samples;
+  struct Bucket {
+    IterationMetrics metrics;
+    std::vector<Ns> samples;  ///< queue backlogs, for the p95
+  };
+  std::map<std::uint32_t, Bucket> buckets;
   std::vector<Ns> all_samples;
 
-  for (const TraceEvent& e : sink.canonical_events()) {
-    IterationMetrics& m = buckets[e.iteration];
-    m.iteration = e.iteration;
-    switch (e.kind) {
-      case EventKind::kPageMigration:
-        ++m.migrations;
-        m.migration_cost += e.cost;
-        break;
-      case EventKind::kUpmCall:
-        m.upm_migrations += e.b;
-        break;
-      case EventKind::kDaemonScan:
-        if (e.a == static_cast<std::uint64_t>(DaemonDecision::kMigrated)) {
-          ++m.daemon_migrations;
-        }
-        break;
-      case EventKind::kPageReplication:
-        ++m.replications;
-        break;
-      case EventKind::kPageFreeze:
-        ++m.freezes;
-        break;
-      case EventKind::kBarrierWait:
-        m.barrier_wait += e.a;
-        break;
-      case EventKind::kQueueSample:
-        samples[e.iteration].push_back(e.a);
-        all_samples.push_back(e.a);
-        break;
-      case EventKind::kIterationEnd:
-        m.remote_miss_lines += e.a;
-        m.local_miss_lines += e.b;
-        break;
-      case EventKind::kFaultInjection:
-        ++m.faults_injected;
-        break;
-      case EventKind::kLineFill:
-        m.line_fills += e.a;
-        // Payload b packs the fill classification in 16-bit fields:
-        // cold | capacity<<16 | coherence<<32 | dirty-fetches<<48.
-        m.coherence_misses += (e.b >> 32) & 0xffffu;
-        break;
-      case EventKind::kLineInvalidate:
-        m.line_invalidations += e.b;
-        break;
-      case EventKind::kLineUpgrade:
-        m.line_upgrades += e.a;
-        break;
-      case EventKind::kLineWriteback:
-        m.line_writebacks += e.a;
-        break;
-      default:
-        break;
+  // Every row is a sum per iteration plus a p95 over a sorted copy of
+  // the samples, so no field depends on event order: each lane is
+  // walked in place instead of copying and sorting the whole trace
+  // into canonical order. Consecutive events of a lane nearly always
+  // share an iteration, so the bucket lookup is redone only when the
+  // iteration changes.
+  for (std::uint16_t lane = 0; lane < sink.num_lanes(); ++lane) {
+    Bucket* bucket = nullptr;
+    for (const TraceEvent& e : sink.lane_events(lane)) {
+      if (bucket == nullptr || bucket->metrics.iteration != e.iteration) {
+        bucket = &buckets[e.iteration];
+        bucket->metrics.iteration = e.iteration;
+      }
+      IterationMetrics& m = bucket->metrics;
+      switch (e.kind) {
+        case EventKind::kPageMigration:
+          ++m.migrations;
+          m.migration_cost += e.cost;
+          break;
+        case EventKind::kUpmCall:
+          m.upm_migrations += e.b;
+          break;
+        case EventKind::kDaemonScan:
+          if (e.a == static_cast<std::uint64_t>(DaemonDecision::kMigrated)) {
+            ++m.daemon_migrations;
+          }
+          break;
+        case EventKind::kPageReplication:
+          ++m.replications;
+          break;
+        case EventKind::kPageFreeze:
+          ++m.freezes;
+          break;
+        case EventKind::kBarrierWait:
+          m.barrier_wait += e.a;
+          break;
+        case EventKind::kQueueSample:
+          bucket->samples.push_back(e.a);
+          all_samples.push_back(e.a);
+          break;
+        case EventKind::kIterationEnd:
+          m.remote_miss_lines += e.a;
+          m.local_miss_lines += e.b;
+          break;
+        case EventKind::kFaultInjection:
+          ++m.faults_injected;
+          break;
+        case EventKind::kLineFill:
+          m.line_fills += e.a;
+          // Payload b packs the fill classification in 16-bit fields:
+          // cold | capacity<<16 | coherence<<32 | dirty-fetches<<48.
+          m.coherence_misses += (e.b >> 32) & 0xffffu;
+          break;
+        case EventKind::kLineInvalidate:
+          m.line_invalidations += e.b;
+          break;
+        case EventKind::kLineUpgrade:
+          m.line_upgrades += e.a;
+          break;
+        case EventKind::kLineWriteback:
+          m.line_writebacks += e.a;
+          break;
+        default:
+          break;
+      }
     }
   }
 
   rows_.reserve(buckets.size());
-  for (auto& [iteration, m] : buckets) {
-    m.queue_backlog_p95 = percentile95(std::move(samples[iteration]));
+  for (auto& [iteration, bucket] : buckets) {
+    IterationMetrics& m = bucket.metrics;
+    m.queue_backlog_p95 = percentile95(std::move(bucket.samples));
     rows_.push_back(m);
 
     totals_.migrations += m.migrations;

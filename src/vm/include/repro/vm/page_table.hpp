@@ -47,12 +47,26 @@ class PageTable {
     /// page space, so unmapped pages occupy empty slots. Sparse slots
     /// are mapped iff indexed.
     bool mapped = false;
+
+    /// Records that `proc` established a TLB mapping for the page.
+    void note_mapper(ProcId proc) {
+      if (proc.value() < 64) {
+        mapper_mask |= 1ULL << proc.value();
+        return;
+      }
+      const std::size_t word = proc.value() / 64 - 1;
+      if (word >= mapper_high.size()) {
+        mapper_high.resize(word + 1, 0);
+      }
+      mapper_high[word] |= 1ULL << (proc.value() % 64);
+    }
   };
 
   explicit PageTable(bool sparse = false) : sparse_(sparse) {}
 
-  /// Maps a page; the page must be unmapped.
-  void map(VPage page, FrameId frame);
+  /// Maps a page and returns its fresh entry; the page must be
+  /// unmapped.
+  Entry& map(VPage page, FrameId frame);
 
   /// Unmaps; returns the old frame. The page must be mapped.
   FrameId unmap(VPage page);
@@ -61,37 +75,41 @@ class PageTable {
   /// incrementing the migration count. Returns the old frame.
   FrameId remap(VPage page, FrameId frame);
 
-  [[nodiscard]] bool is_mapped(VPage page) const {
-    if (sparse_) {
-      return index_.find(page.value()) != nullptr;
-    }
-    return page.value() < table_.size() && table_[page.value()].mapped;
-  }
-  /// The translation hot path: one bounds check and one indexed load in
-  /// dense mode (virtual pages are dense, see vm::AddressSpace); one
-  /// hash probe in sparse mode.
-  [[nodiscard]] std::optional<FrameId> lookup(VPage page) const {
+  /// The translation hot path: the page's entry, or null when it is
+  /// unmapped. One bounds check and one indexed load in dense mode
+  /// (virtual pages are dense, see vm::AddressSpace); one hash probe
+  /// in sparse mode. Callers that go on to update the mapping (mapper
+  /// set, dirty bit, replicas) do it on this entry instead of probing
+  /// the table again per field.
+  [[nodiscard]] const Entry* find(VPage page) const {
     if (sparse_) {
       const std::uint32_t* slot = index_.find(page.value());
-      if (slot == nullptr) {
-        return std::nullopt;
-      }
-      return slots_[*slot].frame;
+      return slot == nullptr ? nullptr : &slots_[*slot];
     }
-    if (!is_mapped(page)) {
+    if (page.value() >= table_.size() || !table_[page.value()].mapped) {
+      return nullptr;
+    }
+    return &table_[page.value()];
+  }
+  [[nodiscard]] Entry* find(VPage page) {
+    return const_cast<Entry*>(std::as_const(*this).find(page));
+  }
+
+  [[nodiscard]] bool is_mapped(VPage page) const {
+    return find(page) != nullptr;
+  }
+  [[nodiscard]] std::optional<FrameId> lookup(VPage page) const {
+    const Entry* e = find(page);
+    if (e == nullptr) {
       return std::nullopt;
     }
-    return table_[page.value()].frame;
+    return e->frame;
   }
 
   /// Entry accessor; the page must be mapped.
   [[nodiscard]] const Entry& entry(VPage page) const;
 
-  /// Records that `proc` established a TLB mapping for the page.
-  void note_mapper(VPage page, ProcId proc);
-
-  /// Marks the page written / clears the mark.
-  void mark_dirty(VPage page);
+  /// Clears the written mark that writers set on the entry.
   void clear_dirty(VPage page);
   [[nodiscard]] bool is_dirty(VPage page) const;
 

@@ -9,15 +9,14 @@
 namespace repro::vm {
 
 PageTable::Entry& PageTable::mutable_entry(VPage page) {
-  REPRO_REQUIRE_MSG(is_mapped(page), "page not mapped");
-  if (sparse_) {
-    return slots_[*index_.find(page.value())];
-  }
-  return table_[page.value()];
+  Entry* e = find(page);
+  REPRO_REQUIRE_MSG(e != nullptr, "page not mapped");
+  return *e;
 }
 
-void PageTable::map(VPage page, FrameId frame) {
+PageTable::Entry& PageTable::map(VPage page, FrameId frame) {
   REPRO_REQUIRE_MSG(!is_mapped(page), "page already mapped");
+  Entry* entry;
   if (sparse_) {
     std::uint32_t slot;
     if (!free_slots_.empty()) {
@@ -27,22 +26,20 @@ void PageTable::map(VPage page, FrameId frame) {
       slot = static_cast<std::uint32_t>(slots_.size());
       slots_.emplace_back();
     }
-    Entry& e = slots_[slot];
-    e = Entry{};
-    e.frame = frame;
-    e.mapped = true;
     index_[page.value()] = slot;
+    entry = &slots_[slot];
   } else {
     if (page.value() >= table_.size()) {
       table_.resize(std::max<std::size_t>(page.value() + 1,
                                           table_.size() * 2));
     }
-    Entry& e = table_[page.value()];
-    e = Entry{};
-    e.frame = frame;
-    e.mapped = true;
+    entry = &table_[page.value()];
   }
+  *entry = Entry{};
+  entry->frame = frame;
+  entry->mapped = true;
   ++mapped_count_;
+  return *entry;
 }
 
 FrameId PageTable::unmap(VPage page) {
@@ -71,27 +68,10 @@ FrameId PageTable::remap(VPage page, FrameId frame) {
 }
 
 const PageTable::Entry& PageTable::entry(VPage page) const {
-  REPRO_REQUIRE_MSG(is_mapped(page), "page not mapped");
-  if (sparse_) {
-    return slots_[*index_.find(page.value())];
-  }
-  return table_[page.value()];
+  const Entry* e = find(page);
+  REPRO_REQUIRE_MSG(e != nullptr, "page not mapped");
+  return *e;
 }
-
-void PageTable::note_mapper(VPage page, ProcId proc) {
-  Entry& e = mutable_entry(page);
-  if (proc.value() < 64) {
-    e.mapper_mask |= 1ULL << proc.value();
-    return;
-  }
-  const std::size_t word = proc.value() / 64 - 1;
-  if (word >= e.mapper_high.size()) {
-    e.mapper_high.resize(word + 1, 0);
-  }
-  e.mapper_high[word] |= 1ULL << (proc.value() % 64);
-}
-
-void PageTable::mark_dirty(VPage page) { mutable_entry(page).dirty = true; }
 
 void PageTable::clear_dirty(VPage page) {
   mutable_entry(page).dirty = false;

@@ -6,14 +6,15 @@
 // checked-in goldens in tests/golden/trace_digests.txt. Any change to
 // the simulated timeline -- placement, migration policy, cost model,
 // event schema -- shows up as a digest mismatch here before it can
-// silently shift the paper figures.
+// silently shift the paper figures. The kernel migration daemon, which
+// that matrix never installs, is pinned separately in
+// tests/golden/daemon_trace_digests.txt.
 //
 // Regenerate the goldens after an intentional change with:
 //
 //   REPRO_UPDATE_GOLDEN=1 ./build/tests/test_golden_trace
 //
-// and review the diff of tests/golden/trace_digests.txt like any other
-// code change.
+// and review the diff of both files like any other code change.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -30,6 +31,8 @@ namespace repro::harness {
 namespace {
 
 constexpr const char* kGoldenFile = GOLDEN_DIR "/trace_digests.txt";
+constexpr const char* kDaemonGoldenFile =
+    GOLDEN_DIR "/daemon_trace_digests.txt";
 
 /// The golden matrix: every benchmark under the paper's three main
 /// placements, base vs UPMlib distribution. Small enough to run in
@@ -50,6 +53,27 @@ std::vector<RunConfig> golden_configs() {
         }
         configs.push_back(std::move(config));
       }
+    }
+  }
+  return configs;
+}
+
+/// The kernel-daemon cells: the two placements the daemon has to
+/// repair, on a benchmark with few daemon migrations (CG) and one with
+/// many (MG). Every cell takes comparator interrupts, migrates and
+/// ages its counter windows.
+std::vector<RunConfig> daemon_configs() {
+  std::vector<RunConfig> configs;
+  for (const std::string benchmark : {"CG", "MG"}) {
+    for (const std::string placement : {"rr", "wc"}) {
+      RunConfig config;
+      config.benchmark = benchmark;
+      config.placement = placement;
+      config.kernel_migration = true;
+      config.iterations = 3;
+      config.workload.size_scale = 0.25;
+      config.trace = true;
+      configs.push_back(std::move(config));
     }
   }
   return configs;
@@ -85,9 +109,9 @@ struct GoldenEntry {
   std::string migrations;  // rendered vector
 };
 
-std::map<std::string, GoldenEntry> load_goldens() {
+std::map<std::string, GoldenEntry> load_goldens(const char* path) {
   std::map<std::string, GoldenEntry> goldens;
-  std::ifstream in(kGoldenFile);
+  std::ifstream in(path);
   std::string line;
   while (std::getline(in, line)) {
     if (line.empty() || line.front() == '#') {
@@ -103,22 +127,38 @@ std::map<std::string, GoldenEntry> load_goldens() {
   return goldens;
 }
 
-void write_goldens(const std::vector<RunResult>& results) {
-  std::ofstream out(kGoldenFile);
-  ASSERT_TRUE(out.good()) << "cannot write " << kGoldenFile;
-  out << "# Golden canonical-trace digests (FNV-1a 64 of the canonical "
-         "dump)\n"
-         "# for the tiny regression matrix: every benchmark x {ft, rr, "
-         "wc}\n"
-         "# x {base, upmlib}, iterations=3, size_scale=0.25.\n"
-         "#\n"
-         "# Regenerate: REPRO_UPDATE_GOLDEN=1 "
-         "./build/tests/test_golden_trace\n"
-         "#\n"
-         "# benchmark label digest migrations_per_timed_iteration\n";
+void write_goldens(const char* path, const char* header,
+                   const std::vector<RunResult>& results) {
+  std::ofstream out(path);
+  ASSERT_TRUE(out.good()) << "cannot write " << path;
+  out << header;
   for (const RunResult& r : results) {
     out << key_of(r) << ' ' << r.trace_digest << ' '
         << render_vector(migration_vector(r)) << '\n';
+  }
+  std::cout << "[  UPDATED ] " << path << " (" << results.size()
+            << " entries)\n";
+}
+
+/// Compares `results` row by row against the golden file at `path`,
+/// which must hold exactly one entry per result.
+void expect_goldens(const char* path, const std::vector<RunResult>& results) {
+  const std::map<std::string, GoldenEntry> goldens = load_goldens(path);
+  ASSERT_FALSE(goldens.empty())
+      << "no goldens at " << path
+      << "; generate them with REPRO_UPDATE_GOLDEN=1";
+  ASSERT_EQ(goldens.size(), results.size())
+      << "golden file entry count does not match the config matrix; "
+         "regenerate with REPRO_UPDATE_GOLDEN=1";
+  for (const RunResult& r : results) {
+    const auto it = goldens.find(key_of(r));
+    ASSERT_NE(it, goldens.end()) << "no golden entry for " << key_of(r);
+    EXPECT_EQ(r.trace_digest, it->second.digest)
+        << key_of(r)
+        << ": canonical trace changed; if intentional, regenerate with "
+           "REPRO_UPDATE_GOLDEN=1 and review the diff";
+    EXPECT_EQ(render_vector(migration_vector(r)), it->second.migrations)
+        << key_of(r) << ": per-iteration migration counts changed";
   }
 }
 
@@ -165,29 +205,54 @@ TEST(GoldenTrace, DigestsStableAcrossJobsAndMatchCheckedInGoldens) {
   }
 
   if (Env::global().get_bool("REPRO_UPDATE_GOLDEN", false)) {
-    write_goldens(serial);
-    std::cout << "[  UPDATED ] " << kGoldenFile << " ("
-              << serial.size() << " entries)\n";
+    write_goldens(kGoldenFile,
+                  "# Golden canonical-trace digests (FNV-1a 64 of the "
+                  "canonical dump)\n"
+                  "# for the tiny regression matrix: every benchmark x "
+                  "{ft, rr, wc}\n"
+                  "# x {base, upmlib}, iterations=3, size_scale=0.25.\n"
+                  "#\n"
+                  "# Regenerate: REPRO_UPDATE_GOLDEN=1 "
+                  "./build/tests/test_golden_trace\n"
+                  "#\n"
+                  "# benchmark label digest "
+                  "migrations_per_timed_iteration\n",
+                  serial);
     return;
   }
+  expect_goldens(kGoldenFile, serial);
+}
 
-  const std::map<std::string, GoldenEntry> goldens = load_goldens();
-  ASSERT_FALSE(goldens.empty())
-      << "no goldens at " << kGoldenFile
-      << "; generate them with REPRO_UPDATE_GOLDEN=1";
-  ASSERT_EQ(goldens.size(), configs.size())
-      << "golden file entry count does not match the config matrix; "
-         "regenerate with REPRO_UPDATE_GOLDEN=1";
-  for (const RunResult& r : serial) {
-    const auto it = goldens.find(key_of(r));
-    ASSERT_NE(it, goldens.end()) << "no golden entry for " << key_of(r);
-    EXPECT_EQ(r.trace_digest, it->second.digest)
-        << key_of(r)
-        << ": canonical trace changed; if intentional, regenerate with "
-           "REPRO_UPDATE_GOLDEN=1 and review the diff";
-    EXPECT_EQ(render_vector(migration_vector(r)), it->second.migrations)
-        << key_of(r) << ": per-iteration migration counts changed";
+// The kernel daemon's miss path: counter reads and resets by frame,
+// window aging, comparator interrupts and the handler's migrations.
+TEST(GoldenTrace, DaemonCellsMatchCheckedInGoldens) {
+  const std::vector<RunConfig> configs = daemon_configs();
+  const std::vector<RunResult> results = run_experiments(configs, 2);
+  ASSERT_EQ(results.size(), configs.size());
+  for (const RunResult& r : results) {
+    ASSERT_EQ(r.trace_digest.size(), 16u) << key_of(r);
+    EXPECT_GT(r.daemon_stats.interrupts, 0u) << key_of(r);
+    EXPECT_GT(r.daemon_stats.migrations, 0u) << key_of(r);
+    EXPECT_GT(r.daemon_stats.window_resets, 0u) << key_of(r);
   }
+
+  if (Env::global().get_bool("REPRO_UPDATE_GOLDEN", false)) {
+    write_goldens(kDaemonGoldenFile,
+                  "# Golden canonical-trace digests (FNV-1a 64 of the "
+                  "canonical dump)\n"
+                  "# for the kernel-daemon cells: {CG, MG} x {rr, wc} "
+                  "x IRIXmig,\n"
+                  "# iterations=3, size_scale=0.25.\n"
+                  "#\n"
+                  "# Regenerate: REPRO_UPDATE_GOLDEN=1 "
+                  "./build/tests/test_golden_trace\n"
+                  "#\n"
+                  "# benchmark label digest "
+                  "migrations_per_timed_iteration\n",
+                  results);
+    return;
+  }
+  expect_goldens(kDaemonGoldenFile, results);
 }
 
 }  // namespace

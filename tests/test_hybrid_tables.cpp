@@ -114,10 +114,10 @@ TEST(HybridPageTable, BackendsAgreeOnDigestEntriesAndCounts) {
             mapped.push_back(page);
           }
         } else {
-          table->note_mapper(VPage(page),
-                             ProcId(static_cast<std::uint32_t>(roll % 96)));
+          vm::PageTable::Entry* entry = table->find(VPage(page));
+          entry->note_mapper(ProcId(static_cast<std::uint32_t>(roll % 96)));
           if ((roll % 7) == 0) {
-            table->mark_dirty(VPage(page));
+            entry->dirty = true;
           }
         }
       } else {
@@ -156,9 +156,9 @@ TEST(HybridPageTable, BackendsAgreeOnDigestEntriesAndCounts) {
 
 TEST(HybridPageTable, WideMapperSetsCountPastSixtyFourProcs) {
   vm::PageTable table(/*sparse=*/true);
-  table.map(VPage(9), FrameId(1));
+  vm::PageTable::Entry& entry = table.map(VPage(9), FrameId(1));
   for (std::uint32_t proc = 0; proc < 200; proc += 2) {
-    table.note_mapper(VPage(9), ProcId(proc));
+    entry.note_mapper(ProcId(proc));
   }
   EXPECT_EQ(table.mapper_count(VPage(9)), 100u);
   // A remap (migration) must clear the whole wide set.

@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstdio>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -192,6 +195,52 @@ TEST(Digest, SixteenHexDigitsStableAndSensitive) {
   EXPECT_NE(digest(other), d1);
 }
 
+TEST(Digest, EqualsFnv1aOfCanonicalDump) {
+  // The digest must hash exactly the bytes of the canonical dump. The
+  // sink covers every event kind on three lanes, equal-time ties
+  // across lanes (and within one lane), negative node ids, all-ones
+  // 64-bit payloads and several phases and iterations.
+  TraceSink sink;
+  const std::uint16_t lanes[] = {sink.register_lane("runtime"),
+                                 sink.register_lane("kernel"),
+                                 sink.register_lane("upmlib")};
+  const std::uint32_t phases[] = {0, sink.intern_phase("x_solve"),
+                                  sink.intern_phase("y_solve"),
+                                  sink.intern_phase("conj_grad")};
+  for (std::size_t k = 0; k < kNumEventKinds; ++k) {
+    for (const std::uint16_t lane : lanes) {
+      sink.set_iteration(static_cast<std::uint32_t>(k % 5));
+      sink.set_phase(phases[(k + lane) % 4]);
+      TraceEvent ev = at(static_cast<Ns>(k / 3) * 1000,
+                         static_cast<EventKind>(k));
+      ev.node = -1 - static_cast<std::int32_t>(lane);
+      ev.src = k % 2 == 0 ? -7 : static_cast<std::int32_t>(k);
+      ev.dst = k % 3 == 0 ? INT32_MIN : INT32_MAX;
+      ev.page = k % 2 == 0 ? UINT64_MAX : k;
+      ev.a = UINT64_MAX;
+      ev.b = UINT64_MAX - k;
+      ev.cost = k % 4 == 0 ? UINT64_MAX : 0;
+      sink.emit(lane, ev);
+      if (lane == lanes[1]) {
+        sink.emit(lane, ev);  // same-lane tie: seq decides
+      }
+    }
+  }
+  const std::string dump = canonical_dump(sink);
+  ASSERT_NE(dump.find("node=-3"), std::string::npos);
+  ASSERT_NE(dump.find("a=18446744073709551615"), std::string::npos);
+  char expected[17];
+  std::snprintf(expected, sizeof expected, "%016llx",
+                static_cast<unsigned long long>(fnv1a64(dump)));
+  EXPECT_EQ(digest(sink), expected);
+
+  TraceSink empty;
+  std::snprintf(expected, sizeof expected, "%016llx",
+                static_cast<unsigned long long>(
+                    fnv1a64(canonical_dump(empty))));
+  EXPECT_EQ(digest(empty), expected);
+}
+
 TEST(ChromeTrace, EmitsRegionBarrierCounterAndInstantEvents) {
   TraceSink sink;
   const std::uint16_t lane = sink.register_lane("runtime");
@@ -344,6 +393,163 @@ harness::RunConfig tiny_config(const std::string& benchmark) {
   config.iterations = 2;
   config.workload.size_scale = 0.25;
   return config;
+}
+
+/// The reference derivation: bucket the canonical (time, lane, seq)
+/// stream by iteration, one sample vector per iteration plus one for
+/// the totals. MetricsRegistry must agree with it whatever order it
+/// walks the events in.
+struct ReferenceMetrics {
+  std::vector<IterationMetrics> rows;
+  IterationMetrics totals;
+};
+
+ReferenceMetrics reference_metrics(const TraceSink& sink) {
+  std::map<std::uint32_t, IterationMetrics> buckets;
+  std::map<std::uint32_t, std::vector<Ns>> samples;
+  std::vector<Ns> all_samples;
+  for (const TraceEvent& e : sink.canonical_events()) {
+    IterationMetrics& m = buckets[e.iteration];
+    m.iteration = e.iteration;
+    switch (e.kind) {
+      case EventKind::kPageMigration:
+        ++m.migrations;
+        m.migration_cost += e.cost;
+        break;
+      case EventKind::kUpmCall:
+        m.upm_migrations += e.b;
+        break;
+      case EventKind::kDaemonScan:
+        if (e.a == static_cast<std::uint64_t>(DaemonDecision::kMigrated)) {
+          ++m.daemon_migrations;
+        }
+        break;
+      case EventKind::kPageReplication:
+        ++m.replications;
+        break;
+      case EventKind::kPageFreeze:
+        ++m.freezes;
+        break;
+      case EventKind::kBarrierWait:
+        m.barrier_wait += e.a;
+        break;
+      case EventKind::kQueueSample:
+        samples[e.iteration].push_back(e.a);
+        all_samples.push_back(e.a);
+        break;
+      case EventKind::kIterationEnd:
+        m.remote_miss_lines += e.a;
+        m.local_miss_lines += e.b;
+        break;
+      case EventKind::kFaultInjection:
+        ++m.faults_injected;
+        break;
+      case EventKind::kLineFill:
+        m.line_fills += e.a;
+        m.coherence_misses += (e.b >> 32) & 0xffffu;
+        break;
+      case EventKind::kLineInvalidate:
+        m.line_invalidations += e.b;
+        break;
+      case EventKind::kLineUpgrade:
+        m.line_upgrades += e.a;
+        break;
+      case EventKind::kLineWriteback:
+        m.line_writebacks += e.a;
+        break;
+      default:
+        break;
+    }
+  }
+  ReferenceMetrics out;
+  for (auto& [iteration, m] : buckets) {
+    m.queue_backlog_p95 = percentile95(std::move(samples[iteration]));
+    out.rows.push_back(m);
+    IterationMetrics& t = out.totals;
+    t.migrations += m.migrations;
+    t.upm_migrations += m.upm_migrations;
+    t.daemon_migrations += m.daemon_migrations;
+    t.replications += m.replications;
+    t.freezes += m.freezes;
+    t.migration_cost += m.migration_cost;
+    t.barrier_wait += m.barrier_wait;
+    t.remote_miss_lines += m.remote_miss_lines;
+    t.local_miss_lines += m.local_miss_lines;
+    t.faults_injected += m.faults_injected;
+    t.line_fills += m.line_fills;
+    t.coherence_misses += m.coherence_misses;
+    t.line_invalidations += m.line_invalidations;
+    t.line_upgrades += m.line_upgrades;
+    t.line_writebacks += m.line_writebacks;
+  }
+  out.totals.queue_backlog_p95 = percentile95(std::move(all_samples));
+  return out;
+}
+
+void expect_same_metrics(const IterationMetrics& got,
+                         const IterationMetrics& want,
+                         const std::string& where) {
+  EXPECT_EQ(got.iteration, want.iteration) << where;
+  EXPECT_EQ(got.migrations, want.migrations) << where;
+  EXPECT_EQ(got.upm_migrations, want.upm_migrations) << where;
+  EXPECT_EQ(got.daemon_migrations, want.daemon_migrations) << where;
+  EXPECT_EQ(got.replications, want.replications) << where;
+  EXPECT_EQ(got.freezes, want.freezes) << where;
+  EXPECT_EQ(got.migration_cost, want.migration_cost) << where;
+  EXPECT_EQ(got.barrier_wait, want.barrier_wait) << where;
+  EXPECT_EQ(got.remote_miss_lines, want.remote_miss_lines) << where;
+  EXPECT_EQ(got.local_miss_lines, want.local_miss_lines) << where;
+  EXPECT_EQ(got.queue_backlog_p95, want.queue_backlog_p95) << where;
+  EXPECT_EQ(got.faults_injected, want.faults_injected) << where;
+  EXPECT_EQ(got.line_fills, want.line_fills) << where;
+  EXPECT_EQ(got.coherence_misses, want.coherence_misses) << where;
+  EXPECT_EQ(got.line_invalidations, want.line_invalidations) << where;
+  EXPECT_EQ(got.line_upgrades, want.line_upgrades) << where;
+  EXPECT_EQ(got.line_writebacks, want.line_writebacks) << where;
+}
+
+TEST(MetricsRegistry, LaneWalkMatchesCanonicalWalk) {
+  // One traced cell per emitting engine: UPMlib distribution, the
+  // kernel daemon, record-replay, line-grain coherence and injected
+  // faults.
+  std::vector<harness::RunConfig> configs;
+  configs.reserve(5);  // cell() hands out pointers into the vector
+  const auto cell = [&configs](const std::string& benchmark,
+                               const std::string& placement) {
+    harness::RunConfig config;
+    config.benchmark = benchmark;
+    config.placement = placement;
+    config.iterations = 3;
+    config.workload.size_scale = 0.25;
+    config.trace = true;
+    configs.push_back(config);
+    return &configs.back();
+  };
+  cell("CG", "rr")->upm_mode = nas::UpmMode::kDistribution;
+  cell("CG", "rr")->kernel_migration = true;
+  cell("BT", "ft")->upm_mode = nas::UpmMode::kRecordReplay;
+  cell("FS", "ft")->coherence = "msi";
+  harness::RunConfig* faulty = cell("CG", "rr");
+  faulty->upm_mode = nas::UpmMode::kDistribution;
+  faulty->fault.counter_rate = 0.2;
+  faulty->fault.migration_busy_rate = 0.2;
+  faulty->fault.slowdown_rate = 0.01;
+  faulty->fault.preemption_rate = 0.1;
+
+  for (const harness::RunConfig& config : configs) {
+    const harness::RunResult result = harness::run_benchmark(config);
+    const std::string where = result.benchmark + " " + result.label;
+    ASSERT_NE(result.trace, nullptr) << where;
+    const MetricsRegistry registry(*result.trace);
+    const ReferenceMetrics want = reference_metrics(*result.trace);
+    ASSERT_FALSE(want.rows.empty()) << where;
+    ASSERT_EQ(registry.per_iteration().size(), want.rows.size()) << where;
+    for (std::size_t i = 0; i < want.rows.size(); ++i) {
+      expect_same_metrics(registry.per_iteration()[i], want.rows[i],
+                          where + " row " + std::to_string(i));
+    }
+    expect_same_metrics(registry.totals(), want.totals, where + " totals");
+  }
 }
 
 TEST(TracingOff, NoSinkNoDigestNoMetrics) {

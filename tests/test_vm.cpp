@@ -123,10 +123,12 @@ TEST(PageTable, MapRemapUnmap) {
 
 TEST(PageTable, MapperTrackingAndShootdownReset) {
   PageTable table;
-  table.map(VPage(1), FrameId(1));
-  table.note_mapper(VPage(1), ProcId(0));
-  table.note_mapper(VPage(1), ProcId(3));
-  table.note_mapper(VPage(1), ProcId(3));  // idempotent
+  PageTable::Entry& entry = table.map(VPage(1), FrameId(1));
+  EXPECT_EQ(table.find(VPage(1)), &entry);
+  EXPECT_EQ(table.find(VPage(2)), nullptr);
+  entry.note_mapper(ProcId(0));
+  entry.note_mapper(ProcId(3));
+  entry.note_mapper(ProcId(3));  // idempotent
   EXPECT_EQ(table.mapper_count(VPage(1)), 2u);
   // Migration (remap) clears the mappings: that is the TLB shootdown.
   table.remap(VPage(1), FrameId(2));
