@@ -17,6 +17,7 @@
 #include "repro/common/env.hpp"
 #include "repro/common/stats.hpp"
 #include "repro/common/table.hpp"
+#include "repro/harness/cli.hpp"
 #include "repro/harness/figures.hpp"
 
 using namespace repro;
@@ -39,19 +40,26 @@ double slowdown_vs_ft(const std::string& bench, const FigureOptions& options,
 
 int main(int argc, char** argv) {
   FigureOptions options;
+  bool fast = false;
   std::string bench = "CG";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--fast") {
-      Env::global().set("REPRO_FAST", "1");
-    } else if (arg == "--no-fast-forward") {
-      options.no_fast_forward = true;
-    } else if (arg.rfind("--benchmark=", 0) == 0) {
-      bench = arg.substr(12);
-    } else {
-      std::cerr << "unknown argument: " << arg << '\n';
-      return 1;
-    }
+  Cli cli("ablation_machine");
+  cli.add_flag("fast", &fast, "trim the long benchmarks (REPRO_FAST)");
+  cli.add_flag("no-fast-forward", &options.no_fast_forward,
+               "simulate every iteration in full (disable the "
+               "steady-state fast-forward)");
+  cli.add_string("benchmark", &bench, "the benchmark to ablate (default CG)");
+  switch (cli.parse(argc, argv)) {
+    case Cli::Status::kHelp:
+      std::cout << cli.usage();
+      return 0;
+    case Cli::Status::kError:
+      std::cerr << "error: " << cli.error() << "\n\n" << cli.usage();
+      return 2;
+    case Cli::Status::kOk:
+      break;
+  }
+  if (fast) {
+    Env::global().set("REPRO_FAST", "1");
   }
 
   std::cout << "Machine ablations on NAS " << bench << "\n\n";

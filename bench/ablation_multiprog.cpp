@@ -19,6 +19,7 @@
 #include <string>
 
 #include "repro/common/table.hpp"
+#include "repro/harness/cli.hpp"
 #include "repro/nas/workload.hpp"
 #include "repro/omp/machine.hpp"
 #include "repro/upmlib/upmlib.hpp"
@@ -88,14 +89,18 @@ Outcome run(std::uint32_t iterations, bool use_upmlib, bool notify) {
 
 int main(int argc, char** argv) {
   std::uint32_t iterations = 30;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--iterations=", 0) == 0) {
-      iterations = static_cast<std::uint32_t>(std::stoul(arg.substr(13)));
-    } else {
-      std::cerr << "unknown argument: " << arg << '\n';
-      return 1;
-    }
+  harness::Cli cli("ablation_multiprog");
+  cli.add_uint("iterations", &iterations,
+               "timed iterations (threads rotate after a third)", /*min=*/1);
+  switch (cli.parse(argc, argv)) {
+    case harness::Cli::Status::kHelp:
+      std::cout << cli.usage();
+      return 0;
+    case harness::Cli::Status::kError:
+      std::cerr << "error: " << cli.error() << "\n\n" << cli.usage();
+      return 2;
+    case harness::Cli::Status::kOk:
+      break;
   }
 
   std::cout << "Multiprogramming ablation: BT, first touch, thread "

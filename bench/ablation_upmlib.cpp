@@ -15,6 +15,7 @@
 #include "repro/common/env.hpp"
 #include "repro/common/stats.hpp"
 #include "repro/common/table.hpp"
+#include "repro/harness/cli.hpp"
 #include "repro/harness/figures.hpp"
 #include "repro/harness/scheduler.hpp"
 #include "repro/omp/machine.hpp"
@@ -26,18 +27,26 @@ using namespace repro::harness;
 
 int main(int argc, char** argv) {
   FigureOptions options;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--fast") {
-      Env::global().set("REPRO_FAST", "1");
-    } else if (arg == "--no-fast-forward") {
-      options.no_fast_forward = true;
-    } else if (arg.rfind("--jobs=", 0) == 0) {
-      options.jobs = std::stoul(arg.substr(7));
-    } else {
-      std::cerr << "unknown argument: " << arg << '\n';
-      return 1;
-    }
+  bool fast = false;
+  Cli cli("ablation_upmlib");
+  cli.add_flag("fast", &fast, "trim the long benchmarks (REPRO_FAST)");
+  cli.add_flag("no-fast-forward", &options.no_fast_forward,
+               "simulate every iteration in full (disable the "
+               "steady-state fast-forward)");
+  cli.add_uint("jobs", &options.jobs, "worker threads for the run matrix",
+               /*min=*/1);
+  switch (cli.parse(argc, argv)) {
+    case Cli::Status::kHelp:
+      std::cout << cli.usage();
+      return 0;
+    case Cli::Status::kError:
+      std::cerr << "error: " << cli.error() << "\n\n" << cli.usage();
+      return 2;
+    case Cli::Status::kOk:
+      break;
+  }
+  if (fast) {
+    Env::global().set("REPRO_FAST", "1");
   }
 
   {

@@ -19,7 +19,7 @@
 // Usage: fault_sweep [--fast] [--iterations=N] [--benchmark=NAME]
 //                    [--rates=0,0.01,0.05] [--fault-seed=S] [--jobs=N]
 //                    [--json=DIR] [--trace=DIR] [--cell-timeout-ms=MS]
-//                    [--cell-retries=N] [--checkpoint-dir=DIR]
+//                    [--checkpoint-dir=DIR]
 #include <algorithm>
 #include <iostream>
 #include <sstream>
@@ -86,8 +86,6 @@ int main(int argc, char** argv) {
                "abort any cell exceeding this wall-clock budget (ms; env "
                "REPRO_CELL_TIMEOUT_MS)",
                /*min=*/1);
-  cli.add_uint("cell-retries", &options.cell_retries,
-               "extra attempts per failed cell");
   cli.add_string("checkpoint-dir", &options.checkpoint_dir,
                  "save/resume completed cells in this directory");
   switch (cli.parse(argc, argv)) {
@@ -117,8 +115,8 @@ int main(int argc, char** argv) {
                "(simulated 16-proc Origin2000)\n\n";
 
   // Worst failure class across every benchmark's sweep decides the
-  // process exit code (fault=3 < timeout=4 < retry-exhausted=5 <
-  // crash=6; see failure_exit_code).
+  // process exit code (fault=3 < timeout=4 < crash=6; see
+  // failure_exit_code).
   int exit_code = 0;
   for (const std::string& bench : benchmarks) {
     std::vector<RunConfig> configs;
@@ -183,7 +181,6 @@ int main(int argc, char** argv) {
     std::cout << "  cells: " << outcome.stats.cells_ok << "/"
               << outcome.stats.cells_total << " ok, "
               << outcome.stats.cells_resumed << " resumed, "
-              << outcome.stats.cells_retried << " retries, "
               << outcome.stats.watchdog_fires << " watchdog\n\n";
     if (!json_path.empty()) {
       write_results_json(json_path + "/BENCH_fault_" + bench + ".json",

@@ -1,24 +1,21 @@
 // Replay sweep: the compiled (direct-simulation) frontend vs the
-// trace-replay frontend vs pipelined trace replay.
+// trace-replay frontend.
 //
 // One benchmark (default CG) is dry-dumped once to an RTRC trace --
 // the recorded stream is placement/engine independent, so the same
 // file replays under every cell -- and each {ft, rr, wc} x {base,
-// upmlib} cell is then timed three ways on the host wall clock:
+// upmlib} cell is then timed two ways on the host wall clock:
 //
-//   direct:    workload regions compiled and dispatched in-process;
-//   replay:    chunks decoded lazily on the simulation thread;
-//   pipelined: chunks decoded on a producer thread, fed to the
-//              timing backend over the SPSC ring buffer.
+//   direct: workload regions compiled and dispatched in-process;
+//   replay: chunks decoded lazily on the simulation thread.
 //
-// The timed replay modes both simulate every iteration (the pipelined
-// producer cannot seek past fast-forwarded ones), so the pipeline
-// speedup measures decode overlap alone. A separate traced
-// verification pass, with the fast-forward at its default, asserts
-// all three modes produce byte-identical canonical-trace digests and
-// migration vectors (the replay-equivalence guarantee of DESIGN.md
-// section 16). Decode-only throughput (Mops/s) is measured by draining
-// the trace without a simulator attached.
+// The timed replay simulates every iteration, so its time includes
+// decoding every chunk. A separate traced verification pass, with the
+// fast-forward at its default, asserts both modes produce
+// byte-identical canonical-trace digests and migration vectors (the
+// replay-equivalence guarantee of DESIGN.md section 16). Decode-only
+// throughput (Mops/s) is measured by draining the trace without a
+// simulator attached.
 //
 // Timings written to BENCH_replay_sweep.json (google-benchmark shape,
 // for tools/perf_compare.py and the checked-in baseline) are *host*
@@ -27,7 +24,7 @@
 //
 // Usage: replay_sweep [--benchmark=CG] [--iterations=N] [--scale=X]
 //                     [--json=DIR] [--trace-file=PATH] [--smoke]
-//                     [--golden=FILE] [--check-speedup] [--no-verify]
+//                     [--golden=FILE] [--no-verify]
 #include <sys/resource.h>
 
 #include <chrono>
@@ -38,7 +35,6 @@
 #include <map>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "repro/common/table.hpp"
@@ -58,10 +54,10 @@ struct Cell {
   bool upmlib = false;
 };
 
-const char* kModes[] = {"direct", "replay", "pipelined"};
+const char* kModes[] = {"direct", "replay"};
 
 struct CellTiming {
-  double ms[3] = {0.0, 0.0, 0.0};  // indexed like kModes
+  double ms[2] = {0.0, 0.0};  // indexed like kModes
 };
 
 /// Peak resident set of this process in MiB (Linux ru_maxrss is KiB).
@@ -105,14 +101,13 @@ std::string row_name(const std::string& benchmark, const Cell& cell,
   return "ReplaySweep/" + benchmark + "/" + cell_label(cell) + "/" + mode;
 }
 
-/// Runs one cell in `mode` (0 = direct, 1 = replay, 2 = pipelined) and
-/// returns the result; wall-clock cost lands in `*ms`.
+/// Runs one cell in `mode` (0 = direct, 1 = replay) and returns the
+/// result; wall-clock cost lands in `*ms`.
 RunResult run_mode(const RunConfig& base, const std::string& trace_file,
                    int mode, double* ms) {
   RunConfig config = base;
-  if (mode > 0) {
+  if (mode == 1) {
     config.replay = trace_file;
-    config.pipeline = mode == 2;
   }
   const double begin = now_ms();
   RunResult result = run_benchmark(config);
@@ -179,7 +174,7 @@ std::map<std::string, std::pair<std::string, std::string>> load_goldens(
   return goldens;
 }
 
-/// Traced verification: direct vs replay vs pipelined must agree on the
+/// Traced verification: direct and replay must agree on the
 /// canonical-trace digest and the migration vector. Returns the number
 /// of mismatches; fills `digest_out` with the direct digest.
 std::size_t verify_cell(const RunConfig& traced, const std::string& trace_file,
@@ -187,23 +182,21 @@ std::size_t verify_cell(const RunConfig& traced, const std::string& trace_file,
   double ignored = 0.0;
   const RunResult direct = run_mode(traced, trace_file, 0, &ignored);
   const RunResult replay = run_mode(traced, trace_file, 1, &ignored);
-  const RunResult pipelined = run_mode(traced, trace_file, 2, &ignored);
   *digest_out = direct.trace_digest;
   *migs_out = render_vector(migration_vector(direct));
   std::size_t mismatches = 0;
-  for (const RunResult* r : {&replay, &pipelined}) {
-    if (r->trace_digest != direct.trace_digest) {
-      ++mismatches;
-      std::cerr << "DIGEST MISMATCH: " << direct.benchmark << ' '
-                << direct.label << ": " << r->trace_digest
-                << " != direct " << direct.trace_digest << '\n';
-    }
-    if (migration_vector(*r) != migration_vector(direct)) {
-      ++mismatches;
-      std::cerr << "MIGRATION MISMATCH: " << direct.benchmark << ' '
-                << direct.label << ": " << render_vector(migration_vector(*r))
-                << " != direct " << *migs_out << '\n';
-    }
+  if (replay.trace_digest != direct.trace_digest) {
+    ++mismatches;
+    std::cerr << "DIGEST MISMATCH: " << direct.benchmark << ' '
+              << direct.label << ": " << replay.trace_digest
+              << " != direct " << direct.trace_digest << '\n';
+  }
+  if (migration_vector(replay) != migration_vector(direct)) {
+    ++mismatches;
+    std::cerr << "MIGRATION MISMATCH: " << direct.benchmark << ' '
+              << direct.label << ": "
+              << render_vector(migration_vector(replay)) << " != direct "
+              << *migs_out << '\n';
   }
   return mismatches;
 }
@@ -226,7 +219,7 @@ void write_json(const std::string& dir, const std::string& benchmark,
       << " \"benchmarks\": [\n";
   bool first = true;
   for (std::size_t i = 0; i < cells.size(); ++i) {
-    for (int mode = 0; mode < 3; ++mode) {
+    for (int mode = 0; mode < 2; ++mode) {
       const std::string name = row_name(benchmark, cells[i], kModes[mode]);
       const double speedup =
           timings[i].ms[mode] > 0.0 ? timings[i].ms[1] / timings[i].ms[mode]
@@ -259,7 +252,6 @@ int main(int argc, char** argv) {
   std::string trace_file;
   std::string golden_file;
   bool smoke = false;
-  bool check_speedup = false;
   bool no_verify = false;
 
   Cli cli("replay_sweep");
@@ -283,12 +275,9 @@ int main(int argc, char** argv) {
                  "this tests/golden/trace_digests.txt");
   cli.add_flag("smoke", &smoke,
                "CI mode: one golden cell (CG rr-upmlib, iterations=3), "
-               "traced three-way equivalence check, no timing sweep");
-  cli.add_flag("check-speedup", &check_speedup,
-               "require pipelined replay >= 1.2x faster than serial "
-               "replay in every cell (skipped on single-core hosts)");
+               "traced direct == replay check, no timing sweep");
   cli.add_flag("no-verify", &no_verify,
-               "skip the traced three-way equivalence pass (timing only)");
+               "skip the traced direct == replay pass (timing only)");
   switch (cli.parse(argc, argv)) {
     case Cli::Status::kHelp:
       std::cout << cli.usage();
@@ -336,7 +325,7 @@ int main(int argc, char** argv) {
             << fmt_double(dump_ms, 1) << " ms)\n"
             << "decode throughput: " << fmt_double(mops, 1) << " Mops/s\n\n";
 
-  // Traced three-way equivalence (the replay-equivalence guarantee).
+  // Traced equivalence (the replay-equivalence guarantee).
   std::size_t mismatches = 0;
   if (!no_verify) {
     for (const Cell& cell : cells) {
@@ -347,7 +336,7 @@ int main(int argc, char** argv) {
       std::string migrations;
       mismatches += verify_cell(traced, trace_file, &digest, &migrations);
       std::cout << "verify " << benchmark << ' ' << cell_label(cell)
-                << ": direct == replay == pipelined (digest " << digest
+                << ": direct == replay (digest " << digest
                 << ", migrations " << migrations << ")\n";
       if (!golden_file.empty()) {
         const auto goldens = load_goldens(golden_file);
@@ -380,55 +369,25 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  // Timing sweep: untraced, sequential, wall clock; both replay modes
-  // without the fast-forward (see the file comment).
+  // Timing sweep: untraced, sequential, wall clock; the replay without
+  // the fast-forward (see the file comment).
   std::vector<CellTiming> timings(cells.size());
   for (std::size_t i = 0; i < cells.size(); ++i) {
     RunConfig base = cell_config(
         benchmark, cells[i], static_cast<std::uint32_t>(iterations), scale,
         /*trace=*/false);
-    for (int mode = 0; mode < 3; ++mode) {
-      base.no_fast_forward = mode > 0;
+    for (int mode = 0; mode < 2; ++mode) {
+      base.no_fast_forward = mode == 1;
       run_mode(base, trace_file, mode, &timings[i].ms[mode]);
     }
   }
 
-  TextTable table({"cell", "direct ms", "replay ms", "pipelined ms",
-                   "pipeline speedup"});
+  TextTable table({"cell", "direct ms", "replay ms"});
   for (std::size_t i = 0; i < cells.size(); ++i) {
-    const double speedup =
-        timings[i].ms[2] > 0.0 ? timings[i].ms[1] / timings[i].ms[2] : 0.0;
     table.add_row({cell_label(cells[i]), fmt_double(timings[i].ms[0], 1),
-                   fmt_double(timings[i].ms[1], 1),
-                   fmt_double(timings[i].ms[2], 1),
-                   fmt_double(speedup, 2) + "x"});
+                   fmt_double(timings[i].ms[1], 1)});
   }
   table.print(std::cout);
-
-  if (check_speedup) {
-    if (std::thread::hardware_concurrency() < 2) {
-      std::cout << "\ncheck-speedup: skipped (single-core host; the "
-                   "producer thread cannot overlap the consumer)\n";
-    } else {
-      std::size_t violations = 0;
-      for (std::size_t i = 0; i < cells.size(); ++i) {
-        const double speedup =
-            timings[i].ms[2] > 0.0 ? timings[i].ms[1] / timings[i].ms[2]
-                                   : 0.0;
-        if (speedup < 1.2) {
-          ++violations;
-          std::cerr << "SPEEDUP VIOLATION: " << cell_label(cells[i])
-                    << " pipelined is only " << fmt_double(speedup, 2)
-                    << "x over serial replay (need >= 1.2x)\n";
-        }
-      }
-      if (violations != 0) {
-        return 1;
-      }
-      std::cout << "\ncheck-speedup: pipelined >= 1.2x serial replay in "
-                   "every cell\n";
-    }
-  }
 
   if (!json_dir.empty()) {
     write_json(json_dir, benchmark, cells, timings, mops,

@@ -80,17 +80,14 @@ std::uint64_t config_identity(const RunConfig& config) {
   h.mix(config.seed);
   h.mix(config.analyze ? 1 : 0);
   h.mix(config.trace ? 1 : 0);
-  // The trace frontend changes what a cell computes (a dump writes a
-  // file; a replay substitutes the workload), so replayed cells must
-  // never alias their direct twins in the checkpoint store. A replay
-  // computes what its trace holds, so the trace's content is mixed
-  // too: a different trace re-dumped to the same path is a new cell.
-  mix_string(h, config.trace_out);
+  // A replay substitutes the workload, so replayed cells must never
+  // alias their direct twins in the checkpoint store. A replay computes
+  // what its trace holds, so the trace's content is mixed too: a
+  // different trace re-dumped to the same path is a new cell.
   mix_string(h, config.replay);
   if (!config.replay.empty()) {
     h.mix(trace_content_digest(config.replay));
   }
-  h.mix(config.pipeline ? 1 : 0);
   // The coherence model changes every hit/miss classification, so a
   // coherence cell must never alias its page-grain twin or a cell with
   // another cache geometry.

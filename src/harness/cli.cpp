@@ -173,21 +173,15 @@ std::string Cli::usage() const {
 void ReplayCli::register_with(Cli& cli) {
   cli.add_string("trace-out", &trace_out,
                  "dump the workload's frontend stream to this RTRC trace "
-                 "file while running (excludes --replay)");
+                 "file before running (excludes --replay)");
   cli.add_string("replay", &replay,
                  "replay an RTRC trace file instead of instantiating the "
                  "benchmark (--benchmark is then ignored)");
-  cli.add_flag("pipeline", &pipeline,
-               "decode the replayed trace on a producer thread over the "
-               "SPSC ring buffer (requires --replay)");
 }
 
 std::string ReplayCli::validate() const {
   if (!trace_out.empty() && !replay.empty()) {
     return "--trace-out and --replay are mutually exclusive";
-  }
-  if (pipeline && replay.empty()) {
-    return "--pipeline requires --replay";
   }
   return "";
 }
@@ -195,7 +189,6 @@ std::string ReplayCli::validate() const {
 void ReplayCli::apply(RunConfig& config) const {
   config.trace_out = trace_out;
   config.replay = replay;
-  config.pipeline = pipeline;
 }
 
 }  // namespace repro::harness

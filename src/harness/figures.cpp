@@ -46,7 +46,6 @@ SweepOptions FigureOptions::sweep() const {
   SweepOptions s;
   s.jobs = jobs;
   s.cell_timeout_ms = cell_timeout_ms;
-  s.cell_retries = cell_retries;
   s.checkpoint_dir = checkpoint_dir;
   return s;
 }

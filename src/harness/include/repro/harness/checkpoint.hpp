@@ -41,8 +41,13 @@ namespace repro::harness {
 /// model, fault plan, ...), plus, for a replay cell, the trace's
 /// content digest (tracefmt::TraceReader::content_digest; a fixed
 /// sentinel when the file cannot be opened, so this never throws).
-/// Host-side knobs (cell_timeout_ms, trace_dir) are excluded: they
-/// change how a run is supervised, not what it computes.
+/// Host-side knobs are excluded: they change how a run is supervised
+/// or what side files it leaves, not what it computes --
+/// cell_timeout_ms, trace_dir, trace_out (a dry dump written before
+/// the run), no_fast_forward (moves only the iterations_simulated /
+/// iterations_replayed provenance) and machine.table_backend (dense
+/// and sparse tables give equal results). So are fields run_benchmark
+/// rejects when set.
 [[nodiscard]] std::uint64_t config_identity(const RunConfig& config);
 
 /// Hash of a whole sweep: every cell's config_identity, in input

@@ -99,16 +99,13 @@ class Cli {
 struct RunConfig;
 
 /// The trace-frontend flag cluster shared by the bench/example
-/// binaries: --trace-out=FILE, --replay=FILE, --pipeline (see
-/// DESIGN.md §16). register_with() adds the flags to a Cli; after a
-/// successful parse, validate() returns a one-line error for
-/// inconsistent combinations (dump and replay at once, pipeline
-/// without replay) or "" when consistent; apply() copies the values
-/// into a RunConfig.
+/// binaries: --trace-out=FILE, --replay=FILE (see DESIGN.md §16).
+/// register_with() adds the flags to a Cli; after a successful parse,
+/// validate() returns a one-line error when both are given or "" when
+/// consistent; apply() copies the values into a RunConfig.
 struct ReplayCli {
   std::string trace_out;
   std::string replay;
-  bool pipeline = false;
 
   void register_with(Cli& cli);
   [[nodiscard]] std::string validate() const;

@@ -35,8 +35,6 @@ struct FigureOptions {
   /// Per-cell wall-clock watchdog in milliseconds (--cell-timeout);
   /// 0 disables it. See SweepOptions.
   std::uint32_t cell_timeout_ms = 0;
-  /// Extra attempts per failed cell (--cell-retries).
-  std::uint32_t cell_retries = 0;
   /// Checkpoint/resume directory (--checkpoint-dir); empty = off.
   std::string checkpoint_dir;
   memsys::MachineConfig machine;

@@ -27,6 +27,10 @@
 
 namespace repro::harness {
 
+/// One experiment cell. Every field either feeds config_identity (see
+/// harness/checkpoint.hpp) or is on its host-only list; whoever adds a
+/// field adds a row to the table in
+/// Checkpoint.IdentityCoversTheCoherenceModel.
 struct RunConfig {
   std::string benchmark = "BT";
   /// "ft" | "rr" | "rand" | "wc" (paper Section 2).
@@ -73,15 +77,11 @@ struct RunConfig {
   /// at iteration boundaries, so the simulation state is never torn).
   /// 0 disables the watchdog.
   std::uint32_t cell_timeout_ms = 0;
-  /// Dump the workload's frontend stream (regions, bindings, advances)
-  /// to this RTRC trace file while running (see src/tracefmt and
-  /// DESIGN.md §16). Live dumps record the cold start and every timed
-  /// iteration; harness-driven UPMlib activity between phases is not
-  /// recorded (replay re-simulates it). Mutually exclusive with
-  /// `replay`; rejected for record-replay cells (their UPMlib calls
-  /// fire *inside* iterations and are not replayable). Forces the
-  /// fast-forward off (a skipped iteration would be missing from the
-  /// dump).
+  /// Before simulating, dump the workload's frontend stream (regions,
+  /// bindings, advances) to this RTRC trace file with dump_trace (see
+  /// src/tracefmt and DESIGN.md §16). Mutually exclusive with `replay`;
+  /// rejected for record-replay cells (their UPMlib calls fire *inside*
+  /// iterations and are not replayable).
   std::string trace_out;
   /// Replay this RTRC trace file instead of instantiating `benchmark`
   /// (which is then ignored -- the workload's name comes from the
@@ -92,11 +92,7 @@ struct RunConfig {
   /// synthesizes, up to the first whose chunk digests differ from the
   /// steady-state block's.
   std::string replay;
-  /// With `replay`: decode trace chunks on a producer thread and feed
-  /// the timing backend over a bounded lock-free SPSC ring buffer
-  /// (byte-identical to single-threaded replay; see
-  /// sim::TraceReplayer). The producer cannot seek, so a pipelined
-  /// replay simulates every iteration.
+  /// Retired pipelined-replay switch; run_benchmark rejects true.
   bool pipeline = false;
   /// Line-grain coherence protocol: "" (off, the page-grain default --
   /// byte-identical to builds without repro::coherence), "msi" or
@@ -123,7 +119,7 @@ struct RunConfig {
 
 /// Thrown by run_benchmark when a cell exceeds its wall-clock
 /// watchdog deadline (RunConfig::cell_timeout_ms). The sweep scheduler
-/// reports it in the aggregated error without retrying the cell.
+/// reports it in the aggregated error as a timeout failure.
 class CellTimeoutError : public std::runtime_error {
  public:
   explicit CellTimeoutError(const std::string& what)
@@ -194,11 +190,11 @@ struct TraceDumpStats {
 /// Dumps `config`'s workload to an RTRC trace at `path` without
 /// simulating: the machine is built, the workload set up, and the cold
 /// start plus every timed iteration dispatched in the runtime's
-/// dry-run mode. The recorded stream is identical to what a live run
-/// under the same config would dump -- the declarative workloads'
-/// region streams are pure functions of the workload parameters, never
-/// of simulated machine state -- so one dry dump replays under any
-/// placement/engine configuration. Record-replay cells are rejected.
+/// dry-run mode. The declarative workloads' region streams are pure
+/// functions of the workload parameters, never of simulated machine
+/// state, so one dry dump replays under any placement/engine
+/// configuration. run_benchmark calls this for `trace_out`.
+/// Record-replay cells are rejected.
 TraceDumpStats dump_trace(const RunConfig& config, const std::string& path);
 
 }  // namespace repro::harness

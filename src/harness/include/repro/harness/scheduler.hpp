@@ -14,9 +14,9 @@
 // verdict; failures are collected into CellFailure records (input
 // order) and either returned alongside the successes (run_sweep) or
 // raised as one SweepError that lists *every* failed cell
-// (run_experiments). Optional per-cell retries, a wall-clock watchdog
-// and checkpoint/resume make long sweeps survivable: a killed sweep
-// rerun with the same checkpoint directory skips completed cells.
+// (run_experiments). A wall-clock watchdog and checkpoint/resume make
+// long sweeps survivable: a killed sweep rerun with the same checkpoint
+// directory skips completed cells.
 #pragma once
 
 #include <cstddef>
@@ -51,25 +51,22 @@ namespace repro::harness {
 enum class FailureClass : std::uint8_t {
   /// The simulation itself threw (contract violation, bad config, ...).
   kFault = 0,
-  /// The wall-clock watchdog fired (CellTimeoutError); never retried.
+  /// The wall-clock watchdog fired (CellTimeoutError).
   kTimeout = 1,
-  /// A nonzero retry budget was exhausted without a success.
-  kRetryExhausted = 2,
   /// The process computing the cell died (service worker pool; an
-  /// in-process sweep never produces this class).
+  /// in-process sweep never produces this class). Pinned at 3 so its
+  /// exit code stays 6 for scripts that test it.
   kCrash = 3,
 };
 
-/// Stable lowercase identifier ("fault", "timeout", "retry-exhausted",
-/// "crash").
+/// Stable lowercase identifier ("fault", "timeout", "crash").
 [[nodiscard]] const char* failure_class_name(FailureClass cls);
 
-/// Process exit code for a failure class: fault=3, timeout=4,
-/// retry-exhausted=5, crash=6 (0 = success, 1 = generic, 2 = usage
-/// error by convention).
+/// Process exit code for a failure class: fault=3, timeout=4, crash=6
+/// (0 = success, 1 = generic, 2 = usage error by convention).
 [[nodiscard]] int failure_exit_code(FailureClass cls);
 
-/// One failed cell of a sweep, after its retry budget was exhausted.
+/// One failed cell of a sweep.
 struct CellFailure {
   /// Index into the sweep's config vector.
   std::size_t index = 0;
@@ -78,7 +75,7 @@ struct CellFailure {
   std::string label;
   /// what() of the final exception.
   std::string message;
-  /// The failure was a CellTimeoutError (watchdog); never retried.
+  /// The failure was a CellTimeoutError (watchdog).
   bool timeout = false;
   /// Failure classification (see FailureClass); `timeout` above is
   /// kept in sync for existing callers.
@@ -97,10 +94,6 @@ struct SweepOptions {
   /// RunConfig::cell_timeout_ms is 0 (a per-cell value wins). 0 = no
   /// default watchdog.
   std::uint32_t cell_timeout_ms = 0;
-  /// Extra attempts per failed cell. Timeouts are never retried: a
-  /// deterministic simulation that blew its deadline once will blow it
-  /// again.
-  std::uint32_t cell_retries = 0;
   /// Directory for per-cell checkpoint files (see checkpoint.hpp).
   /// Empty = no checkpointing. Completed cells found here are loaded
   /// instead of re-simulated; successful cells are saved here.
@@ -114,8 +107,6 @@ struct SweepStats {
   std::size_t cells_failed = 0;
   /// Cells satisfied from a checkpoint instead of simulation.
   std::size_t cells_resumed = 0;
-  /// Retry attempts performed (not cells: one cell can retry twice).
-  std::size_t cells_retried = 0;
   /// Cells aborted by the wall-clock watchdog.
   std::size_t watchdog_fires = 0;
 };
@@ -131,8 +122,8 @@ struct SweepOutcome {
   [[nodiscard]] bool ok() const { return failures.empty(); }
 
   /// 0 on full success; otherwise failure_exit_code() of the
-  /// most-severe failure class present (crash > retry-exhausted >
-  /// timeout > fault), so a bench's exit status names what went wrong.
+  /// most-severe failure class present (crash > timeout > fault), so a
+  /// bench's exit status names what went wrong.
   [[nodiscard]] int exit_code() const;
 };
 
@@ -158,9 +149,9 @@ class SweepError : public std::runtime_error {
 /// Runs every config through run_benchmark on options.jobs worker
 /// threads and returns all results, all failures and the sweep
 /// statistics without throwing on cell failures (option parsing /
-/// contract violations in the scheduler itself still throw). A cell
-/// that fails is retried up to options.cell_retries times (except
-/// watchdog timeouts) and the remaining cells always run.
+/// contract violations in the scheduler itself still throw). Cells are
+/// deterministic, so a failed cell is not retried; the remaining cells
+/// always run.
 [[nodiscard]] SweepOutcome run_sweep(const std::vector<RunConfig>& configs,
                                      const SweepOptions& options);
 

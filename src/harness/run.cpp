@@ -56,25 +56,12 @@ std::vector<vm::PageRange> probe_hot_ranges(omp::Machine& machine,
   return probe.hot_ranges();
 }
 
-void attach_recorder(omp::Runtime& rt, sim::TraceRecorder* recorder) {
-  rt.set_region_recorder([recorder](const std::string& name,
-                                    const sim::RegionProgram& program,
-                                    std::span<const ProcId> binding) {
-    recorder->on_region(name, program, binding);
-  });
-  rt.set_advance_observer([recorder](Ns d) { recorder->on_advance(d); });
-}
-
-void detach_recorder(omp::Runtime& rt) {
-  rt.set_region_recorder({});
-  rt.set_advance_observer({});
-}
-
 void check_frontend_config(const RunConfig& config) {
   REPRO_REQUIRE_MSG(config.trace_out.empty() || config.replay.empty(),
                     "trace_out and replay are mutually exclusive");
-  REPRO_REQUIRE_MSG(!config.pipeline || !config.replay.empty(),
-                    "pipeline requires replay");
+  REPRO_REQUIRE_MSG(!config.pipeline,
+                    "pipelined replay is not supported; replay decodes "
+                    "serially");
   REPRO_REQUIRE_MSG((config.trace_out.empty() && config.replay.empty()) ||
                         config.upm_mode != nas::UpmMode::kRecordReplay,
                     "record-replay cells drive UPMlib from inside "
@@ -137,6 +124,12 @@ RunResult run_benchmark(const RunConfig& config) {
   REPRO_REQUIRE(config.upm_mode == nas::UpmMode::kOff ||
                 !config.kernel_migration);
   check_frontend_config(config);
+  if (!config.trace_out.empty()) {
+    // The dump is a dry run of the same configuration: the recorded
+    // stream does not depend on simulated state, so the run below stays
+    // free to fast-forward.
+    dump_trace(config, config.trace_out);
+  }
   const bool analyze =
       config.analyze || Env::global().get_bool("REPRO_ANALYZE", false);
   std::string trace_dir = config.trace_dir;
@@ -181,8 +174,7 @@ RunResult run_benchmark(const RunConfig& config) {
 
   std::unique_ptr<nas::Workload> workload;
   if (!config.replay.empty()) {
-    workload = nas::make_trace_workload(
-        config.replay, nas::TraceWorkloadOptions{config.pipeline});
+    workload = nas::make_trace_workload(config.replay);
   } else {
     nas::WorkloadParams wparams = config.workload;
     wparams.compute_scale = config.compute_scale;
@@ -217,27 +209,9 @@ RunResult run_benchmark(const RunConfig& config) {
     ctx.upm = upmlib.get();
   }
 
-  std::unique_ptr<sim::TraceRecorder> recorder;
-  if (!config.trace_out.empty()) {
-    const std::vector<vm::PageRange> hot =
-        upmlib != nullptr
-            ? upmlib->hot_ranges()
-            : probe_hot_ranges(*machine, *workload, config.upm);
-    recorder = std::make_unique<sim::TraceRecorder>(
-        config.trace_out,
-        dump_meta(*machine, config, benchmark, iterations, hot));
-    attach_recorder(machine->runtime(), recorder.get());
-  }
-
   // Cold-start iteration: establishes first-touch placement; results
   // and statistics are discarded.
-  if (recorder != nullptr) {
-    recorder->begin_cold_start();
-  }
   workload->cold_start(*machine);
-  if (recorder != nullptr) {
-    recorder->end_phase();
-  }
   if (upmlib != nullptr) {
     upmlib->reset_hot_counters();
   }
@@ -267,14 +241,12 @@ RunResult run_benchmark(const RunConfig& config) {
 
   // Steady-state fast-forward: on unless opted out, and off under the
   // analyzer (it inspects every *executed* region, so synthesized
-  // iterations would change its input), the coherence model (cache
+  // iterations would change its input) or the coherence model (cache
   // and directory state is not periodic in general, so a replayed
-  // block would misreport the line-grain counters) or a trace dump (a
-  // skipped iteration would be missing from the file). A trace replay
+  // block would misreport the line-grain counters). A trace replay
   // fast-forwards when its workload can seek past the synthesized
-  // iterations: an indexed trace under serial decode.
+  // iterations: an indexed trace.
   bool fast_forward = !config.no_fast_forward && !analyze && coh == nullptr &&
-                      config.trace_out.empty() &&
                       Env::global().get_bool("REPRO_FAST_FORWARD", true);
   if (fast_forward) {
     const std::string blocker = workload->fast_forward_blocker();
@@ -353,16 +325,7 @@ RunResult run_benchmark(const RunConfig& config) {
       ev.time = iter_start;
       sink->emit(harness_lane, ev);
     }
-    if (recorder != nullptr) {
-      recorder->begin_iteration(step);
-    }
     workload->iteration(*machine, ctx, step);
-    if (recorder != nullptr) {
-      // Close the phase before the migration pass below: replay runs
-      // under a live UPMlib that re-executes it for real, so recording
-      // its advances too would double-charge them.
-      recorder->end_phase();
-    }
     if (config.upm_mode == nas::UpmMode::kDistribution &&
         (step == 1 || upmlib->active())) {
       // Paper Fig. 2: invoke the engine after the first iteration and
@@ -390,13 +353,6 @@ RunResult run_benchmark(const RunConfig& config) {
     result.iteration_times.push_back(rt.now() - iter_start);
   }
   result.total = rt.now() - t0;
-  if (recorder != nullptr) {
-    detach_recorder(rt);
-    const tracefmt::WriterStats ws = recorder->finish();
-    REPRO_LOG_INFO("trace-out ", benchmark, " ", result.label, ": ",
-                   ws.regions, " regions, ", ws.ops, " ops, ", ws.chunks,
-                   " chunks -> ", config.trace_out);
-  }
   if (result.iterations_replayed > 0) {
     REPRO_LOG_INFO(benchmark, " ", result.label,
                    ": steady state after ", result.iterations_simulated,
@@ -488,17 +444,23 @@ TraceDumpStats dump_trace(const RunConfig& config, const std::string& path) {
   // streams are pure functions of the workload parameters -- without
   // simulating a single access.
   rt.set_dry_run(true);
-  attach_recorder(rt, &recorder);
+  rt.set_region_inspector([&recorder](const std::string& name,
+                                      const sim::RegionProgram& program,
+                                      std::span<const ProcId> binding) {
+    recorder.on_region(name, program, binding);
+  });
+  rt.set_advance_observer([&recorder](Ns d) { recorder.on_advance(d); });
   recorder.begin_cold_start();
   workload->cold_start(*machine);
-  recorder.end_phase();
-  const nas::IterationContext ctx;  // mode kOff: no UPMlib calls
+  // Mode kOff: no UPMlib calls. A replay runs the harness's migration
+  // passes live, so the dump must not record them.
+  const nas::IterationContext ctx;
   for (std::uint32_t step = 1; step <= iterations; ++step) {
     recorder.begin_iteration(step);
     workload->iteration(*machine, ctx, step);
-    recorder.end_phase();
   }
-  detach_recorder(rt);
+  rt.set_region_inspector({});
+  rt.set_advance_observer({});
   const tracefmt::WriterStats ws = recorder.finish();
   REPRO_LOG_INFO("trace-dump ", config.benchmark, ": ", ws.regions,
                  " regions, ", ws.ops, " ops, ", ws.chunks, " chunks -> ",

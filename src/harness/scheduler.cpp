@@ -20,14 +20,12 @@ struct CellVerdict {
   bool resumed = false;
   bool timeout = false;
   FailureClass cls = FailureClass::kFault;
-  std::uint32_t retries = 0;
   std::string message;
 };
 
-/// Runs one cell to a verdict: checkpoint load, then simulate with up
-/// to options.cell_retries extra attempts. Never throws on simulation
-/// failure -- every exception becomes part of the verdict so the
-/// remaining cells always run.
+/// Runs one cell to a verdict: checkpoint load, then one simulation.
+/// Never throws on simulation failure -- every exception becomes part
+/// of the verdict so the remaining cells always run.
 CellVerdict run_cell(const RunConfig& input, const SweepOptions& options,
                      std::uint64_t sweep_id) {
   CellVerdict v;
@@ -52,36 +50,22 @@ CellVerdict run_cell(const RunConfig& input, const SweepOptions& options,
       return v;
     }
   }
-  for (std::uint32_t attempt = 0;; ++attempt) {
-    try {
-      v.result = run_benchmark(config);
-      v.ok = true;
-      if (!options.checkpoint_dir.empty()) {
-        save_checkpoint(options.checkpoint_dir, config, v.result, sweep_id);
-      }
-      return v;
-    } catch (const CellTimeoutError& e) {
-      // Deterministic simulation: a cell that blew its deadline once
-      // will blow it again, so a retry only doubles the damage.
-      v.timeout = true;
-      v.cls = FailureClass::kTimeout;
-      v.message = e.what();
-      return v;
-    } catch (const std::exception& e) {
-      v.message = e.what();
-    } catch (...) {
-      v.message = "unknown exception";
+  try {
+    v.result = run_benchmark(config);
+    v.ok = true;
+    if (!options.checkpoint_dir.empty()) {
+      save_checkpoint(options.checkpoint_dir, config, v.result, sweep_id);
     }
-    if (attempt >= options.cell_retries) {
-      v.cls = options.cell_retries > 0 ? FailureClass::kRetryExhausted
-                                       : FailureClass::kFault;
-      return v;
-    }
-    ++v.retries;
-    REPRO_LOG_WARN(config.benchmark, " ", config.label(), ": retry ",
-                   v.retries, "/", options.cell_retries, " after: ",
-                   v.message);
+  } catch (const CellTimeoutError& e) {
+    v.timeout = true;
+    v.cls = FailureClass::kTimeout;
+    v.message = e.what();
+  } catch (const std::exception& e) {
+    v.message = e.what();
+  } catch (...) {
+    v.message = "unknown exception";
   }
+  return v;
 }
 
 }  // namespace
@@ -117,8 +101,6 @@ const char* failure_class_name(FailureClass cls) {
       return "fault";
     case FailureClass::kTimeout:
       return "timeout";
-    case FailureClass::kRetryExhausted:
-      return "retry-exhausted";
     case FailureClass::kCrash:
       return "crash";
   }
@@ -205,7 +187,6 @@ SweepOutcome run_sweep(const std::vector<RunConfig>& configs,
 
   for (std::size_t i = 0; i < configs.size(); ++i) {
     CellVerdict& v = verdicts[i];
-    out.stats.cells_retried += v.retries;
     if (v.resumed) {
       ++out.stats.cells_resumed;
     }

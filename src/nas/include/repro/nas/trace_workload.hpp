@@ -14,8 +14,7 @@
 namespace repro::nas {
 
 struct TraceWorkloadOptions {
-  /// Decode on a producer thread over the SPSC ring buffer instead of
-  /// inline on the simulation thread (see sim::TraceReplayer).
+  /// Retired pipelined-decode switch; make_trace_workload rejects true.
   bool pipeline = false;
 };
 

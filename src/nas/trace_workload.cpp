@@ -40,9 +40,7 @@ void restore_binding(omp::Runtime& rt,
 
 class TraceWorkload final : public Workload {
  public:
-  TraceWorkload(const std::string& path, const TraceWorkloadOptions& options)
-      : replayer_(path, sim::TraceReplayer::Options{options.pipeline, 256}),
-        pipelined_(options.pipeline) {}
+  explicit TraceWorkload(const std::string& path) : replayer_(path) {}
 
   [[nodiscard]] std::string name() const override {
     return replayer_.meta().benchmark;
@@ -108,9 +106,6 @@ class TraceWorkload final : public Workload {
   }
 
   [[nodiscard]] std::string fast_forward_blocker() const override {
-    if (pipelined_) {
-      return "pipelined decode cannot seek";
-    }
     if (markers().empty()) {
       return "trace has no iteration index";
     }
@@ -212,7 +207,6 @@ class TraceWorkload final : public Workload {
   }
 
   sim::TraceReplayer replayer_;
-  bool pipelined_;
   std::optional<sim::ReplayItem> pending_;
 };
 
@@ -220,7 +214,10 @@ class TraceWorkload final : public Workload {
 
 std::unique_ptr<Workload> make_trace_workload(
     const std::string& path, const TraceWorkloadOptions& options) {
-  return std::make_unique<TraceWorkload>(path, options);
+  REPRO_REQUIRE_MSG(!options.pipeline,
+                    "pipelined replay is not supported; replay decodes "
+                    "serially");
+  return std::make_unique<TraceWorkload>(path);
 }
 
 }  // namespace repro::nas

@@ -107,22 +107,14 @@ class Runtime {
 
   /// Observer called with every region's name, compiled program and
   /// the current thread binding just before the engine executes them --
-  /// the analyze-before-run hook (see repro::analysis). At most one
-  /// inspector; pass an empty function to detach.
+  /// the analyze-before-run hook (see repro::analysis) and, on a dry
+  /// run, the trace-dump recorder (see harness::dump_trace). At most
+  /// one inspector; pass an empty function to detach.
   using RegionInspector =
       std::function<void(const std::string&, const sim::RegionProgram&,
                          std::span<const ProcId>)>;
   void set_region_inspector(RegionInspector inspector) {
     inspector_ = std::move(inspector);
-  }
-
-  /// Second observer slot with the same signature and firing point as
-  /// the inspector (every region dispatch, dry-run included): the
-  /// trace-dump recorder (see sim::TraceRecorder). Separate from the
-  /// inspector so dumping composes with the analyzer. At most one;
-  /// empty detaches.
-  void set_region_recorder(RegionInspector recorder) {
-    recorder_ = std::move(recorder);
   }
 
   /// Observer of every sequential-time advance() (the master-thread
@@ -198,7 +190,6 @@ class Runtime {
   Ns reduction_step_ = 200;
   bool dry_run_ = false;
   RegionInspector inspector_;
-  RegionInspector recorder_;
   AdvanceObserver advance_observer_;
   std::vector<RegionRecord> records_;
   fault::FaultInjector* fault_ = nullptr;

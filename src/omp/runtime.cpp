@@ -46,9 +46,6 @@ sim::RegionResult Runtime::run(const std::string& name,
   if (inspector_) {
     inspector_(name, program, binding_);
   }
-  if (recorder_) {
-    recorder_(name, program, binding_);
-  }
   if (dry_run_) {
     sim::RegionResult result;
     result.start = now_;

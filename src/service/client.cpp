@@ -92,9 +92,6 @@ harness::FailureClass parse_failure_class(const std::string& name) {
   if (name == "timeout") {
     return FailureClass::kTimeout;
   }
-  if (name == "retry-exhausted") {
-    return FailureClass::kRetryExhausted;
-  }
   if (name == "crash") {
     return FailureClass::kCrash;
   }

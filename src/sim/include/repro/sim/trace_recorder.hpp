@@ -1,12 +1,8 @@
 // Trace-dump recorder: adapts the runtime's region/advance observer
-// hooks onto a tracefmt::TraceWriter.
-//
-// The recorder is phase-gated: records are appended only between a
-// begin_cold_start()/begin_iteration() marker and the matching
-// end_phase(). Everything the harness itself drives between phases --
-// UPMlib migration passes, counter resets -- is deliberately *not*
-// recorded, because replay runs under a live machine where those same
-// engines re-execute for real; recording them too would double-count.
+// hooks onto a tracefmt::TraceWriter. harness::dump_trace attaches it
+// to a dry run that dispatches only the workload's own phases; the
+// harness's UPMlib migration passes are never recorded, because replay
+// runs under a live machine where they re-execute for real.
 #pragma once
 
 #include <cstdint>
@@ -23,13 +19,12 @@ class TraceRecorder {
  public:
   TraceRecorder(const std::string& path, const tracefmt::TraceMeta& meta);
 
-  /// Phase markers (harness-driven; see run_benchmark / dump_trace).
-  void begin_cold_start();
-  void begin_iteration(std::uint32_t step);
-  void end_phase() { in_phase_ = false; }
+  /// Phase markers (see harness::dump_trace).
+  void begin_cold_start() { writer_.cold_begin(); }
+  void begin_iteration(std::uint32_t step) { writer_.iteration_begin(step); }
 
-  /// Runtime hook targets (wired via omp::Runtime::set_region_recorder
-  /// and set_advance_observer). No-ops outside a phase.
+  /// Runtime hook targets (wired via omp::Runtime::set_region_inspector
+  /// and set_advance_observer).
   void on_region(const std::string& name, const RegionProgram& program,
                  std::span<const ProcId> binding);
   void on_advance(Ns duration);
@@ -40,7 +35,6 @@ class TraceRecorder {
  private:
   tracefmt::TraceWriter writer_;
   std::vector<std::uint32_t> binding_scratch_;
-  bool in_phase_ = false;
 };
 
 }  // namespace repro::sim

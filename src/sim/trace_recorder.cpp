@@ -15,22 +15,9 @@ TraceRecorder::TraceRecorder(const std::string& path,
                              const tracefmt::TraceMeta& meta)
     : writer_(path, meta) {}
 
-void TraceRecorder::begin_cold_start() {
-  writer_.cold_begin();
-  in_phase_ = true;
-}
-
-void TraceRecorder::begin_iteration(std::uint32_t step) {
-  writer_.iteration_begin(step);
-  in_phase_ = true;
-}
-
 void TraceRecorder::on_region(const std::string& name,
                               const RegionProgram& program,
                               std::span<const ProcId> binding) {
-  if (!in_phase_) {
-    return;
-  }
   const RegionProgram::ColumnView view = program.columns();
   bool identity = true;
   for (std::size_t t = 0; t < binding.size(); ++t) {
@@ -58,7 +45,7 @@ void TraceRecorder::on_region(const std::string& name,
 }
 
 void TraceRecorder::on_advance(Ns duration) {
-  if (!in_phase_ || duration == 0) {
+  if (duration == 0) {
     return;
   }
   writer_.advance(duration);

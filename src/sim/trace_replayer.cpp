@@ -4,28 +4,6 @@
 
 namespace repro::sim {
 
-TraceReplayer::TraceReplayer(const std::string& path, const Options& options)
-    : reader_(path) {
-  if (options.pipeline) {
-    ring_ = std::make_unique<RingBuffer<ReplayItem>>(options.ring_capacity);
-    producer_ = std::thread([this] { producer_loop(); });
-  }
-}
-
-TraceReplayer::~TraceReplayer() {
-  if (producer_.joinable()) {
-    stop_.store(true, std::memory_order_relaxed);
-    // Drain so a blocked producer can observe stop_ and exit.
-    ReplayItem sink;
-    while (!done_.load(std::memory_order_acquire)) {
-      while (ring_->try_pop(sink)) {
-      }
-      std::this_thread::yield();
-    }
-    producer_.join();
-  }
-}
-
 bool TraceReplayer::to_item(tracefmt::Record& record, ReplayItem& out) {
   switch (record.kind) {
     case tracefmt::RecordKind::kDefineName:
@@ -64,7 +42,7 @@ bool TraceReplayer::to_item(tracefmt::Record& record, ReplayItem& out) {
   REPRO_UNREACHABLE("unhandled record kind");
 }
 
-bool TraceReplayer::decode_next_serial(ReplayItem& out) {
+bool TraceReplayer::next(ReplayItem& out) {
   for (;;) {
     while (buffer_at_ >= buffer_.size()) {
       if (chunk_ >= reader_.num_chunks()) {
@@ -82,62 +60,10 @@ bool TraceReplayer::decode_next_serial(ReplayItem& out) {
 }
 
 void TraceReplayer::seek(std::size_t chunk) {
-  REPRO_REQUIRE_MSG(ring_ == nullptr, "a pipelined replayer cannot seek");
   REPRO_REQUIRE(chunk <= reader_.num_chunks());
   chunk_ = chunk;
   buffer_.clear();
   buffer_at_ = 0;
-}
-
-void TraceReplayer::producer_loop() {
-  try {
-    std::vector<tracefmt::Record> records;
-    for (std::size_t c = 0; c < reader_.num_chunks(); ++c) {
-      if (stop_.load(std::memory_order_relaxed)) {
-        break;
-      }
-      reader_.decode_chunk(c, records);
-      for (tracefmt::Record& record : records) {
-        ReplayItem item;
-        if (!to_item(record, item)) {
-          continue;
-        }
-        while (!ring_->try_push(item)) {
-          if (stop_.load(std::memory_order_relaxed)) {
-            done_.store(true, std::memory_order_release);
-            return;
-          }
-          std::this_thread::yield();
-        }
-      }
-    }
-  } catch (...) {
-    error_ = std::current_exception();
-  }
-  done_.store(true, std::memory_order_release);
-}
-
-bool TraceReplayer::next(ReplayItem& out) {
-  if (ring_ == nullptr) {
-    return decode_next_serial(out);
-  }
-  for (;;) {
-    if (ring_->try_pop(out)) {
-      return true;
-    }
-    if (done_.load(std::memory_order_acquire)) {
-      // Producer finished (or died): drain the residue, then report
-      // its error or the clean end of the stream.
-      if (ring_->try_pop(out)) {
-        return true;
-      }
-      if (error_ != nullptr) {
-        std::rethrow_exception(error_);
-      }
-      return false;
-    }
-    std::this_thread::yield();
-  }
 }
 
 }  // namespace repro::sim

@@ -368,13 +368,11 @@ TEST(Watchdog, SweepReportsTimeoutWithoutAbortingOrRetrying) {
                                     small_config("ft", false)};
   SweepOptions options;
   options.jobs = 2;
-  options.cell_retries = 2;  // must NOT apply to the timeout
   const SweepOutcome outcome = run_sweep(configs, options);
   ASSERT_EQ(outcome.failures.size(), 1u);
   EXPECT_EQ(outcome.failures[0].index, 0u);
   EXPECT_TRUE(outcome.failures[0].timeout);
   EXPECT_EQ(outcome.stats.watchdog_fires, 1u);
-  EXPECT_EQ(outcome.stats.cells_retried, 0u);
   EXPECT_EQ(outcome.stats.cells_ok, 1u);
   EXPECT_EQ(outcome.results[1].label, configs[1].label());
 }
@@ -451,12 +449,9 @@ TEST(Checkpoint, SweepResumesCompletedCells) {
 TEST(FailureClasses, NamesAndExitCodesAreStable) {
   EXPECT_STREQ(failure_class_name(FailureClass::kFault), "fault");
   EXPECT_STREQ(failure_class_name(FailureClass::kTimeout), "timeout");
-  EXPECT_STREQ(failure_class_name(FailureClass::kRetryExhausted),
-               "retry-exhausted");
   EXPECT_STREQ(failure_class_name(FailureClass::kCrash), "crash");
   EXPECT_EQ(failure_exit_code(FailureClass::kFault), 3);
   EXPECT_EQ(failure_exit_code(FailureClass::kTimeout), 4);
-  EXPECT_EQ(failure_exit_code(FailureClass::kRetryExhausted), 5);
   EXPECT_EQ(failure_exit_code(FailureClass::kCrash), 6);
 }
 
@@ -468,28 +463,6 @@ TEST(FailureClasses, TimeoutFailureIsClassifiedAndNamedInExitCode) {
   EXPECT_EQ(outcome.failures[0].cls, FailureClass::kTimeout);
   EXPECT_TRUE(outcome.failures[0].timeout);  // kept in sync
   EXPECT_EQ(outcome.exit_code(), failure_exit_code(FailureClass::kTimeout));
-}
-
-TEST(FailureClasses, RetryBudgetDistinguishesFaultFromExhaustion) {
-  // kernel_migration + upmlib is rejected deterministically by
-  // run_benchmark: with no retry budget that is a plain kFault, with
-  // one it becomes kRetryExhausted (the budget was spent).
-  RunConfig broken = small_config("ft", /*upmlib=*/true);
-  broken.kernel_migration = true;
-  SweepOptions options;
-  options.jobs = 1;
-  SweepOutcome outcome = run_sweep({broken}, options);
-  ASSERT_EQ(outcome.failures.size(), 1u);
-  EXPECT_EQ(outcome.failures[0].cls, FailureClass::kFault);
-  EXPECT_EQ(outcome.exit_code(), failure_exit_code(FailureClass::kFault));
-
-  options.cell_retries = 1;
-  outcome = run_sweep({broken}, options);
-  ASSERT_EQ(outcome.failures.size(), 1u);
-  EXPECT_EQ(outcome.failures[0].cls, FailureClass::kRetryExhausted);
-  EXPECT_EQ(outcome.exit_code(),
-            failure_exit_code(FailureClass::kRetryExhausted));
-  EXPECT_EQ(outcome.stats.cells_retried, 1u);
 }
 
 TEST(FailureClasses, ExitCodeReportsTheMostSevereClass) {
@@ -554,21 +527,171 @@ TEST(Checkpoint, CoherenceCellsResumeTheirOwnResults) {
   EXPECT_NE(msi.coherence_totals.miss_lines(), 0u);
 }
 
+/// One field of RunConfig (or of a struct it embeds) and a change to
+/// it. Host-only fields must leave config_identity unchanged; every
+/// other field must move it.
+struct IdentityRow {
+  const char* field;
+  void (*perturb)(RunConfig&);
+  bool host_only = false;
+};
+
 TEST(Checkpoint, IdentityCoversTheCoherenceModel) {
+  // Every field of RunConfig, MachineConfig, DaemonConfig, UpmConfig,
+  // WorkloadParams, CoherenceConfig and FaultPlan has a row: whoever
+  // adds a field adds one here.
+  const std::vector<IdentityRow> rows = {
+      {"benchmark", [](RunConfig& c) { c.benchmark = "MG"; }},
+      {"placement", [](RunConfig& c) { c.placement = "rr"; }},
+      {"kernel_migration", [](RunConfig& c) { c.kernel_migration = true; }},
+      {"upm_mode",
+       [](RunConfig& c) { c.upm_mode = nas::UpmMode::kDistribution; }},
+      {"iterations", [](RunConfig& c) { c.iterations = 4; }},
+      {"compute_scale", [](RunConfig& c) { c.compute_scale = 2; }},
+      {"seed", [](RunConfig& c) { c.seed += 1; }},
+      {"analyze", [](RunConfig& c) { c.analyze = true; }},
+      {"trace", [](RunConfig& c) { c.trace = true; }},
+      {"replay", [](RunConfig& c) { c.replay = "missing.rtrc"; }},
+      {"coherence", [](RunConfig& c) { c.coherence = "mesi"; }},
+      // Host-only: supervision and side files, not results.
+      {"trace_dir", [](RunConfig& c) { c.trace_dir = "traces"; }, true},
+      {"no_fast_forward", [](RunConfig& c) { c.no_fast_forward = true; },
+       true},
+      {"cell_timeout_ms", [](RunConfig& c) { c.cell_timeout_ms = 1000; },
+       true},
+      {"trace_out", [](RunConfig& c) { c.trace_out = "cell.rtrc"; }, true},
+      {"pipeline", [](RunConfig& c) { c.pipeline = true; }, true},
+
+      {"coherence_config.policy",
+       [](RunConfig& c) {
+         c.coherence_config.policy = coherence::Policy::kMesi;
+       }},
+      {"coherence_config.line_size",
+       [](RunConfig& c) { c.coherence_config.line_size = 64; }},
+      {"coherence_config.sets",
+       [](RunConfig& c) { c.coherence_config.sets = 128; }},
+      {"coherence_config.ways",
+       [](RunConfig& c) { c.coherence_config.ways = 4; }},
+      {"coherence_config.upgrade_ns",
+       [](RunConfig& c) { c.coherence_config.upgrade_ns += 1.0; }},
+      {"coherence_config.intervention_ns",
+       [](RunConfig& c) { c.coherence_config.intervention_ns += 1.0; }},
+
+      {"machine.num_nodes", [](RunConfig& c) { c.machine.num_nodes = 8; }},
+      {"machine.procs_per_node",
+       [](RunConfig& c) { c.machine.procs_per_node = 2; }},
+      {"machine.topology",
+       [](RunConfig& c) { c.machine.topology = "ring"; }},
+      {"machine.table_backend",
+       [](RunConfig& c) {
+         c.machine.table_backend = memsys::TableBackend::kSparse;
+       },
+       true},
+      {"machine.page_size",
+       [](RunConfig& c) { c.machine.page_size = 4 * kKiB; }},
+      {"machine.cache_line", [](RunConfig& c) { c.machine.cache_line = 64; }},
+      {"machine.l2_size", [](RunConfig& c) { c.machine.l2_size = 8 * kMiB; }},
+      {"machine.frames_per_node",
+       [](RunConfig& c) { c.machine.frames_per_node += 1; }},
+      {"machine.l1_latency_ns",
+       [](RunConfig& c) { c.machine.l1_latency_ns += 1.0; }},
+      {"machine.l2_latency_ns",
+       [](RunConfig& c) { c.machine.l2_latency_ns += 1.0; }},
+      {"machine.mem_latency_ns",
+       [](RunConfig& c) { c.machine.mem_latency_ns[1] += 1.0; }},
+      {"machine.extra_hop_latency_ns",
+       [](RunConfig& c) { c.machine.extra_hop_latency_ns += 1.0; }},
+      {"machine.cache_hit_ns",
+       [](RunConfig& c) { c.machine.cache_hit_ns += 1.0; }},
+      {"machine.mem_occupancy_ns",
+       [](RunConfig& c) { c.machine.mem_occupancy_ns += 1.0; }},
+      {"machine.stream_hide_factor",
+       [](RunConfig& c) { c.machine.stream_hide_factor += 1.0; }},
+      {"machine.invalidation_ns",
+       [](RunConfig& c) { c.machine.invalidation_ns += 1.0; }},
+      {"machine.page_copy_ns",
+       [](RunConfig& c) { c.machine.page_copy_ns += 1.0; }},
+      {"machine.tlb_local_flush_ns",
+       [](RunConfig& c) { c.machine.tlb_local_flush_ns += 1.0; }},
+      {"machine.tlb_shootdown_ns",
+       [](RunConfig& c) { c.machine.tlb_shootdown_ns += 1.0; }},
+      {"machine.tlb_entries", [](RunConfig& c) { c.machine.tlb_entries = 64; }},
+      {"machine.tlb_refill_ns",
+       [](RunConfig& c) { c.machine.tlb_refill_ns += 1.0; }},
+      {"machine.counter_bits",
+       [](RunConfig& c) { c.machine.counter_bits = 12; }},
+
+      {"daemon.threshold", [](RunConfig& c) { c.daemon.threshold += 1; }},
+      {"daemon.window_ns", [](RunConfig& c) { c.daemon.window_ns += 1; }},
+      {"daemon.page_cooloff_ns",
+       [](RunConfig& c) { c.daemon.page_cooloff_ns += 1; }},
+      {"daemon.max_migrations_per_page",
+       [](RunConfig& c) { c.daemon.max_migrations_per_page += 1; }},
+      {"daemon.global_min_interval_ns",
+       [](RunConfig& c) { c.daemon.global_min_interval_ns += 1; }},
+
+      {"upm.threshold", [](RunConfig& c) { c.upm.threshold += 0.5; }},
+      {"upm.max_critical_pages",
+       [](RunConfig& c) { c.upm.max_critical_pages = 10; }},
+      {"upm.freeze_bouncing_pages",
+       [](RunConfig& c) { c.upm.freeze_bouncing_pages = false; }},
+      {"upm.enable_replication",
+       [](RunConfig& c) { c.upm.enable_replication = true; }},
+      {"upm.replication_min_nodes",
+       [](RunConfig& c) { c.upm.replication_min_nodes += 1; }},
+      {"upm.replication_min_count",
+       [](RunConfig& c) { c.upm.replication_min_count += 1; }},
+      {"upm.max_replicas", [](RunConfig& c) { c.upm.max_replicas += 1; }},
+      {"upm.busy_retry_limit",
+       [](RunConfig& c) { c.upm.busy_retry_limit += 1; }},
+      {"upm.busy_backoff_ns",
+       [](RunConfig& c) { c.upm.busy_backoff_ns += 1; }},
+      {"upm.give_up_freeze_limit",
+       [](RunConfig& c) { c.upm.give_up_freeze_limit += 1; }},
+      {"upm.hysteresis_passes",
+       [](RunConfig& c) { c.upm.hysteresis_passes += 1; }},
+
+      {"workload.iterations", [](RunConfig& c) { c.workload.iterations = 5; }},
+      {"workload.compute_scale",
+       [](RunConfig& c) { c.workload.compute_scale = 3; }},
+      {"workload.serial_init_fraction",
+       [](RunConfig& c) { c.workload.serial_init_fraction = 0.5; }},
+      {"workload.size_scale",
+       [](RunConfig& c) { c.workload.size_scale = 0.5; }},
+
+      {"fault.seed", [](RunConfig& c) { c.fault.seed += 1; }},
+      {"fault.counter_rate", [](RunConfig& c) { c.fault.counter_rate = 0.1; }},
+      {"fault.migration_busy_rate",
+       [](RunConfig& c) { c.fault.migration_busy_rate = 0.1; }},
+      {"fault.slowdown_rate",
+       [](RunConfig& c) { c.fault.slowdown_rate = 0.1; }},
+      {"fault.preemption_rate",
+       [](RunConfig& c) { c.fault.preemption_rate = 0.1; }},
+      {"fault.counter_scale_percent",
+       [](RunConfig& c) { c.fault.counter_scale_percent = 50; }},
+      {"fault.busy_pin_attempts",
+       [](RunConfig& c) { c.fault.busy_pin_attempts += 1; }},
+      {"fault.slowdown_ns", [](RunConfig& c) { c.fault.slowdown_ns += 1; }},
+      {"fault.spike_lines", [](RunConfig& c) { c.fault.spike_lines += 1; }},
+      {"fault.preemption_ns",
+       [](RunConfig& c) { c.fault.preemption_ns += 1; }},
+      {"fault.active_from_iteration",
+       [](RunConfig& c) { c.fault.active_from_iteration = 2; }},
+      {"fault.active_until_iteration",
+       [](RunConfig& c) { c.fault.active_until_iteration = 5; }},
+  };
   const RunConfig base = coherence_cell("msi");
   const std::uint64_t id = config_identity(base);
-  EXPECT_NE(config_identity(coherence_cell("")), id);
-  EXPECT_NE(config_identity(coherence_cell("mesi")), id);
-  std::vector<RunConfig> changed(6, base);
-  changed[0].coherence_config.policy = coherence::Policy::kMesi;
-  changed[1].coherence_config.line_size = 64;
-  changed[2].coherence_config.sets = 128;
-  changed[3].coherence_config.ways = 4;
-  changed[4].coherence_config.upgrade_ns += 1.0;
-  changed[5].coherence_config.intervention_ns += 1.0;
-  for (std::size_t i = 0; i < changed.size(); ++i) {
-    EXPECT_NE(config_identity(changed[i]), id) << "field " << i;
+  for (const IdentityRow& row : rows) {
+    RunConfig changed = base;
+    row.perturb(changed);
+    if (row.host_only) {
+      EXPECT_EQ(config_identity(changed), id) << row.field;
+    } else {
+      EXPECT_NE(config_identity(changed), id) << row.field;
+    }
   }
+  EXPECT_NE(config_identity(coherence_cell("")), id);
 }
 
 TEST(Checkpoint, EncodeDecodeKeepsCoherenceCounters) {

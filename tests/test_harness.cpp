@@ -310,13 +310,11 @@ struct ReplayCliFixture {
 
 TEST(Cli, ReplayFlagsParseAndApplyToTheRunConfig) {
   ReplayCliFixture f;
-  ASSERT_EQ(f.parse({"--replay=/tmp/x.rtrc", "--pipeline"}),
-            Cli::Status::kOk);
+  ASSERT_EQ(f.parse({"--replay=/tmp/x.rtrc"}), Cli::Status::kOk);
   EXPECT_EQ(f.replay.validate(), "");
   RunConfig config;
   f.replay.apply(config);
   EXPECT_EQ(config.replay, "/tmp/x.rtrc");
-  EXPECT_TRUE(config.pipeline);
   EXPECT_TRUE(config.trace_out.empty());
 }
 
@@ -327,7 +325,6 @@ TEST(Cli, ReplayTraceOutParsesAlone) {
   RunConfig config;
   f.replay.apply(config);
   EXPECT_EQ(config.trace_out, "/tmp/dump.rtrc");
-  EXPECT_FALSE(config.pipeline);
 }
 
 TEST(Cli, ReplayConflictingFlagsFailValidation) {
@@ -338,13 +335,6 @@ TEST(Cli, ReplayConflictingFlagsFailValidation) {
             std::string::npos);
 }
 
-TEST(Cli, ReplayPipelineWithoutReplayFailsValidation) {
-  ReplayCliFixture f;
-  ASSERT_EQ(f.parse({"--pipeline"}), Cli::Status::kOk);
-  EXPECT_NE(f.replay.validate().find("requires --replay"),
-            std::string::npos);
-}
-
 TEST(Cli, ReplayFlagsAreStrictlyParsed) {
   {
     ReplayCliFixture f;
@@ -352,12 +342,12 @@ TEST(Cli, ReplayFlagsAreStrictlyParsed) {
   }
   {
     ReplayCliFixture f;
-    EXPECT_EQ(f.parse({"--pipeline=1"}), Cli::Status::kError);  // flag
+    EXPECT_EQ(f.parse({"--pipeline"}), Cli::Status::kError);  // removed
   }
   {
     ReplayCliFixture f;
     const std::string usage = f.cli.usage();
-    for (const char* name : {"--trace-out", "--replay", "--pipeline"}) {
+    for (const char* name : {"--trace-out", "--replay"}) {
       EXPECT_NE(usage.find(name), std::string::npos) << name;
     }
   }

@@ -1,28 +1,25 @@
 // Trace-format and replay-frontend tests: RTRC encode/decode round
 // trips (including a randomized RegionProgram fuzz), corruption
-// rejection, the SPSC ring buffer, pipelined-vs-serial replay
-// equivalence, the iteration index, and the harness-level replay path
-// (dry dump == live dump, golden-cell byte identity, fast-forwarded
-// replay, error cases).
+// rejection, the iteration index, and the harness-level replay path
+// (a run's --trace-out file == the dry dump, golden-cell byte identity,
+// fast-forwarded replay, error cases).
 //
-// Suite naming matters for CI: TraceFmt, RingBuffer and PipelineReplay
-// also run under the TSan leg (they exercise the producer/consumer
-// pair); ReplayGolden and ReplayHarness are plain-leg only.
+// Suite naming matters for CI: TraceFmt also runs under the TSan leg;
+// ReplayGolden and ReplayHarness are plain-leg only.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "repro/common/assert.hpp"
-#include "repro/common/ring_buffer.hpp"
 #include "repro/common/rng.hpp"
 #include "repro/harness/run.hpp"
 #include "repro/harness/scheduler.hpp"
 #include "repro/memsys/memory_system.hpp"
+#include "repro/nas/trace_workload.hpp"
 #include "repro/sim/engine.hpp"
 #include "repro/sim/program.hpp"
 #include "repro/sim/region.hpp"
@@ -138,11 +135,8 @@ tracefmt::WriterStats record_programs(
 }
 
 /// Replays every kRegion item of `path` back as programs.
-std::vector<RegionProgram> replayed_programs(const std::string& path,
-                                             bool pipeline = false) {
-  TraceReplayer::Options options;
-  options.pipeline = pipeline;
-  TraceReplayer replayer(path, options);
+std::vector<RegionProgram> replayed_programs(const std::string& path) {
+  TraceReplayer replayer(path);
   std::vector<RegionProgram> out;
   ReplayItem item;
   while (replayer.next(item)) {
@@ -662,167 +656,6 @@ TEST(TraceFmt, TraceWithMarkersInBodyChunksReplaysWithoutSkipping) {
 }
 
 // ---------------------------------------------------------------------
-// RingBuffer: the SPSC primitive under the pipelined replayer.
-
-TEST(RingBuffer, SingleThreadPushPopPreservesOrderAndCapacity) {
-  RingBuffer<int> ring(3);  // rounds up to 4
-  EXPECT_EQ(ring.capacity(), 4u);
-  int v = 0;
-  EXPECT_FALSE(ring.try_pop(v));
-  for (int i = 0; i < 4; ++i) {
-    int item = i;
-    EXPECT_TRUE(ring.try_push(item)) << i;
-  }
-  int overflow = 99;
-  EXPECT_FALSE(ring.try_push(overflow));
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(ring.try_pop(v));
-    EXPECT_EQ(v, i);
-  }
-  EXPECT_FALSE(ring.try_pop(v));
-}
-
-TEST(RingBuffer, MoveOnlyItemsMoveThroughWholeOnSuccess) {
-  RingBuffer<std::unique_ptr<int>> ring(2);
-  auto a = std::make_unique<int>(7);
-  ASSERT_TRUE(ring.try_push(a));
-  EXPECT_EQ(a, nullptr);  // consumed
-  auto b = std::make_unique<int>(8);
-  auto c = std::make_unique<int>(9);
-  ASSERT_TRUE(ring.try_push(b));
-  EXPECT_FALSE(ring.try_push(c));
-  EXPECT_NE(c, nullptr);  // failed push leaves the item intact
-  std::unique_ptr<int> out;
-  ASSERT_TRUE(ring.try_pop(out));
-  ASSERT_NE(out, nullptr);
-  EXPECT_EQ(*out, 7);
-}
-
-TEST(RingBuffer, TwoThreadStressDeliversEveryItemInOrder) {
-  constexpr int kItems = 200000;
-  RingBuffer<int> ring(64);
-  std::thread producer([&ring] {
-    for (int i = 0; i < kItems; ++i) {
-      int item = i;
-      while (!ring.try_push(item)) {
-        std::this_thread::yield();
-      }
-    }
-  });
-  int expected = 0;
-  while (expected < kItems) {
-    int v = -1;
-    if (ring.try_pop(v)) {
-      ASSERT_EQ(v, expected);
-      ++expected;
-    } else {
-      std::this_thread::yield();
-    }
-  }
-  producer.join();
-  int leftover = -1;
-  EXPECT_FALSE(ring.try_pop(leftover));
-}
-
-// ---------------------------------------------------------------------
-// PipelineReplay: producer-thread decode vs serial decode.
-
-TEST(PipelineReplay, PipelinedItemStreamIsIdenticalToSerial) {
-  Rng rng(13);
-  std::vector<RegionProgram> programs;
-  for (int i = 0; i < 10; ++i) {
-    programs.push_back(random_program(rng, 4));
-  }
-  std::vector<const RegionProgram*> ptrs;
-  for (const RegionProgram& p : programs) {
-    ptrs.push_back(&p);
-  }
-  TempFile file("pipeline.rtrc");
-  record_programs(file.path, small_meta(), ptrs,
-                  /*chunk_target_bytes=*/256);
-
-  TraceReplayer serial(file.path);
-  TraceReplayer::Options options;
-  options.pipeline = true;
-  options.ring_capacity = 4;  // tiny: force producer/consumer handoff
-  TraceReplayer pipelined(file.path, options);
-
-  ReplayItem a;
-  ReplayItem b;
-  std::size_t items = 0;
-  for (;;) {
-    const bool more_a = serial.next(a);
-    const bool more_b = pipelined.next(b);
-    ASSERT_EQ(more_a, more_b) << "stream lengths diverge at item " << items;
-    if (!more_a) {
-      break;
-    }
-    ++items;
-    ASSERT_EQ(static_cast<int>(a.kind), static_cast<int>(b.kind));
-    EXPECT_EQ(a.step, b.step);
-    EXPECT_EQ(a.ns, b.ns);
-    EXPECT_EQ(a.name_id, b.name_id);
-    EXPECT_EQ(a.binding, b.binding);
-    if (a.kind == ReplayItem::Kind::kRegion) {
-      expect_columns_equal(a.program, b.program);
-    }
-  }
-  EXPECT_EQ(items, 21u);  // cold marker + 10 regions + 10 advances
-}
-
-TEST(PipelineReplay, ProducerDecodeErrorRethrownAtNext) {
-  Rng rng(17);
-  const RegionProgram program = random_program(rng, 4);
-  TempFile file("pipeline_err.rtrc");
-  record_programs(file.path, small_meta(), {&program});
-  // Corrupt the chunk payload but keep header/footer/table intact: the
-  // reader constructs fine, the producer's decode_chunk throws.
-  {
-    std::fstream f(file.path,
-                   std::ios::binary | std::ios::in | std::ios::out);
-    f.seekp(static_cast<std::streamoff>(sizeof(tracefmt::FileHeader)) + 70);
-    char b = 0;
-    f.read(&b, 1);
-    f.seekp(-1, std::ios::cur);
-    b = static_cast<char>(b ^ 0x20);
-    f.write(&b, 1);
-  }
-  TraceReplayer::Options options;
-  options.pipeline = true;
-  TraceReplayer replayer(file.path, options);
-  ReplayItem item;
-  EXPECT_THROW(
-      {
-        while (replayer.next(item)) {
-        }
-      },
-      tracefmt::TraceError);
-}
-
-TEST(PipelineReplay, DestructionWithUnconsumedItemsDoesNotHang) {
-  Rng rng(19);
-  std::vector<RegionProgram> programs;
-  for (int i = 0; i < 20; ++i) {
-    programs.push_back(random_program(rng, 4));
-  }
-  std::vector<const RegionProgram*> ptrs;
-  for (const RegionProgram& p : programs) {
-    ptrs.push_back(&p);
-  }
-  TempFile file("pipeline_drop.rtrc");
-  record_programs(file.path, small_meta(), ptrs, 256);
-  TraceReplayer::Options options;
-  options.pipeline = true;
-  options.ring_capacity = 2;  // producer will block mid-trace
-  {
-    TraceReplayer replayer(file.path, options);
-    ReplayItem item;
-    ASSERT_TRUE(replayer.next(item));  // consume one, abandon the rest
-  }
-  SUCCEED();
-}
-
-// ---------------------------------------------------------------------
 // ReplayHarness: the harness-level dump/replay path and its contracts.
 
 TEST(ReplayHarness, ConflictingFrontendConfigsRejected) {
@@ -835,8 +668,10 @@ TEST(ReplayHarness, ConflictingFrontendConfigsRejected) {
   }
   {
     harness::RunConfig config = tiny_config("rr", false);
-    config.pipeline = true;  // pipeline without replay
+    config.pipeline = true;  // retired: rejected with or without replay
     EXPECT_THROW(harness::run_benchmark(config), ContractViolation);
+    EXPECT_THROW((void)nas::make_trace_workload(file.path, {true}),
+                 ContractViolation);
   }
   {
     harness::RunConfig config = tiny_config("rr", false);
@@ -861,15 +696,19 @@ TEST(ReplayHarness, DryDumpIsByteIdenticalToLiveDump) {
   harness::RunConfig config = tiny_config("rr", false);
   config.trace_out = live.path;
   (void)harness::run_benchmark(config);
+  EXPECT_EQ(stats.bytes, read_bytes(dry.path).size());
+  EXPECT_EQ(read_bytes(dry.path), read_bytes(live.path));
 
-  std::ifstream a(dry.path, std::ios::binary);
-  std::ifstream b(live.path, std::ios::binary);
-  const std::vector<char> bytes_a((std::istreambuf_iterator<char>(a)),
-                                  std::istreambuf_iterator<char>());
-  const std::vector<char> bytes_b((std::istreambuf_iterator<char>(b)),
-                                  std::istreambuf_iterator<char>());
-  EXPECT_EQ(stats.bytes, bytes_a.size());
-  EXPECT_EQ(bytes_a, bytes_b);
+  // A steady-state cell: the dump leaves its run free to fast-forward,
+  // and the file still holds every iteration.
+  harness::RunConfig steady = tiny_config("rr", true);
+  steady.iterations = 12;
+  EXPECT_EQ(harness::dump_trace(steady, dry.path).iterations, 12u);
+  steady.trace_out = live.path;
+  const harness::RunResult result = harness::run_benchmark(steady);
+  EXPECT_GT(result.iterations_replayed, 0u);
+  EXPECT_EQ(read_bytes(dry.path), read_bytes(live.path));
+  EXPECT_EQ(tracefmt::TraceReader(live.path).iteration_chunks().size(), 12u);
 }
 
 TEST(ReplayHarness, ReplayOnMismatchedMachineRejected) {
@@ -927,9 +766,6 @@ TEST(ReplayHarness, FastForwardSimulatesTheIterationThatDiffers) {
     config.replay = altered.path;
     config.no_fast_forward = false;
     const harness::RunResult fast = harness::run_benchmark(config);
-    config.pipeline = true;  // its producer cannot seek
-    const harness::RunResult pipelined = harness::run_benchmark(config);
-    config.pipeline = false;
     config.no_fast_forward = true;
     const harness::RunResult full = harness::run_benchmark(config);
 
@@ -937,13 +773,10 @@ TEST(ReplayHarness, FastForwardSimulatesTheIterationThatDiffers) {
     // probes) and must end before iteration 7.
     EXPECT_GT(fast.iterations_replayed, 0u);
     EXPECT_LE(fast.iterations_replayed, 4u);
-    EXPECT_EQ(pipelined.iterations_replayed, 0u);
     EXPECT_EQ(full.iterations_replayed, 0u);
-    for (const harness::RunResult* r : {&fast, &pipelined}) {
-      EXPECT_EQ(r->trace_digest, full.trace_digest);
-      EXPECT_EQ(r->iteration_times, full.iteration_times);
-      EXPECT_EQ(r->total, full.total);
-    }
+    EXPECT_EQ(fast.trace_digest, full.trace_digest);
+    EXPECT_EQ(fast.iteration_times, full.iteration_times);
+    EXPECT_EQ(fast.total, full.total);
     ASSERT_EQ(fast.iteration_times.size(), 10u);
     EXPECT_EQ(fast.iteration_times[6], original.iteration_times[6] + extra);
   }
