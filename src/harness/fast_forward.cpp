@@ -1,5 +1,6 @@
 #include "repro/harness/fast_forward.hpp"
 
+#include <type_traits>
 #include <utility>
 
 #include "repro/common/assert.hpp"
@@ -10,25 +11,6 @@
 namespace repro::harness {
 
 namespace {
-
-bool same_kernel(const os::KernelStats& a, const os::KernelStats& b) {
-  return a.page_faults == b.page_faults && a.migrations == b.migrations &&
-         a.rejected_migrations == b.rejected_migrations &&
-         a.busy_migrations == b.busy_migrations &&
-         a.redirected_migrations == b.redirected_migrations &&
-         a.migration_cost == b.migration_cost &&
-         a.replications == b.replications &&
-         a.replica_collapses == b.replica_collapses;
-}
-
-bool same_daemon(const os::DaemonStats& a, const os::DaemonStats& b) {
-  return a.interrupts == b.interrupts && a.migrations == b.migrations &&
-         a.window_resets == b.window_resets &&
-         a.suppressed_cooloff == b.suppressed_cooloff &&
-         a.suppressed_frozen == b.suppressed_frozen &&
-         a.suppressed_global == b.suppressed_global &&
-         a.deferred_busy == b.deferred_busy && a.cost == b.cost;
-}
 
 /// delta(a0 -> a1) == delta(b0 -> b1), field-wise.
 bool same_proc_delta(const memsys::ProcStats& a0, const memsys::ProcStats& a1,
@@ -47,11 +29,63 @@ bool same_proc_delta(const memsys::ProcStats& a0, const memsys::ProcStats& a1,
 
 }  // namespace
 
-FastForward::FastForward(omp::Machine& machine, const upm::Upmlib* upmlib,
+FastForward::FastForward(omp::Machine& machine, upm::Upmlib* upmlib,
                          trace::TraceSink* sink)
     : machine_(&machine), upmlib_(upmlib), sink_(sink) {
   probe_limit_ = static_cast<std::uint32_t>(Env::global().get_int(
       "REPRO_FF_PROBE_LIMIT", kMaxUnreadyProbes));
+}
+
+FastForward::~FastForward() { drop_log(); }
+
+const char* FastForward::rule_name(Rule rule) {
+  switch (rule) {
+    case Rule::kHolds:
+      return "holds";
+    case Rule::kDigest:
+      return "digest";
+    case Rule::kMachineDigest:
+      return "machine digest";
+    case Rule::kTimes:
+      return "times";
+    case Rule::kMigrationPass:
+      return "migration pass";
+    case Rule::kEngineDeltas:
+      return "engine deltas";
+    case Rule::kDaemonInterrupt:
+      return "daemon interrupt";
+    case Rule::kStats:
+      return "stats";
+    case Rule::kRecords:
+      return "records";
+    case Rule::kLanes:
+      return "lanes";
+    case Rule::kTooFewIterations:
+      return "too few iterations";
+  }
+  return "?";
+}
+
+std::string FastForward::decline_reason() const {
+  std::string rule = rule_name(decline_);
+  if (decline_ == Rule::kDaemonInterrupt && stopped_at_ != 0) {
+    rule += " at iteration " + std::to_string(stopped_at_);
+  }
+  return probe_limited_ ? "probe limit (" + rule + ")" : rule;
+}
+
+void FastForward::drop_log() {
+  if (log_ != nullptr) {
+    machine_->kernel().set_miss_log(nullptr);
+    log_.reset();
+  }
+}
+
+void FastForward::retire() {
+  retired_ = true;
+  drop_log();
+  snapshots_.clear();
+  snapshots_.shrink_to_fit();
 }
 
 FastForward::Snapshot FastForward::capture() {
@@ -59,24 +93,27 @@ FastForward::Snapshot FastForward::capture() {
   omp::Runtime& rt = machine_->runtime();
   s.now = rt.now();
 
-  StateHash hash;
-  hash.mix(machine_->memory().digest(s.now));
-  hash.mix(machine_->kernel().digest(s.now));
-  hash.mix(rt.digest());
-  hash.mix(upmlib_ != nullptr ? 1 : 0);
+  StateHash machine;
+  machine.mix(machine_->memory().digest(s.now));
+  machine.mix(machine_->kernel().machine_digest());
+  machine.mix(rt.digest());
+  machine.mix(upmlib_ != nullptr ? 1 : 0);
   if (upmlib_ != nullptr) {
-    hash.mix(upmlib_->digest());
+    machine.mix(upmlib_->digest());
   }
   // An attached fault injector keeps the gate shut by construction:
   // its digest mixes the current iteration while the plan's schedule
   // can still fire, so the window is never digest-periodic and no
   // scheduled draw is ever skipped by a replayed block.
   fault::FaultInjector* fault = machine_->fault_injector();
-  hash.mix(fault != nullptr ? 1 : 0);
+  machine.mix(fault != nullptr ? 1 : 0);
   if (fault != nullptr) {
-    hash.mix(fault->digest());
+    machine.mix(fault->digest());
   }
-  s.digest = hash.value();
+  s.machine_digest = machine.value();
+  StateHash full(s.machine_digest);
+  full.mix(machine_->kernel().daemon_digest(s.now));
+  s.digest = full.value();
 
   const std::size_t procs = machine_->config().num_procs();
   s.proc_stats.reserve(procs);
@@ -85,23 +122,12 @@ FastForward::Snapshot FastForward::capture() {
         machine_->memory().stats(ProcId(static_cast<std::uint32_t>(p))));
   }
   s.kernel = machine_->kernel().stats();
+  s.kernel_misses = machine_->kernel().misses();
   if (machine_->kernel().daemon() != nullptr) {
     s.daemon = machine_->kernel().daemon()->stats();
   }
   if (upmlib_ != nullptr) {
-    const upm::UpmStats& u = upmlib_->stats();
-    s.upm = UpmScalars{u.distribution_migrations,
-                       u.replay_migrations,
-                       u.undo_migrations,
-                       u.replications,
-                       u.frozen_pages,
-                       u.busy_retries,
-                       u.give_ups,
-                       u.hysteresis_deferrals,
-                       u.migrations_per_invocation.size(),
-                       u.distribution_cost,
-                       u.recrep_cost,
-                       u.replication_cost};
+    s.upm = upmlib_->stats();
   }
   const std::size_t nodes = machine_->config().num_nodes;
   s.queues.reserve(nodes);
@@ -126,30 +152,80 @@ void FastForward::probe() {
     return;
   }
   Snapshot s = capture();
-  REPRO_LOG_DEBUG("ff digest ", s.digest, " at ", s.now);
+  REPRO_LOG_DEBUG("ff digest ", s.digest, " machine ", s.machine_digest,
+                  " at ", s.now);
   s.migration_pass = migration_pass_;
   migration_pass_ = false;
   snapshots_.push_back(std::move(s));
   if (snapshots_.size() > 2 * kMaxPeriod + 1) {
     snapshots_.erase(snapshots_.begin());
   }
+  if (log_ != nullptr && ++log_probes_ == log_period_) {
+    // The logged block just ended: it is block B of the window.
+    machine_->kernel().set_miss_log(nullptr);
+    if (!log_->overflow && check(log_period_, true) == Rule::kHolds) {
+      ready_ = true;
+      continuing_ = true;
+      period_iters_ = log_period_;
+      return;
+    }
+    drop_log();
+  }
   // Smallest period first: a period-1 fixed point also satisfies every
   // larger candidate, and shorter periods replay with less leftover.
-  for (std::uint32_t p = 1; p <= kMaxPeriod; ++p) {
-    if (snapshots_.size() >= 2 * p + 1 && entry_rule_holds(p)) {
+  Rule smallest = Rule::kTooFewIterations;
+  for (std::uint32_t p = 1;
+       p <= kMaxPeriod && snapshots_.size() >= 2 * p + 1; ++p) {
+    const Rule rule = check(p, false);
+    if (rule == Rule::kHolds) {
+      drop_log();
       ready_ = true;
       period_iters_ = p;
       return;
     }
+    if (p == 1) {
+      smallest = rule;
+    }
   }
+  if (machine_->kernel().daemon() != nullptr && log_ == nullptr) {
+    for (std::uint32_t p = 1;
+         p <= kMaxPeriod && snapshots_.size() >= 2 * p + 1; ++p) {
+      const Rule rule = check(p, true);
+      if (rule == Rule::kHolds) {
+        // The machine repeats and the daemon is quiet: log the next
+        // block's misses, to continue the daemon over once that block
+        // proves quiet too. It repeats the last block, miss count
+        // included.
+        const Snapshot& last = snapshots_.back();
+        log_ = std::make_unique<os::MissLog>();
+        log_->start = last.now;
+        log_->misses.reserve(last.kernel_misses -
+                             snapshots_[snapshots_.size() - 1 - p]
+                                 .kernel_misses);
+        log_period_ = p;
+        log_probes_ = 0;
+        machine_->kernel().set_miss_log(log_.get());
+        if (p == 1) {
+          // Not a decline: the gate holds and waits for the logged
+          // block, which only a run that ends first never sees.
+          smallest = Rule::kTooFewIterations;
+        }
+        break;
+      }
+      if (p == 1 && smallest == Rule::kDigest) {
+        smallest = rule;
+      }
+    }
+  }
+  decline_ = smallest;
   if (probe_limit_ != 0 && ++unready_probes_ >= probe_limit_) {
-    retired_ = true;
-    snapshots_.clear();
-    snapshots_.shrink_to_fit();
+    probe_limited_ = true;
+    retire();
   }
 }
 
-bool FastForward::entry_rule_holds(std::uint32_t period) const {
+FastForward::Rule FastForward::check(std::uint32_t period,
+                                     bool continuation) const {
   // The last 2p+1 snapshots s[0..n] bracket two p-iteration blocks:
   // A = s[0]..s[p], B = s[p]..s[n].
   const auto p = static_cast<std::size_t>(period);
@@ -159,32 +235,46 @@ bool FastForward::entry_rule_holds(std::uint32_t period) const {
   // Every pair of probes p iterations apart saw the same behavioural
   // state: the window is digest-periodic (and, as a determinism
   // cross-check, block B left the state exactly where block A did).
+  // A continuation compares the machine part alone.
   for (std::size_t i = 0; i + p <= n; ++i) {
-    if (s[i].digest != s[i + p].digest) {
-      return false;
+    if (continuation ? s[i].machine_digest != s[i + p].machine_digest
+                     : s[i].digest != s[i + p].digest) {
+      return continuation ? Rule::kMachineDigest : Rule::kDigest;
     }
   }
   // Matching per-sub-iteration times; their sums make the two block
   // periods equal automatically.
   const Ns block_ns = s[n].now - s[p].now;
   if (block_ns == 0) {
-    return false;
+    return Rule::kTimes;
   }
   for (std::size_t i = 0; i < p; ++i) {
     if (s[i + 1].now - s[i].now != s[i + p + 1].now - s[i + p].now) {
-      return false;
+      return Rule::kTimes;
     }
   }
-  // No migration engine did anything across either block. The counters
-  // are monotone, so end == start means zero activity in between.
   for (std::size_t i = 1; i <= n; ++i) {
     if (s[i].migration_pass) {
-      return false;
+      return Rule::kMigrationPass;
     }
   }
-  if (!same_kernel(s[0].kernel, s[n].kernel) ||
-      !same_daemon(s[0].daemon, s[n].daemon) || !(s[0].upm == s[n].upm)) {
-    return false;
+  // Every migration engine did the same in both blocks: equal
+  // per-block counter deltas (zero for a quiescent engine), so replay
+  // can advance them by delta x blocks. A continued daemon runs its
+  // blocks for real, so only its quiet is required, not equal deltas.
+  const auto same_delta = [&](const auto& a0, const auto& a1,
+                              const auto& b1) {
+    using Stats = std::decay_t<decltype(a0)>;
+    return Stats::delta(a0, a1) == Stats::delta(a1, b1);
+  };
+  if (!same_delta(s[0].kernel, s[p].kernel, s[n].kernel) ||
+      !same_delta(s[0].upm, s[p].upm, s[n].upm) ||
+      (!continuation &&
+       !same_delta(s[0].daemon, s[p].daemon, s[n].daemon))) {
+    return Rule::kEngineDeltas;
+  }
+  if (continuation && s[n].daemon.interrupts != s[0].daemon.interrupts) {
+    return Rule::kDaemonInterrupt;
   }
   // Identical per-processor statistics deltas, sub-iteration by
   // sub-iteration.
@@ -193,7 +283,7 @@ bool FastForward::entry_rule_holds(std::uint32_t period) const {
       if (!same_proc_delta(s[i].proc_stats[q], s[i + 1].proc_stats[q],
                            s[i + p].proc_stats[q],
                            s[i + p + 1].proc_stats[q])) {
-        return false;
+        return Rule::kStats;
       }
     }
     // Identical per-node queue throughput deltas.
@@ -202,7 +292,7 @@ bool FastForward::entry_rule_holds(std::uint32_t period) const {
               s[i + p + 1].queues[q].lines - s[i + p].queues[q].lines ||
           s[i + 1].queues[q].wait - s[i].queues[q].wait !=
               s[i + p + 1].queues[q].wait - s[i + p].queues[q].wait) {
-        return false;
+        return Rule::kStats;
       }
     }
   }
@@ -212,7 +302,7 @@ bool FastForward::entry_rule_holds(std::uint32_t period) const {
   for (std::size_t i = 0; i <= p; ++i) {
     if (s[i].record_count - s[0].record_count !=
         s[i + p].record_count - s[p].record_count) {
-      return false;
+      return Rule::kRecords;
     }
   }
   for (std::size_t i = 0; i < s[n].record_count - s[p].record_count; ++i) {
@@ -221,7 +311,7 @@ bool FastForward::entry_rule_holds(std::uint32_t period) const {
     if (prev.name != cur.name || prev.imbalance != cur.imbalance ||
         cur.start - prev.start != block_ns ||
         cur.end - prev.end != block_ns) {
-      return false;
+      return Rule::kRecords;
     }
   }
   // Identical trace-event streams: same shape, times shifted by one
@@ -235,7 +325,7 @@ bool FastForward::entry_rule_holds(std::uint32_t period) const {
       for (std::size_t i = 0; i <= p; ++i) {
         if (s[i].lane_sizes[l] - s[0].lane_sizes[l] !=
             s[i + p].lane_sizes[l] - s[p].lane_sizes[l]) {
-          return false;
+          return Rule::kLanes;
         }
       }
       const auto& events = sink_->lane_events(l);
@@ -249,12 +339,43 @@ bool FastForward::entry_rule_holds(std::uint32_t period) const {
             prev.page != cur.page || prev.cost != cur.cost ||
             prev.phase != cur.phase || cur.time - prev.time != block_ns ||
             cur.iteration != prev.iteration + period) {
-          return false;
+          return Rule::kLanes;
         }
       }
     }
   }
-  return true;
+  return Rule::kHolds;
+}
+
+std::uint32_t FastForward::continue_daemon(std::uint32_t next_step,
+                                           std::uint32_t max_blocks,
+                                           Ns block_ns) {
+  // Block c repeats the logged block c * block_ns later for as long as
+  // the daemon stays quiet, so only the counters and the daemon need
+  // to run. Keep a copy to rewind to in case one block would interrupt.
+  os::Kernel& kernel = machine_->kernel();
+  const os::Kernel::DaemonCopy start = kernel.copy_daemon();
+  for (std::uint32_t c = 1; c <= max_blocks; ++c) {
+    if (kernel.observe_block(*log_, static_cast<Ns>(c) * block_ns)) {
+      continue;
+    }
+    // Block c would raise an interrupt part-way. Rewind and re-run the
+    // blocks before it, which are interrupt-free, so the caller
+    // simulates block c from its exact start.
+    kernel.restore_daemon(start);
+    for (std::uint32_t k = 1; k < c; ++k) {
+      const bool quiet =
+          kernel.observe_block(*log_, static_cast<Ns>(k) * block_ns);
+      REPRO_REQUIRE(quiet);
+    }
+    decline_ = Rule::kDaemonInterrupt;
+    stopped_at_ = next_step + (c - 1) * period_iters_;
+    REPRO_LOG_INFO("ff daemon continuation stops at block ", c, " of ",
+                   max_blocks, ": iteration ", stopped_at_,
+                   " would raise an interrupt");
+    return c - 1;
+  }
+  return max_blocks;
 }
 
 std::uint32_t FastForward::replay(std::uint32_t next_step,
@@ -264,18 +385,22 @@ std::uint32_t FastForward::replay(std::uint32_t next_step,
   // One replay per watcher: the caller simulates whatever sub-block
   // tail remains, so probing must not re-arm.
   ready_ = false;
-  retired_ = true;
   const auto p = static_cast<std::size_t>(period_iters_);
   const std::size_t n = 2 * p;
   const Snapshot* s = snapshots_.data() + (snapshots_.size() - n - 1);
   const Ns block_ns = s[n].now - s[p].now;
   const std::uint32_t remaining =
       next_step <= iterations ? iterations - next_step + 1 : 0;
-  const std::uint32_t blocks = remaining / period_iters_;
+  std::uint32_t blocks = remaining / period_iters_;
+  if (continuing_ && blocks > 0) {
+    blocks = continue_daemon(next_step, blocks, block_ns);
+  }
   const std::uint32_t count = blocks * period_iters_;
   if (count == 0) {
-    snapshots_.clear();
-    snapshots_.shrink_to_fit();
+    if (stopped_at_ == 0) {
+      decline_ = Rule::kTooFewIterations;
+    }
+    retire();
     return 0;
   }
   omp::Runtime& rt = machine_->runtime();
@@ -350,14 +475,22 @@ std::uint32_t FastForward::replay(std::uint32_t next_step,
         s[n].queues[q].wait - s[p].queues[q].wait, block_ns);
   }
   rt.advance(static_cast<Ns>(blocks) * block_ns);
-  // The daemon's timers are absolute; shift them so a simulated
-  // sub-block tail ages windows exactly as a full run would. (A
-  // quiescent-but-installed daemon passes the gate only with no
-  // tracked-page misses in the window, but the shift keeps the state
-  // consistent either way.)
-  if (machine_->kernel().daemon() != nullptr) {
-    machine_->kernel().daemon()->advance_replayed(
-        static_cast<Ns>(blocks) * block_ns);
+  os::Kernel& kernel = machine_->kernel();
+  kernel.advance_stats_replayed(os::KernelStats::delta(s[p].kernel,
+                                                       s[n].kernel),
+                                blocks);
+  if (upmlib_ != nullptr) {
+    upmlib_->advance_stats_replayed(upm::UpmStats::delta(s[p].upm, s[n].upm),
+                                    blocks);
+  }
+  // A daemon that repeated with the machine advances like the rest:
+  // its counters by delta x blocks, and its absolute timers shift so a
+  // simulated sub-block tail ages windows exactly as a full run would.
+  // A continued daemon already ran the replayed blocks for real.
+  if (kernel.daemon() != nullptr && !continuing_) {
+    kernel.daemon()->advance_stats_replayed(
+        os::DaemonStats::delta(s[p].daemon, s[n].daemon), blocks);
+    kernel.daemon()->advance_replayed(static_cast<Ns>(blocks) * block_ns);
   }
   for (std::uint32_t c = 0; c < blocks; ++c) {
     for (std::size_t i = 0; i < p; ++i) {
@@ -368,8 +501,7 @@ std::uint32_t FastForward::replay(std::uint32_t next_step,
     sink_->set_now(rt.now());
     sink_->set_iteration(next_step + count - 1);
   }
-  snapshots_.clear();
-  snapshots_.shrink_to_fit();
+  retire();
   return count;
 }
 

@@ -18,8 +18,8 @@
 // smallest period p <= kMaxPeriod such that the last 2p+1 snapshots
 // are (a) digest-periodic with period p and (b) produced identical
 // per-sub-iteration deltas across the two p-iteration blocks --
-// iteration times, per-processor memory statistics, zero
-// kernel/daemon/UPMlib migration activity, matching region records and
+// iteration times, per-processor memory statistics, equal per-block
+// kernel/daemon/UPMlib counter deltas, matching region records and
 // trace-event streams shifted by one block period. Determinism then
 // guarantees every remaining iteration repeats the cached block, so
 // the harness replays whole blocks instead of simulating: the cached
@@ -36,19 +36,26 @@
 // all of them for a compiled model, those with equal chunk digests
 // for a replayed RTRC trace.
 //
-// Cells that never reach a fixed point never fast-forward, by
-// construction rather than by special-casing: the kernel daemon's
-// counter windows reset on a cadence set by wall-window length, not
-// the iteration period, so its digest drifts phase and repeats (if
-// ever) only with periods far above kMaxPeriod; record--replay
-// iterations perform real migrations every iteration (nonzero deltas
-// fail the entry rule).
+// Record--replay cells migrate and undo pages in every iteration; the
+// equal-delta rule lets them replay once the migrations repeat. The
+// kernel daemon's counter windows drift against the iteration, so its
+// state rarely repeats even when the machine has settled. For it the
+// watcher splits the digest into a machine part and a daemon part
+// (the daemon's page state and the reference counters). Once the
+// machine part is periodic and the daemon raised no interrupt, it logs
+// one block's kernel miss stream and *continues* the daemon alone over
+// that stream, block by block, while the machine part replays as
+// above; it stops before the first block that would raise an
+// interrupt, which is then simulated (DESIGN.md "Daemon
+// continuation").
 //
 // Opt-out: RunConfig::no_fast_forward, --no-fast-forward on the bench
 // drivers, or REPRO_FAST_FORWARD=0 in the environment.
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "repro/common/units.hpp"
@@ -65,8 +72,12 @@ class FastForward {
  public:
   /// `machine` (and `upmlib` / `sink`, when given) must outlive the
   /// watcher. `upmlib` and `sink` may be null.
-  FastForward(omp::Machine& machine, const upm::Upmlib* upmlib,
+  FastForward(omp::Machine& machine, upm::Upmlib* upmlib,
               trace::TraceSink* sink);
+  ~FastForward();
+
+  FastForward(const FastForward&) = delete;
+  FastForward& operator=(const FastForward&) = delete;
 
   /// Captures the pre-iteration snapshot at the top of the timed loop
   /// -- before the iteration's first trace event is emitted -- and
@@ -89,15 +100,25 @@ class FastForward {
   /// Synthesizes as many whole steady-state blocks as fit in
   /// [next_step, iterations] from the cached block and returns how
   /// many iterations were replayed -- a multiple of the detected
-  /// period, so fewer than one period short of everything. The runtime
-  /// clock, statistics, queue horizons, daemon timers, region records
-  /// and trace advance exactly as a full simulation would have; the
-  /// caller resumes *simulating* at step next_step + returned, which
-  /// reproduces the leftover sub-block iterations for real from the
-  /// time-shifted steady state. The watcher retires: later probe()
+  /// period, so fewer than one period short of everything, unless a
+  /// daemon continuation stops earlier, before the first block that
+  /// would raise an interrupt. The runtime clock, statistics, queue
+  /// horizons, daemon state, region records and trace advance exactly
+  /// as a full simulation would have; the caller resumes *simulating*
+  /// at step next_step + returned. The watcher retires: later probe()
   /// calls are no-ops. Requires ready().
   std::uint32_t replay(std::uint32_t next_step, std::uint32_t iterations,
                        std::vector<Ns>& iteration_times);
+
+  /// Why the watcher replayed nothing: the gate rule that failed for
+  /// the smallest candidate period at the last unready probe
+  /// ("digest", "machine digest", "times", "migration pass", "engine
+  /// deltas", "daemon interrupt", "stats", "records", "lanes"), inside
+  /// "probe limit (...)" once the give-up retired the watcher;
+  /// "daemon interrupt at iteration k" when a continuation stopped
+  /// before block k; "too few iterations" when the run ended before a
+  /// whole block could be replayed.
+  [[nodiscard]] std::string decline_reason() const;
 
   /// Longest steady-state cycle the entry gate searches for. Base and
   /// UPMlib cells settle to period 1 or 2 in practice; 4 buys margin
@@ -105,62 +126,80 @@ class FastForward {
   static constexpr std::uint32_t kMaxPeriod = 4;
 
  private:
-  struct UpmScalars {
-    std::uint64_t distribution_migrations = 0;
-    std::uint64_t replay_migrations = 0;
-    std::uint64_t undo_migrations = 0;
-    std::uint64_t replications = 0;
-    std::uint64_t frozen_pages = 0;
-    std::uint64_t busy_retries = 0;
-    std::uint64_t give_ups = 0;
-    std::uint64_t hysteresis_deferrals = 0;
-    std::uint64_t invocations = 0;
-    Ns distribution_cost = 0;
-    Ns recrep_cost = 0;
-    Ns replication_cost = 0;
-
-    friend bool operator==(const UpmScalars&, const UpmScalars&) = default;
-  };
-
   struct QueueTotals {
     std::uint64_t lines = 0;
     Ns wait = 0;
   };
 
-  /// Pre-iteration snapshot. The digest covers behavioural state; the
+  /// Pre-iteration snapshot. The digests cover behavioural state; the
   /// rest are cumulative counters used to form (and later replay) the
   /// per-iteration deltas.
   struct Snapshot {
+    /// Machine and daemon parts together.
     std::uint64_t digest = 0;
+    /// Everything but the daemon's page state and the reference
+    /// counters.
+    std::uint64_t machine_digest = 0;
     Ns now = 0;
     /// migrate_memory() ran during the iteration ending here.
     bool migration_pass = false;
     std::vector<memsys::ProcStats> proc_stats;  // by processor
     os::KernelStats kernel;
+    std::uint64_t kernel_misses = 0;
     os::DaemonStats daemon;
-    UpmScalars upm;
+    upm::UpmStats upm;
     std::vector<QueueTotals> queues;  // by node
     std::vector<std::size_t> lane_sizes;
     std::size_t record_count = 0;
   };
 
+  /// The entry-gate rules, in the order they are checked.
+  enum class Rule : std::uint8_t {
+    kHolds,
+    kDigest,
+    kMachineDigest,
+    kTimes,
+    kMigrationPass,
+    kEngineDeltas,
+    kDaemonInterrupt,
+    kStats,
+    kRecords,
+    kLanes,
+    kTooFewIterations,
+  };
+  [[nodiscard]] static const char* rule_name(Rule rule);
+
   [[nodiscard]] Snapshot capture();
-  /// Entry gate over the last 2 * period + 1 snapshots.
-  [[nodiscard]] bool entry_rule_holds(std::uint32_t period) const;
+  /// The first gate rule that fails over the last 2 * period + 1
+  /// snapshots. The full gate needs the whole digest periodic and equal
+  /// kernel, daemon and UPMlib deltas; the `continuation` gate needs
+  /// only the machine digest periodic, equal kernel and UPMlib deltas,
+  /// and no daemon interrupt.
+  [[nodiscard]] Rule check(std::uint32_t period, bool continuation) const;
+  /// Runs the daemon over up to `max_blocks` copies of the logged
+  /// block, the first starting at iteration `next_step`, and returns
+  /// how many raised no interrupt; the daemon and counters are left at
+  /// the end of the last of those.
+  std::uint32_t continue_daemon(std::uint32_t next_step,
+                                std::uint32_t max_blocks, Ns block_ns);
+  /// Detaches and frees the miss log.
+  void drop_log();
+  /// Retires the watcher and frees its window and log.
+  void retire();
 
   /// Default give-up threshold (REPRO_FF_PROBE_LIMIT overrides; 0
   /// disables the give-up): engines that converge do so within tens of
   /// iterations -- base placements after 2-6 probes (period-2 cells
   /// need a 5-snapshot window), UPMlib distribution once its
-  /// migrate_memory passes settle (~6) -- while record--replay
-  /// migrates and the kernel daemon resets counter windows every
-  /// iteration, so neither ever converges. After this many consecutive
-  /// unready probes the watcher retires so the long tail of a
-  /// non-converging run does not pay the per-iteration digest cost.
+  /// migrate_memory passes settle (~6), record--replay and settled
+  /// daemon cells within a few -- while a daemon that keeps
+  /// interrupting never does. After this many consecutive unready
+  /// probes the watcher retires so the long tail of a non-converging
+  /// run does not pay the per-iteration digest cost.
   static constexpr std::uint32_t kMaxUnreadyProbes = 32;
 
   omp::Machine* machine_;
-  const upm::Upmlib* upmlib_;
+  upm::Upmlib* upmlib_;
   trace::TraceSink* sink_;
   bool migration_pass_ = false;
   bool ready_ = false;
@@ -173,6 +212,21 @@ class FastForward {
   /// snapshots. For a candidate period p the last 2p+1 entries split
   /// into block A ([n-2p] .. [n-p]) and block B ([n-p] .. [n]).
   std::vector<Snapshot> snapshots_;
+
+  /// Daemon continuation: the kernel's miss stream over the block
+  /// after the probe that armed it (attached to the kernel while that
+  /// block runs), its period, and the probes seen since arming.
+  std::unique_ptr<os::MissLog> log_;
+  std::uint32_t log_period_ = 0;
+  std::uint32_t log_probes_ = 0;
+  /// ready() holds through the continuation gate over the logged block.
+  bool continuing_ = false;
+
+  Rule decline_ = Rule::kTooFewIterations;
+  bool probe_limited_ = false;
+  /// First iteration of the block a continuation stopped before (0
+  /// while none did).
+  std::uint32_t stopped_at_ = 0;
 };
 
 }  // namespace repro::harness

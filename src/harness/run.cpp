@@ -246,18 +246,19 @@ RunResult run_benchmark(const RunConfig& config) {
   // block would misreport the line-grain counters). A trace replay
   // fast-forwards when its workload can seek past the synthesized
   // iterations: an indexed trace.
-  bool fast_forward = !config.no_fast_forward && !analyze && coh == nullptr &&
-                      Env::global().get_bool("REPRO_FAST_FORWARD", true);
-  if (fast_forward) {
-    const std::string blocker = workload->fast_forward_blocker();
-    if (!blocker.empty()) {
-      REPRO_LOG_INFO(benchmark, " ", result.label,
-                     ": no fast-forward: ", blocker);
-      fast_forward = false;
-    }
+  std::string no_fast_forward;  // why, when the watcher is off
+  if (config.no_fast_forward ||
+      !Env::global().get_bool("REPRO_FAST_FORWARD", true)) {
+    no_fast_forward = "opted out";
+  } else if (analyze) {
+    no_fast_forward = "the analyzer inspects every executed region";
+  } else if (coh != nullptr) {
+    no_fast_forward = "coherence state is not periodic in general";
+  } else {
+    no_fast_forward = workload->fast_forward_blocker();
   }
   std::unique_ptr<FastForward> ff;
-  if (fast_forward) {
+  if (no_fast_forward.empty()) {
     ff = std::make_unique<FastForward>(*machine, upmlib.get(), sink);
   }
 
@@ -357,6 +358,9 @@ RunResult run_benchmark(const RunConfig& config) {
     REPRO_LOG_INFO(benchmark, " ", result.label,
                    ": steady state after ", result.iterations_simulated,
                    " iterations, replayed ", result.iterations_replayed);
+  } else {
+    REPRO_LOG_INFO(benchmark, " ", result.label, ": no fast-forward: ",
+                   ff != nullptr ? ff->decline_reason() : no_fast_forward);
   }
   result.records = rt.records();
   if (upmlib != nullptr) {

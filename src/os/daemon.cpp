@@ -13,9 +13,42 @@ KernelMigrationDaemon::KernelMigrationDaemon(DaemonConfig config)
   REPRO_REQUIRE(config.window_ns >= 1);
 }
 
+DaemonStats DaemonStats::delta(const DaemonStats& start,
+                               const DaemonStats& end) {
+  DaemonStats d;
+  d.interrupts = end.interrupts - start.interrupts;
+  d.migrations = end.migrations - start.migrations;
+  d.window_resets = end.window_resets - start.window_resets;
+  d.suppressed_cooloff = end.suppressed_cooloff - start.suppressed_cooloff;
+  d.suppressed_frozen = end.suppressed_frozen - start.suppressed_frozen;
+  d.suppressed_global = end.suppressed_global - start.suppressed_global;
+  d.deferred_busy = end.deferred_busy - start.deferred_busy;
+  d.cost = end.cost - start.cost;
+  return d;
+}
+
+void DaemonStats::advance(const DaemonStats& delta, std::uint64_t times) {
+  interrupts += delta.interrupts * times;
+  migrations += delta.migrations * times;
+  window_resets += delta.window_resets * times;
+  suppressed_cooloff += delta.suppressed_cooloff * times;
+  suppressed_frozen += delta.suppressed_frozen * times;
+  suppressed_global += delta.suppressed_global * times;
+  deferred_busy += delta.deferred_busy * times;
+  cost += delta.cost * times;
+}
+
 Ns KernelMigrationDaemon::on_miss(Kernel& kernel, ProcId accessor,
                                   VPage page, const memsys::HomeInfo& home,
                                   Ns now) {
+  return observe(kernel, accessor, page, home, now)
+             ? handle_interrupt(kernel, accessor, page, home, now)
+             : 0;
+}
+
+bool KernelMigrationDaemon::observe(Kernel& kernel, ProcId accessor,
+                                    VPage page, const memsys::HomeInfo& home,
+                                    Ns now) {
   if (page.value() >= pages_.size()) {
     pages_.resize(std::max<std::size_t>(page.value() + 1, pages_.size() * 2));
   }
@@ -33,22 +66,27 @@ Ns KernelMigrationDaemon::on_miss(Kernel& kernel, ProcId accessor,
     st.window_start = now;
     st.window_open = true;
     ++stats_.window_resets;
-    return 0;
+    return false;
   }
 
   const NodeId accessor_node = kernel.node_of(accessor);
   if (accessor_node == home.node) {
-    return 0;
+    return false;
   }
   const auto counts = kernel.counters().read(home.frame);
   const std::uint32_t remote = counts[accessor_node.value()];
   const std::uint32_t local = counts[home.node.value()];
-  if (remote <= local || remote - local <= config_.threshold) {
-    return 0;
-  }
+  return remote > local && remote - local > config_.threshold;
+}
 
-  // The comparator hardware raises the threshold interrupt; from here on
+Ns KernelMigrationDaemon::handle_interrupt(Kernel& kernel, ProcId accessor,
+                                           VPage page,
+                                           const memsys::HomeInfo& home,
+                                           Ns now) {
+  // The comparator hardware raised the threshold interrupt; from here on
   // everything is the handler's migration policy.
+  PageState& st = pages_[page.value()];
+  const NodeId accessor_node = kernel.node_of(accessor);
   ++stats_.interrupts;
   const auto scan = [&](trace::DaemonDecision decision, Ns cost) {
     if (trace_ == nullptr) {

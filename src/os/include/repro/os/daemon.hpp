@@ -58,6 +58,14 @@ struct DaemonStats {
   /// fault); the next comparator interrupt simply retries.
   std::uint64_t deferred_busy = 0;
   Ns cost = 0;
+
+  /// Field-wise `end - start`: what the span between two reads added.
+  [[nodiscard]] static DaemonStats delta(const DaemonStats& start,
+                                         const DaemonStats& end);
+  /// Adds `times` copies of `delta` (a fast-forward replay of `times`
+  /// blocks that each added `delta`).
+  void advance(const DaemonStats& delta, std::uint64_t times);
+  friend bool operator==(const DaemonStats&, const DaemonStats&) = default;
 };
 
 class KernelMigrationDaemon {
@@ -68,9 +76,20 @@ class KernelMigrationDaemon {
   /// incremented. `home` is the page's resolved home: the daemon reads
   /// and resets the counters of `home.frame`, without another page-table
   /// probe. Returns the interrupt-handler cost to charge to the
-  /// faulting processor (0 when nothing fires).
+  /// faulting processor (0 when nothing fires). The same as observe()
+  /// followed, when it returns true, by the interrupt handler.
   Ns on_miss(Kernel& kernel, ProcId accessor, VPage page,
              const memsys::HomeInfo& home, Ns now);
+
+  /// The hardware half of on_miss, up to the comparator: ages the
+  /// page's counter window (resetting the counters when it expired) and
+  /// returns true when the comparator raises the threshold interrupt.
+  /// Changes nothing else, so a run of misses that raises no interrupt
+  /// leaves the daemon and the counters exactly where on_miss would.
+  /// The harness fast-forward runs this alone to continue the daemon
+  /// over a logged miss stream.
+  bool observe(Kernel& kernel, ProcId accessor, VPage page,
+               const memsys::HomeInfo& home, Ns now);
 
   [[nodiscard]] const DaemonStats& stats() const { return stats_; }
   [[nodiscard]] const DaemonConfig& config() const { return config_; }
@@ -82,12 +101,12 @@ class KernelMigrationDaemon {
   /// digest mixes the *saturated relative* age min(now - t, threshold)
   /// instead of t. Two states with equal digests therefore behave
   /// identically under any common time shift, which is exactly the
-  /// property the harness fast-forward needs: once the daemon is
-  /// quiescent (all interesting pages frozen or settled) its digest
-  /// becomes periodic with the workload and the remaining iterations
-  /// can be replayed; while it is actively migrating, per-page
-  /// migration counts and fresh window/cooloff ages keep the digest
-  /// changing and the gate stays shut.
+  /// property the harness fast-forward needs: when the daemon's state
+  /// repeats with the workload the remaining iterations can be
+  /// replayed; while it is actively migrating, per-page migration
+  /// counts and fresh window/cooloff ages keep the digest changing.
+  /// (A daemon whose windows drift against the iteration is continued
+  /// over a logged miss stream instead, see observe().)
   [[nodiscard]] std::uint64_t digest(Ns now) const;
 
   /// Shifts every stored absolute time forward by `dt`. Called by the
@@ -96,6 +115,13 @@ class KernelMigrationDaemon {
   /// full simulation would have reached (the replayed span is
   /// time-periodic, so a pure translation is exact).
   void advance_replayed(Ns dt);
+
+  /// Adds `blocks` copies of the per-block statistics delta `delta`
+  /// (the harness fast-forward, after synthesizing `blocks` blocks).
+  void advance_stats_replayed(const DaemonStats& delta,
+                              std::uint64_t blocks) {
+    stats_.advance(delta, blocks);
+  }
 
   /// Attaches an event sink (null to detach): every comparator
   /// interrupt's handler decision becomes one kDaemonScan event, and
@@ -115,6 +141,11 @@ class KernelMigrationDaemon {
     bool window_open = false;
     bool frozen = false;
   };
+
+  /// The interrupt handler's migration policy, run after observe()
+  /// returned true for the same miss.
+  Ns handle_interrupt(Kernel& kernel, ProcId accessor, VPage page,
+                      const memsys::HomeInfo& home, Ns now);
 
   DaemonConfig config_;
   DaemonStats stats_;

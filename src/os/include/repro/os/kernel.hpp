@@ -12,12 +12,14 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "repro/common/strong_id.hpp"
 #include "repro/common/units.hpp"
 #include "repro/fault/injector.hpp"
 #include "repro/memsys/backend.hpp"
 #include "repro/memsys/config.hpp"
+#include "repro/os/daemon.hpp"
 #include "repro/topology/topology.hpp"
 #include "repro/trace/sink.hpp"
 #include "repro/vm/counters.hpp"
@@ -26,8 +28,6 @@
 #include "repro/vm/placement.hpp"
 
 namespace repro::os {
-
-class KernelMigrationDaemon;
 
 struct MigrationResult {
   bool migrated = false;
@@ -58,6 +58,34 @@ struct KernelStats {
   Ns migration_cost = 0;
   std::uint64_t replications = 0;
   std::uint64_t replica_collapses = 0;  ///< pages whose replicas died on write
+
+  /// Field-wise `end - start`: what the span between two reads added.
+  [[nodiscard]] static KernelStats delta(const KernelStats& start,
+                                         const KernelStats& end);
+  /// Adds `times` copies of `delta` (a fast-forward replay of `times`
+  /// blocks that each added `delta`).
+  void advance(const KernelStats& delta, std::uint64_t times);
+  friend bool operator==(const KernelStats&, const KernelStats&) = default;
+};
+
+/// The kernel's on_miss stream over one block of iterations, as the
+/// harness fast-forward's daemon continuation replays it: 16 bytes per
+/// miss, times relative to `start`.
+struct MissLog {
+  struct Miss {
+    std::uint32_t offset = 0;  ///< ns after `start`
+    std::uint32_t page = 0;
+    std::uint32_t frame = 0;   ///< the resolved home frame
+    std::uint16_t accessor = 0;
+    std::uint8_t node = 0;     ///< the resolved home node
+    std::uint8_t lines = 0;
+  };
+
+  Ns start = 0;
+  std::vector<Miss> misses;
+  /// A miss did not fit its record (a time before `start` or 4.29 s or
+  /// more after it, or an id past the field widths): the log is void.
+  bool overflow = false;
 };
 
 class Kernel final : public memsys::MemoryBackend {
@@ -153,18 +181,59 @@ class Kernel final : public memsys::MemoryBackend {
   /// to report overhead without performing the move).
   [[nodiscard]] Ns migration_cost_for(VPage page) const;
 
-  /// Behavioural state digest at simulated time `now`: page-table
-  /// placement, the deferred write-collapse penalty, and -- when a
-  /// migration daemon is installed -- the daemon's saturated-relative
-  /// state plus the per-frame reference counters that feed its
-  /// comparator. Without a daemon the counters are pure statistics and
-  /// stay excluded, as do the physical free lists in either case: they
-  /// only influence behaviour through fault / explicit-migration
-  /// paths, which the fast-forward entry gate rules out for replayed
-  /// iterations.
+  /// Behavioural state digest at simulated time `now`: the machine
+  /// part and the daemon part below, combined.
   [[nodiscard]] std::uint64_t digest(Ns now) const;
 
+  /// The kernel's share of the machine part of the state: page-table
+  /// placement, the frame allocator's free lists (they decide which
+  /// frame a fault or migration lands on) and the deferred
+  /// write-collapse penalty.
+  [[nodiscard]] std::uint64_t machine_digest() const;
+
+  /// The daemon part of the state at simulated time `now`: the
+  /// daemon's saturated-relative page state plus the per-frame
+  /// reference counters that feed its comparator. 0 without a daemon:
+  /// the counters are then read only by UPMlib's migrate_memory and
+  /// record, never on a path a replayed block runs.
+  [[nodiscard]] std::uint64_t daemon_digest(Ns now) const;
+
+  // --- daemon continuation (harness fast-forward) -------------------------
+  /// Logs every later on_miss into `log` (null stops). `log` must stay
+  /// alive while attached.
+  void set_miss_log(MissLog* log) { miss_log_ = log; }
+  /// on_miss calls so far (sizes a miss log before it is filled).
+  [[nodiscard]] std::uint64_t misses() const { return misses_; }
+
+  /// Runs a logged block, its times shifted by `shift`, through the
+  /// counter increments and the daemon's observe() -- the very code
+  /// on_miss runs -- and nothing else. Returns false at the first miss
+  /// whose comparator would raise an interrupt; the counters and the
+  /// daemon have then taken that block's misses up to that one.
+  /// Requires a daemon and a log without overflow.
+  bool observe_block(const MissLog& log, Ns shift);
+
+  /// A copy of the daemon part: the daemon and the reference counters.
+  struct DaemonCopy {
+    KernelMigrationDaemon daemon;
+    vm::RefCounters counters;
+  };
+  /// Requires a daemon.
+  [[nodiscard]] DaemonCopy copy_daemon() const;
+  void restore_daemon(const DaemonCopy& copy);
+
+  /// Adds `blocks` copies of the per-block statistics delta `delta`
+  /// (the harness fast-forward, after synthesizing `blocks` blocks).
+  void advance_stats_replayed(const KernelStats& delta,
+                              std::uint64_t blocks) {
+    stats_.advance(delta, blocks);
+  }
+
  private:
+  /// on_miss's log append (cold: only while a log is attached).
+  void log_miss(ProcId accessor, VPage page, const memsys::HomeInfo& home,
+                std::uint32_t lines, Ns now);
+
   memsys::MachineConfig config_;
   const topo::Topology* topology_;
   vm::PhysicalMemory phys_;
@@ -180,6 +249,8 @@ class Kernel final : public memsys::MemoryBackend {
   fault::FaultInjector* fault_ = nullptr;
   trace::TraceSink* trace_ = nullptr;
   std::uint16_t trace_lane_ = 0;
+  MissLog* miss_log_ = nullptr;
+  std::uint64_t misses_ = 0;
 };
 
 }  // namespace repro::os

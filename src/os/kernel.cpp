@@ -1,12 +1,48 @@
 #include "repro/os/kernel.hpp"
 
 #include <cmath>
+#include <limits>
 
 #include "repro/common/assert.hpp"
 #include "repro/common/log.hpp"
-#include "repro/os/daemon.hpp"
 
 namespace repro::os {
+
+namespace {
+
+/// True when `v` fits a MissLog::Miss field of type T.
+template <class T>
+bool fits(std::uint64_t v) {
+  return v <= std::numeric_limits<T>::max();
+}
+
+}  // namespace
+
+KernelStats KernelStats::delta(const KernelStats& start,
+                               const KernelStats& end) {
+  KernelStats d;
+  d.page_faults = end.page_faults - start.page_faults;
+  d.migrations = end.migrations - start.migrations;
+  d.rejected_migrations = end.rejected_migrations - start.rejected_migrations;
+  d.busy_migrations = end.busy_migrations - start.busy_migrations;
+  d.redirected_migrations =
+      end.redirected_migrations - start.redirected_migrations;
+  d.migration_cost = end.migration_cost - start.migration_cost;
+  d.replications = end.replications - start.replications;
+  d.replica_collapses = end.replica_collapses - start.replica_collapses;
+  return d;
+}
+
+void KernelStats::advance(const KernelStats& delta, std::uint64_t times) {
+  page_faults += delta.page_faults * times;
+  migrations += delta.migrations * times;
+  rejected_migrations += delta.rejected_migrations * times;
+  busy_migrations += delta.busy_migrations * times;
+  redirected_migrations += delta.redirected_migrations * times;
+  migration_cost += delta.migration_cost * times;
+  replications += delta.replications * times;
+  replica_collapses += delta.replica_collapses * times;
+}
 
 Kernel::Kernel(const memsys::MachineConfig& config,
                const topo::Topology& topology)
@@ -84,6 +120,10 @@ memsys::HomeInfo Kernel::resolve(ProcId accessor, VPage page, bool write) {
 
 Ns Kernel::on_miss(ProcId accessor, VPage page, const memsys::HomeInfo& home,
                    std::uint32_t lines, Ns now) {
+  ++misses_;
+  if (miss_log_ != nullptr) {
+    log_miss(accessor, page, home, lines, now);
+  }
   counters_.increment(home.frame, node_of(accessor), lines);
   Ns penalty = pending_penalty_;
   pending_penalty_ = 0;
@@ -275,20 +315,78 @@ void Kernel::reset_counters(VPage page) {
 
 void Kernel::reset_counters(FrameId frame) { counters_.reset(frame); }
 
+void Kernel::log_miss(ProcId accessor, VPage page,
+                      const memsys::HomeInfo& home, std::uint32_t lines,
+                      Ns now) {
+  const Ns offset = now - miss_log_->start;
+  if (now < miss_log_->start || !fits<std::uint32_t>(offset) ||
+      !fits<std::uint32_t>(page.value()) ||
+      !fits<std::uint32_t>(home.frame.value()) ||
+      !fits<std::uint16_t>(accessor.value()) ||
+      !fits<std::uint8_t>(home.node.value()) || !fits<std::uint8_t>(lines)) {
+    miss_log_->overflow = true;
+    return;
+  }
+  miss_log_->misses.push_back({static_cast<std::uint32_t>(offset),
+                               static_cast<std::uint32_t>(page.value()),
+                               static_cast<std::uint32_t>(home.frame.value()),
+                               static_cast<std::uint16_t>(accessor.value()),
+                               static_cast<std::uint8_t>(home.node.value()),
+                               static_cast<std::uint8_t>(lines)});
+}
+
+bool Kernel::observe_block(const MissLog& log, Ns shift) {
+  REPRO_REQUIRE(daemon_ != nullptr && !log.overflow);
+  const Ns start = log.start + shift;
+  for (const MissLog::Miss& m : log.misses) {
+    const ProcId accessor(m.accessor);
+    const memsys::HomeInfo home{NodeId(m.node), FrameId(m.frame)};
+    counters_.increment(home.frame, node_of(accessor), m.lines);
+    if (daemon_->observe(*this, accessor, VPage(m.page), home,
+                         start + m.offset)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+Kernel::DaemonCopy Kernel::copy_daemon() const {
+  REPRO_REQUIRE(daemon_ != nullptr);
+  return {*daemon_, counters_};
+}
+
+void Kernel::restore_daemon(const DaemonCopy& copy) {
+  REPRO_REQUIRE(daemon_ != nullptr);
+  *daemon_ = copy.daemon;
+  counters_ = copy.counters;
+}
+
 std::uint64_t Kernel::digest(Ns now) const {
   StateHash hash;
+  hash.mix(machine_digest());
+  hash.mix(daemon_digest(now));
+  return hash.value();
+}
+
+std::uint64_t Kernel::machine_digest() const {
+  StateHash hash;
   hash.mix(table_.digest());
+  hash.mix(phys_.digest());
   hash.mix(static_cast<std::uint64_t>(pending_penalty_));
-  hash.mix(daemon_ != nullptr ? 1 : 0);
-  if (daemon_ != nullptr) {
-    hash.mix(daemon_->digest(now));
-    // The reference counters feed the daemon's comparator, so they are
-    // behavioural state here. Without a daemon nothing reads them on
-    // the simulated path and they stay excluded (they grow
-    // monotonically and would keep an otherwise periodic state from
-    // ever matching).
-    hash.mix(counters_.digest());
+  return hash.value();
+}
+
+std::uint64_t Kernel::daemon_digest(Ns now) const {
+  if (daemon_ == nullptr) {
+    return 0;
   }
+  // The reference counters feed the daemon's comparator, so they are
+  // behavioural state here. Without a daemon nothing on a replayable
+  // path reads them and they stay excluded (they grow monotonically
+  // and would keep an otherwise periodic state from ever matching).
+  StateHash hash;
+  hash.mix(daemon_->digest(now));
+  hash.mix(counters_.digest());
   return hash.value();
 }
 

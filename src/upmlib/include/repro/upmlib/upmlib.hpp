@@ -125,6 +125,16 @@ struct UpmStats {
   /// Fraction of distribution migrations performed by the first
   /// invocation (paper Table 2, "migrations in the first iteration").
   [[nodiscard]] double first_invocation_fraction() const;
+
+  /// What the span between two reads added: scalars field-wise, the
+  /// invocations appended to migrations_per_invocation, and
+  /// migrations_per_range entry by entry.
+  [[nodiscard]] static UpmStats delta(const UpmStats& start,
+                                      const UpmStats& end);
+  /// Adds `times` copies of `delta` (a fast-forward replay of `times`
+  /// blocks that each added `delta`).
+  void advance(const UpmStats& delta, std::uint64_t times);
+  friend bool operator==(const UpmStats&, const UpmStats&) = default;
 };
 
 /// One entry of the public-API call trace: which UPMlib entry point ran,
@@ -211,6 +221,11 @@ class Upmlib {
   void undo();
 
   [[nodiscard]] const UpmStats& stats() const { return stats_; }
+  /// Adds `blocks` copies of the per-block statistics delta `delta`
+  /// (the harness fast-forward, after synthesizing `blocks` blocks).
+  void advance_stats_replayed(const UpmStats& delta, std::uint64_t blocks) {
+    stats_.advance(delta, blocks);
+  }
   [[nodiscard]] const UpmConfig& config() const { return config_; }
   [[nodiscard]] std::size_t hot_pages() const { return hot_pages_.size(); }
   [[nodiscard]] std::size_t num_transitions() const {

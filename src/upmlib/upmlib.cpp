@@ -57,6 +57,61 @@ double UpmStats::first_invocation_fraction() const {
          static_cast<double>(distribution_migrations);
 }
 
+UpmStats UpmStats::delta(const UpmStats& start, const UpmStats& end) {
+  REPRO_REQUIRE(start.migrations_per_invocation.size() <=
+                    end.migrations_per_invocation.size() &&
+                start.migrations_per_range.size() <=
+                    end.migrations_per_range.size());
+  UpmStats d;
+  d.migrations_per_invocation.assign(
+      end.migrations_per_invocation.begin() +
+          static_cast<std::ptrdiff_t>(start.migrations_per_invocation.size()),
+      end.migrations_per_invocation.end());
+  d.migrations_per_range = end.migrations_per_range;
+  for (std::size_t i = 0; i < start.migrations_per_range.size(); ++i) {
+    d.migrations_per_range[i] -= start.migrations_per_range[i];
+  }
+  d.distribution_migrations =
+      end.distribution_migrations - start.distribution_migrations;
+  d.replications = end.replications - start.replications;
+  d.replication_cost = end.replication_cost - start.replication_cost;
+  d.replay_migrations = end.replay_migrations - start.replay_migrations;
+  d.undo_migrations = end.undo_migrations - start.undo_migrations;
+  d.frozen_pages = end.frozen_pages - start.frozen_pages;
+  d.busy_retries = end.busy_retries - start.busy_retries;
+  d.give_ups = end.give_ups - start.give_ups;
+  d.hysteresis_deferrals =
+      end.hysteresis_deferrals - start.hysteresis_deferrals;
+  d.distribution_cost = end.distribution_cost - start.distribution_cost;
+  d.recrep_cost = end.recrep_cost - start.recrep_cost;
+  return d;
+}
+
+void UpmStats::advance(const UpmStats& delta, std::uint64_t times) {
+  for (std::uint64_t t = 0; t < times; ++t) {
+    migrations_per_invocation.insert(migrations_per_invocation.end(),
+                                     delta.migrations_per_invocation.begin(),
+                                     delta.migrations_per_invocation.end());
+  }
+  if (migrations_per_range.size() < delta.migrations_per_range.size()) {
+    migrations_per_range.resize(delta.migrations_per_range.size(), 0);
+  }
+  for (std::size_t i = 0; i < delta.migrations_per_range.size(); ++i) {
+    migrations_per_range[i] += delta.migrations_per_range[i] * times;
+  }
+  distribution_migrations += delta.distribution_migrations * times;
+  replications += delta.replications * times;
+  replication_cost += delta.replication_cost * times;
+  replay_migrations += delta.replay_migrations * times;
+  undo_migrations += delta.undo_migrations * times;
+  frozen_pages += delta.frozen_pages * times;
+  busy_retries += delta.busy_retries * times;
+  give_ups += delta.give_ups * times;
+  hysteresis_deferrals += delta.hysteresis_deferrals * times;
+  distribution_cost += delta.distribution_cost * times;
+  recrep_cost += delta.recrep_cost * times;
+}
+
 Upmlib::Upmlib(os::MemoryControlInterface& mmci, omp::Runtime& runtime,
                UpmConfig config)
     : mmci_(&mmci), runtime_(&runtime), config_(config) {

@@ -25,6 +25,32 @@ RefCounters::RefCounters(std::size_t num_frames, std::size_t num_nodes,
   }
 }
 
+RefCounters::RefCounters(const RefCounters& other)
+    : num_frames_(other.num_frames_),
+      num_nodes_(other.num_nodes_),
+      max_(other.max_),
+      sparse_(other.sparse_),
+      zero_row_(other.zero_row_),
+      chunks_(other.chunks_.size()),
+      touched_(other.touched_),
+      row_of_(other.row_of_),
+      rows_(other.rows_) {
+  const std::size_t chunk_size = kChunkFrames * num_nodes_;
+  for (std::size_t c = 0; c < chunks_.size(); ++c) {
+    if (other.chunks_[c] != nullptr) {
+      chunks_[c] = std::make_unique_for_overwrite<std::uint32_t[]>(chunk_size);
+      std::copy_n(other.chunks_[c].get(), chunk_size, chunks_[c].get());
+    }
+  }
+}
+
+RefCounters& RefCounters::operator=(const RefCounters& other) {
+  if (this != &other) {
+    *this = RefCounters(other);
+  }
+  return *this;
+}
+
 const std::uint32_t* RefCounters::find_row(FrameId frame) const {
   REPRO_REQUIRE(frame.value() < num_frames_);
   const std::uint64_t f = frame.value();

@@ -37,6 +37,14 @@ class RefCounters {
   RefCounters(std::size_t num_frames, std::size_t num_nodes,
               unsigned counter_bits, bool sparse = false);
 
+  /// Deep copies: the allocated chunks only, so a copy costs what the
+  /// run touched (the harness fast-forward keeps one to rewind the
+  /// daemon's comparator input).
+  RefCounters(const RefCounters& other);
+  RefCounters& operator=(const RefCounters& other);
+  RefCounters(RefCounters&&) noexcept = default;
+  RefCounters& operator=(RefCounters&&) noexcept = default;
+
   /// Adds `n` accesses from `node` to `frame`, saturating.
   void increment(FrameId frame, NodeId node, std::uint32_t n);
 

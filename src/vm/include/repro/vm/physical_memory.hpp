@@ -43,12 +43,22 @@ class PhysicalMemory {
     return frames_per_node_;
   }
 
+  /// Behavioural digest of the free lists, order included: the LIFO
+  /// order decides which frame the next allocation on a node returns.
+  /// Costs O(entries above the low-water marks), not O(free frames):
+  /// a list entry below its node's low-water mark has never been
+  /// popped, so it still holds its construction value, and the mark
+  /// plus the entries above it determine the whole list.
+  [[nodiscard]] std::uint64_t digest() const;
+
  private:
   std::size_t num_nodes_;
   std::size_t frames_per_node_;
   const topo::Topology* topology_;
   std::vector<std::vector<FrameId>> free_lists_;  // by node (LIFO)
-  std::vector<bool> allocated_;                   // by frame
+  /// Smallest size each node's free list ever had (by node).
+  std::vector<std::size_t> low_water_;
+  std::vector<bool> allocated_;  // by frame
 };
 
 }  // namespace repro::vm

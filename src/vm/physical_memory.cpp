@@ -1,8 +1,10 @@
 #include "repro/vm/physical_memory.hpp"
 
+#include <algorithm>
 #include <limits>
 
 #include "repro/common/assert.hpp"
+#include "repro/common/hash.hpp"
 
 namespace repro::vm {
 
@@ -13,6 +15,7 @@ PhysicalMemory::PhysicalMemory(std::size_t num_nodes,
       frames_per_node_(frames_per_node),
       topology_(&topology),
       free_lists_(num_nodes),
+      low_water_(num_nodes, frames_per_node),
       allocated_(num_nodes * frames_per_node, false) {
   REPRO_REQUIRE(num_nodes >= 1 && frames_per_node >= 1);
   REPRO_REQUIRE(topology.num_nodes() == num_nodes);
@@ -34,6 +37,7 @@ std::optional<FrameId> PhysicalMemory::allocate_strict(NodeId node) {
   }
   const FrameId frame = list.back();
   list.pop_back();
+  low_water_[node.value()] = std::min(low_water_[node.value()], list.size());
   allocated_[static_cast<std::size_t>(frame.value())] = true;
   return frame;
 }
@@ -89,6 +93,19 @@ std::size_t PhysicalMemory::total_free() const {
     total += list.size();
   }
   return total;
+}
+
+std::uint64_t PhysicalMemory::digest() const {
+  StateHash hash;
+  for (std::size_t n = 0; n < num_nodes_; ++n) {
+    const auto& list = free_lists_[n];
+    hash.mix(low_water_[n]);
+    hash.mix(list.size());
+    for (std::size_t i = low_water_[n]; i < list.size(); ++i) {
+      hash.mix(list[i].value());
+    }
+  }
+  return hash.value();
 }
 
 }  // namespace repro::vm

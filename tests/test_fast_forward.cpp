@@ -3,12 +3,15 @@
 // simulated times, per-iteration vector, region records, all statistic
 // blocks, the canonical trace dump and its digest -- must be
 // byte-identical whether the timed iterations were simulated in full
-// or synthesized by replay. The suite also pins when the fast-forward
-// must NOT engage: the kernel daemon's counters (migrations, window
-// resets) move in every iteration, so an active-daemon run never
-// passes the gate.
+// or synthesized by replay -- also where a migration engine acts in
+// every iteration: record--replay cells replay their equal per-block
+// migrations, and kernel-daemon cells continue the daemon over a logged
+// miss stream once the machine settles. The suite also pins when the
+// fast-forward must NOT engage: a daemon cell whose machine never
+// repeats simulates every iteration.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -61,6 +64,10 @@ void expect_identical(const RunConfig& config) {
   EXPECT_EQ(replayed.total, simulated.total);
   EXPECT_EQ(replayed.iteration_times, simulated.iteration_times);
   EXPECT_EQ(comparable_json(replayed), comparable_json(simulated));
+  // Every engine counter, including those the JSON leaves out.
+  EXPECT_EQ(replayed.kernel_stats, simulated.kernel_stats);
+  EXPECT_EQ(replayed.daemon_stats, simulated.daemon_stats);
+  EXPECT_EQ(replayed.upm_stats, simulated.upm_stats);
   EXPECT_EQ(replayed.trace_digest, simulated.trace_digest);
   EXPECT_EQ(canonical_dump(replayed), canonical_dump(simulated));
 
@@ -97,28 +104,92 @@ TEST_P(FastForwardIdentical, UpmlibCellsMatch) {
 }
 
 TEST_P(FastForwardIdentical, RecordReplayCellsMatch) {
-  // BT only: CG has no record-replay instrumentation. Recorded-replay
-  // cells migrate (and undo) every iteration, so the entry gate's
-  // zero-migration requirement keeps the fast-forward out -- identity
-  // must still hold, trivially.
-  expect_identical(cell("BT", GetParam(), nas::UpmMode::kRecordReplay));
+  // BT only: CG has no record-replay instrumentation. The cells migrate
+  // (and undo) the same pages in every iteration, so equal per-block
+  // engine deltas let them replay.
+  const RunConfig config = cell("BT", GetParam(), nas::UpmMode::kRecordReplay);
+  EXPECT_GT(run_benchmark(config).iterations_replayed, 0u);
+  expect_identical(config);
 }
 
 INSTANTIATE_TEST_SUITE_P(Placements, FastForwardIdentical,
                          ::testing::Values("ft", "rr", "wc"));
 
-TEST(FastForwardGate, ActiveKernelDaemonNeverReplays) {
+RunConfig daemon_cell(const std::string& benchmark,
+                      const std::string& placement) {
+  RunConfig config = cell(benchmark, placement, nas::UpmMode::kOff);
+  config.kernel_migration = true;
+  config.iterations = 16;
+  return config;
+}
+
+TEST(FastForwardGate, KernelDaemonCellsContinueAndMatch) {
+  // Under first-touch the machine settles within three probes and the
+  // daemon raises no further interrupt for a while, so the daemon is
+  // continued over the logged miss stream while the machine replays.
+  for (const std::string benchmark : {"CG", "BT", "SP"}) {
+    const RunConfig config = daemon_cell(benchmark, "ft");
+    SCOPED_TRACE(benchmark + " " + config.label());
+    EXPECT_GT(run_benchmark(config).iterations_replayed, 0u);
+    expect_identical(config);
+  }
+}
+
+TEST(FastForwardGate, ReplayedTraceContinuesTheDaemonAndMatches) {
+  // A replayed trace under the daemon: the continuation runs inside
+  // the iterations the trace proves repeat (repeating_iterations).
+  const std::string path =
+      std::string(::testing::TempDir()) + "ff_daemon_replay_cg.rtrc";
+  RunConfig dump = cell("CG", "ft", nas::UpmMode::kOff);
+  dump.iterations = 16;
+  dump_trace(dump, path);
+  RunConfig config = daemon_cell("CG", "ft");
+  config.replay = path;
+  const RunResult replayed = run_benchmark(config);
+  EXPECT_GT(replayed.iterations_replayed, 0u);
+  expect_identical(config);
+  RunConfig direct = daemon_cell("CG", "ft");
+  direct.no_fast_forward = true;
+  EXPECT_EQ(replayed.trace_digest, run_benchmark(direct).trace_digest);
+  std::remove(path.c_str());
+}
+
+TEST(FastForwardGate, DaemonContinuationStopsBeforeTheFirstInterrupt) {
+  // With a 2 s counter window the machine repeats from the first probe
+  // on, and the daemon's first interrupts fire in iteration 6: the
+  // continuation must stop before that block and simulate it.
+  RunConfig config = daemon_cell("CG", "ft");
+  config.iterations = 24;
+  config.daemon.window_ns = 2 * kNsPerSec;
+  const RunResult result = run_benchmark(config);
+  EXPECT_GT(result.daemon_stats.interrupts, 0u);
+  EXPECT_GT(result.iterations_replayed, 0u);
+  expect_identical(config);
+}
+
+TEST(FastForwardGate, ContinuedDaemonResetsWindowsLikeTheLiveOne) {
+  // A 20 ms counter window expires every few iterations, so every
+  // continued block resets windows and their counters: the
+  // continuation must run that code, neither skip nor extrapolate it.
+  RunConfig config = daemon_cell("CG", "ft");
+  config.iterations = 24;
+  config.daemon.window_ns = 20 * kNsPerMs;
+  const RunResult result = run_benchmark(config);
+  EXPECT_GT(result.iterations_replayed, 0u);
+  EXPECT_GT(result.daemon_stats.window_resets, 0u);
+  expect_identical(config);
+}
+
+TEST(FastForwardGate, KernelDaemonWithUnsettledMachineNeverReplays) {
   RunConfig config = cell("CG", "rr", nas::UpmMode::kOff);
   config.kernel_migration = true;
   const RunResult result = run_benchmark(config);
-  // Gate rule 4 keeps the daemon out: its cumulative counters change in
-  // every iteration. (Its digest is not the obstacle: it mixes
-  // saturated ages relative to now, not absolute times.) This cell is
-  // still migrating; even once migrations stop -- SP-rr-IRIXmig has
-  // 5,341 at 20 iterations and 5,350 at 30 and at 40 -- window_resets
-  // rises by ~1,500-1,700 per iteration, because the 500 ms counter
-  // window drifts against the ~145 ms iteration. Every iteration must
-  // be simulated.
+  // This cell is still migrating, so its machine part (page table,
+  // frame allocator, caches) never repeats: neither the full gate nor
+  // the daemon continuation's machine-digest rule can hold. (The
+  // daemon's own counters are no obstacle: rule 4 asks for equal
+  // per-block deltas, and a continued daemon runs for real.) Every
+  // iteration must be simulated.
   EXPECT_EQ(result.iterations_replayed, 0u);
   EXPECT_EQ(result.iterations_simulated, config.iterations);
   expect_identical(config);

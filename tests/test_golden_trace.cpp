@@ -8,7 +8,9 @@
 // event schema -- shows up as a digest mismatch here before it can
 // silently shift the paper figures. The kernel migration daemon, which
 // that matrix never installs, is pinned separately in
-// tests/golden/daemon_trace_digests.txt.
+// tests/golden/daemon_trace_digests.txt, and the cells the fast-forward
+// continues or replays while an engine acts every iteration (record--
+// replay and the daemon) in tests/golden/ff_engine_digests.txt.
 //
 // Regenerate the goldens after an intentional change with:
 //
@@ -33,6 +35,8 @@ namespace {
 constexpr const char* kGoldenFile = GOLDEN_DIR "/trace_digests.txt";
 constexpr const char* kDaemonGoldenFile =
     GOLDEN_DIR "/daemon_trace_digests.txt";
+constexpr const char* kEngineGoldenFile =
+    GOLDEN_DIR "/ff_engine_digests.txt";
 
 /// The golden matrix: every benchmark under the paper's three main
 /// placements, base vs UPMlib distribution. Small enough to run in
@@ -75,6 +79,35 @@ std::vector<RunConfig> daemon_configs() {
       config.trace = true;
       configs.push_back(std::move(config));
     }
+  }
+  return configs;
+}
+
+/// Cells long enough for the fast-forward to act on a migration engine
+/// that runs in every iteration: record--replay on both ADI codes, and
+/// the kernel daemon under first-touch, where it settles early.
+std::vector<RunConfig> engine_configs() {
+  std::vector<RunConfig> configs;
+  for (const std::string benchmark : {"BT", "SP"}) {
+    for (const std::string placement : {"ft", "rr"}) {
+      RunConfig config;
+      config.benchmark = benchmark;
+      config.placement = placement;
+      config.upm_mode = nas::UpmMode::kRecordReplay;
+      configs.push_back(std::move(config));
+    }
+  }
+  for (const std::string benchmark : {"CG", "BT", "SP"}) {
+    RunConfig config;
+    config.benchmark = benchmark;
+    config.placement = "ft";
+    config.kernel_migration = true;
+    configs.push_back(std::move(config));
+  }
+  for (RunConfig& config : configs) {
+    config.iterations = 16;
+    config.workload.size_scale = 0.25;
+    config.trace = true;
   }
   return configs;
 }
@@ -253,6 +286,36 @@ TEST(GoldenTrace, DaemonCellsMatchCheckedInGoldens) {
     return;
   }
   expect_goldens(kDaemonGoldenFile, results);
+}
+
+// Record--replay and daemon cells at 16 iterations: the digests were
+// recorded with every iteration simulated, so any fast-forward of these
+// cells must reproduce them byte for byte.
+TEST(GoldenTrace, EngineCellsMatchCheckedInGoldens) {
+  const std::vector<RunConfig> configs = engine_configs();
+  const std::vector<RunResult> results = run_experiments(configs, 2);
+  ASSERT_EQ(results.size(), configs.size());
+  for (const RunResult& r : results) {
+    ASSERT_EQ(r.trace_digest.size(), 16u) << key_of(r);
+  }
+
+  if (Env::global().get_bool("REPRO_UPDATE_GOLDEN", false)) {
+    write_goldens(kEngineGoldenFile,
+                  "# Golden canonical-trace digests (FNV-1a 64 of the "
+                  "canonical dump)\n"
+                  "# for the engine cells: {BT, SP} x {ft, rr}-recrep and "
+                  "{CG, BT, SP} ft-IRIXmig,\n"
+                  "# iterations=16, size_scale=0.25.\n"
+                  "#\n"
+                  "# Regenerate: REPRO_UPDATE_GOLDEN=1 "
+                  "./build/tests/test_golden_trace\n"
+                  "#\n"
+                  "# benchmark label digest "
+                  "migrations_per_timed_iteration\n",
+                  results);
+    return;
+  }
+  expect_goldens(kEngineGoldenFile, results);
 }
 
 }  // namespace

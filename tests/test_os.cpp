@@ -314,6 +314,34 @@ TEST(Daemon, DigestCoversPageStateNotFirstMissOrder) {
   EXPECT_NE(frozen->daemon()->digest(kNow), once->daemon()->digest(kNow));
 }
 
+TEST(Kernel, DigestCoversTheFrameAllocator) {
+  const auto config = small_config();
+  const topo::FatHypercube topology(4);
+  // Pages 1 and 2 get replicas on node 1, which are then collapsed in
+  // either order: the page table ends equal, the free list of node 1
+  // does not.
+  const auto kernel = [&](bool reverse) {
+    auto k = std::make_unique<Kernel>(config, topology);
+    for (const VPage page : {VPage(1), VPage(2)}) {
+      touch(*k, ProcId(0), page);
+      EXPECT_TRUE(k->replicate_page(page, NodeId(1)).replicated);
+    }
+    k->collapse_replicas(reverse ? VPage(2) : VPage(1));
+    k->collapse_replicas(reverse ? VPage(1) : VPage(2));
+    return k;
+  };
+  const auto forward = kernel(false);
+  const auto backward = kernel(true);
+  EXPECT_EQ(forward->page_table().digest(), backward->page_table().digest());
+  EXPECT_NE(forward->physical_memory().digest(),
+            backward->physical_memory().digest());
+  EXPECT_NE(forward->digest(0), backward->digest(0));
+  EXPECT_NE(forward->machine_digest(), backward->machine_digest());
+  // Equal histories digest equal.
+  EXPECT_EQ(kernel(false)->digest(0), forward->digest(0));
+  EXPECT_EQ(kernel(true)->digest(0), backward->digest(0));
+}
+
 // --- MMCI -------------------------------------------------------------------
 
 TEST(Mmci, MldNamespace) {

@@ -105,6 +105,51 @@ TEST(PhysicalMemory, FreeAndReuse) {
   EXPECT_EQ(*again, *f);
 }
 
+TEST(PhysicalMemory, DigestCoversFreeListOrder) {
+  const topo::FatHypercube topology(2);
+  // Two frames allocated and freed on node 0: the allocated set is
+  // empty either way, but the LIFO order decides which frame the next
+  // allocation returns, so it must reach the digest.
+  const auto churn = [&](bool reverse) {
+    PhysicalMemory phys(2, 8, topology);
+    const auto a = phys.allocate_strict(NodeId(0));
+    const auto b = phys.allocate_strict(NodeId(0));
+    phys.free(reverse ? *b : *a);
+    phys.free(reverse ? *a : *b);
+    return phys;
+  };
+  const PhysicalMemory forward = churn(false);
+  const PhysicalMemory backward = churn(true);
+  EXPECT_EQ(forward.free_frames(NodeId(0)), backward.free_frames(NodeId(0)));
+  EXPECT_NE(forward.digest(), backward.digest());
+  // Equal histories digest equal.
+  EXPECT_EQ(churn(false).digest(), forward.digest());
+  EXPECT_EQ(churn(true).digest(), backward.digest());
+  // So does an untouched pool, which differs from a churned one only
+  // in its low-water mark.
+  EXPECT_EQ(PhysicalMemory(2, 8, topology).digest(),
+            PhysicalMemory(2, 8, topology).digest());
+  EXPECT_NE(PhysicalMemory(2, 8, topology).digest(), forward.digest());
+}
+
+TEST(RefCounters, CopyIsDeepAndDigestsEqual) {
+  for (const bool sparse : {false, true}) {
+    RefCounters counters(256, 4, 11, sparse);
+    counters.increment(FrameId(3), NodeId(1), 10);
+    counters.increment(FrameId(200), NodeId(2), 7);
+    const RefCounters copy = counters;
+    EXPECT_EQ(copy.digest(), counters.digest());
+    counters.increment(FrameId(3), NodeId(1), 1);
+    counters.reset(FrameId(200));
+    EXPECT_EQ(copy.read(FrameId(3), NodeId(1)), 10u);
+    EXPECT_EQ(copy.read(FrameId(200), NodeId(2)), 7u);
+    EXPECT_NE(copy.digest(), counters.digest());
+    counters = copy;
+    EXPECT_EQ(counters.digest(), copy.digest());
+    EXPECT_EQ(counters.read(FrameId(200), NodeId(2)), 7u);
+  }
+}
+
 TEST(PageTable, MapRemapUnmap) {
   PageTable table;
   table.map(VPage(5), FrameId(9));
