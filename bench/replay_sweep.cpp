@@ -320,8 +320,9 @@ int main(int argc, char** argv) {
   std::cout << "Replay sweep: " << benchmark << ", " << cells.size()
             << " cell(s), iterations=" << iterations << "\n"
             << "trace: " << trace_file << " (" << dump.bytes << " bytes, "
-            << dump.records << " records, " << dump.ops << " ops, "
-            << dump.chunks << " chunk(s); dumped in "
+            << dump.records << " records, " << dump.ops << " ops in "
+            << dump.regions << " regions of " << dump.programs
+            << " program(s), " << dump.chunks << " chunk(s); dumped in "
             << fmt_double(dump_ms, 1) << " ms)\n"
             << "decode throughput: " << fmt_double(mops, 1) << " Mops/s\n\n";
 

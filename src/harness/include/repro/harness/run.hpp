@@ -180,8 +180,9 @@ struct RunResult {
 /// Aggregate counters of a finished trace dump.
 struct TraceDumpStats {
   std::uint64_t records = 0;
-  std::uint64_t ops = 0;
+  std::uint64_t ops = 0;  // dispatched: each region counts its program
   std::uint64_t regions = 0;
+  std::uint64_t programs = 0;  // distinct programs, each stored once
   std::uint64_t chunks = 0;
   std::uint64_t bytes = 0;
   std::uint32_t iterations = 0;

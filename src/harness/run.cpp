@@ -467,12 +467,13 @@ TraceDumpStats dump_trace(const RunConfig& config, const std::string& path) {
   rt.set_advance_observer({});
   const tracefmt::WriterStats ws = recorder.finish();
   REPRO_LOG_INFO("trace-dump ", config.benchmark, ": ", ws.regions,
-                 " regions, ", ws.ops, " ops, ", ws.chunks, " chunks -> ",
-                 path);
+                 " regions of ", ws.programs, " programs, ", ws.ops,
+                 " ops, ", ws.chunks, " chunks -> ", path);
   TraceDumpStats stats;
   stats.records = ws.records;
   stats.ops = ws.ops;
   stats.regions = ws.regions;
+  stats.programs = ws.programs;
   stats.chunks = ws.chunks;
   stats.bytes = ws.bytes;
   stats.iterations = iterations;

@@ -114,8 +114,10 @@ class TraceWorkload final : public Workload {
 
   /// Proof by chunk table: iterations whose chunk runs have equal
   /// rows -- sizes, counts and payload digests -- dispatch the same
-  /// records, because every marker sits alone in its chunk and delta
-  /// state resets per record.
+  /// records, because every marker sits alone in its chunk and records
+  /// carry no state across chunks. Program definitions are the one
+  /// record whose meaning depends on position, so an iteration that
+  /// defines a program (or whose twin does) is never a repeat.
   [[nodiscard]] std::uint32_t repeating_iterations(
       std::uint32_t step, std::uint32_t period,
       std::uint32_t count) const override {
@@ -161,13 +163,16 @@ class TraceWorkload final : public Workload {
                                    : replayer_.reader().num_chunks();
   }
 
-  /// Iterations `a` and `b` (marker chunks excluded) have equal rows.
+  /// Iterations `a` and `b` (marker chunks excluded) have equal rows
+  /// and define no programs.
   [[nodiscard]] bool same_chunks(std::uint32_t a, std::uint32_t b) const {
     const tracefmt::TraceReader& reader = replayer_.reader();
     const std::size_t a0 = markers()[a - 1] + 1;
     const std::size_t b0 = markers()[b - 1] + 1;
     const std::size_t n = body_end(a) - a0;
-    if (body_end(b) - b0 != n) {
+    if (body_end(b) - b0 != n ||
+        reader.programs_before(a0) != reader.programs_before(a0 + n) ||
+        reader.programs_before(b0) != reader.programs_before(b0 + n)) {
       return false;
     }
     for (std::size_t i = 0; i < n; ++i) {
@@ -191,7 +196,8 @@ class TraceWorkload final : public Workload {
       switch (item.kind) {
         case sim::ReplayItem::Kind::kRegion:
           restore_binding(rt, item.binding);
-          rt.run(replayer_.name(item.name_id), item.program);
+          rt.run(replayer_.name(item.name_id),
+                 replayer_.program(item.program_id));
           break;
         case sim::ReplayItem::Kind::kAdvance:
           rt.advance(item.ns);

@@ -54,6 +54,13 @@ class RegionProgram {
   [[nodiscard]] std::uint32_t size() const { return size_; }
   [[nodiscard]] bool empty() const { return num_threads_ == 0; }
 
+  /// Process-wide serial stamped when the program is built and never
+  /// reused. Programs are immutable, so equal serials mean equal
+  /// columns -- unlike addresses, which one-shot programs (Runtime::run
+  /// on a builder, parallel_for) recycle. 0 for an empty program. The
+  /// trace writer interns by it (tracefmt::RegionColumns::serial).
+  [[nodiscard]] std::uint64_t serial() const { return serial_; }
+
   /// Largest line count of any *source* access op (before coalescing).
   /// The engine checks this against the machine's lines-per-page once
   /// per region run, replacing the old per-op bound check on the access
@@ -162,6 +169,7 @@ class RegionProgram {
   std::uint32_t size_ = 0;
   std::uint32_t max_access_lines_ = 0;
   std::uint32_t max_line_begin_ = 0;
+  std::uint64_t serial_ = 0;
 };
 
 }  // namespace repro::sim

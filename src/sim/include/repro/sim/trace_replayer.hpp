@@ -1,7 +1,9 @@
 // Trace replay frontend: decodes an RTRC trace back into the item
-// stream the workload originally dispatched -- phase markers, compiled
-// region programs (rebuilt verbatim via RegionProgram::from_columns),
-// thread bindings and sequential advances.
+// stream the workload originally dispatched -- phase markers, region
+// references, thread bindings and sequential advances. Each distinct
+// compiled program is rebuilt verbatim (RegionProgram::from_columns)
+// once, from its definition, and every region that dispatches it
+// refers to that one copy.
 //
 // Chunks decode lazily on the caller's thread, and the cursor can seek
 // to any chunk (fast-forward skips proven-repeating iterations this
@@ -23,20 +25,20 @@ struct ReplayItem {
     kNone,            ///< default-constructed slot
     kColdBegin,       ///< cold-start phase marker
     kIterationBegin,  ///< timed-iteration phase marker (`step`)
-    kRegion,          ///< parallel region (`name_id`, `binding`, `program`)
+    kRegion,          ///< parallel region (`name_id`, `program_id`, `binding`)
     kAdvance,         ///< sequential-time advance (`ns`)
   };
   Kind kind = Kind::kNone;
   std::uint32_t step = 0;
   Ns ns = 0;
   std::uint32_t name_id = 0;
+  std::uint32_t program_id = 0;  ///< see TraceReplayer::program
   std::vector<std::uint32_t> binding;  // empty = identity
-  RegionProgram program;
 };
 
 class TraceReplayer {
  public:
-  explicit TraceReplayer(const std::string& path) : reader_(path) {}
+  explicit TraceReplayer(const std::string& path);
 
   TraceReplayer(const TraceReplayer&) = delete;
   TraceReplayer& operator=(const TraceReplayer&) = delete;
@@ -47,11 +49,17 @@ class TraceReplayer {
   [[nodiscard]] const std::string& name(std::uint32_t id) const {
     return reader_.name(id);
   }
+  /// The program a kRegion item dispatches; next() has decoded it.
+  [[nodiscard]] const RegionProgram& program(std::uint32_t id) const {
+    return programs_.at(id);
+  }
   [[nodiscard]] const tracefmt::TraceReader& reader() const {
     return reader_;
   }
 
-  /// Moves the next item into `out`; false at end of trace.
+  /// Moves the next item into `out`; false at end of trace. A region
+  /// whose program definition was never decoded (a seek skipped it)
+  /// throws TraceError.
   bool next(ReplayItem& out);
 
   /// The next item comes from the start of chunk `chunk` (num_chunks()
@@ -59,9 +67,10 @@ class TraceReplayer {
   void seek(std::size_t chunk);
 
  private:
-  static bool to_item(tracefmt::Record& record, ReplayItem& out);
+  bool to_item(tracefmt::Record& record, ReplayItem& out);
 
   tracefmt::TraceReader reader_;
+  std::vector<RegionProgram> programs_;  // by id; empty until defined
   std::size_t chunk_ = 0;
   std::vector<tracefmt::Record> buffer_;
   std::size_t buffer_at_ = 0;

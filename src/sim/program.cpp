@@ -1,13 +1,24 @@
 #include "repro/sim/program.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <limits>
 
 #include "repro/common/assert.hpp"
 
 namespace repro::sim {
 
-RegionProgram::RegionProgram(const std::vector<ThreadProgram>& programs) {
+namespace {
+
+std::uint64_t next_serial() {
+  static std::atomic<std::uint64_t> last{0};
+  return last.fetch_add(1) + 1;
+}
+
+}  // namespace
+
+RegionProgram::RegionProgram(const std::vector<ThreadProgram>& programs)
+    : serial_(next_serial()) {
   REPRO_REQUIRE(!programs.empty());
   std::size_t total = 0;
   for (const ThreadProgram& p : programs) {
@@ -112,6 +123,7 @@ RegionProgram RegionProgram::from_columns(const ColumnView& view) {
                       "non-monotone thread offsets");
   }
   RegionProgram p;
+  p.serial_ = next_serial();
   p.num_threads_ = view.num_threads;
   p.size_ = view.size;
   p.max_access_lines_ = view.max_access_lines;

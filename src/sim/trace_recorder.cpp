@@ -41,6 +41,7 @@ void TraceRecorder::on_region(const std::string& name,
   columns.size = view.size;
   columns.max_access_lines = view.max_access_lines;
   columns.max_line_begin = view.max_line_begin;
+  columns.serial = program.serial();
   writer_.region(name, binding_scratch_, columns);
 }
 

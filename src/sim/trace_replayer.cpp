@@ -4,10 +4,28 @@
 
 namespace repro::sim {
 
+TraceReplayer::TraceReplayer(const std::string& path) : reader_(path) {
+  programs_.resize(reader_.num_programs());
+}
+
 bool TraceReplayer::to_item(tracefmt::Record& record, ReplayItem& out) {
   switch (record.kind) {
-    case tracefmt::RecordKind::kDefineName:
-      return false;  // names resolve through the reader's footer table
+    case tracefmt::RecordKind::kProgram: {
+      const tracefmt::ProgramData& data = record.program;
+      RegionProgram::ColumnView view;
+      view.pages = data.pages.data();
+      view.compute = data.compute.data();
+      view.lines = data.lines.data();
+      view.line_begin = data.line_begin.data();
+      view.flags = data.flags.data();
+      view.offsets = data.offsets.data();
+      view.num_threads = data.num_threads();
+      view.size = data.size();
+      view.max_access_lines = data.max_access_lines;
+      view.max_line_begin = data.max_line_begin;
+      programs_[record.program_id] = RegionProgram::from_columns(view);
+      return false;
+    }
     case tracefmt::RecordKind::kColdBegin:
       out.kind = ReplayItem::Kind::kColdBegin;
       return true;
@@ -19,25 +37,18 @@ bool TraceReplayer::to_item(tracefmt::Record& record, ReplayItem& out) {
       out.kind = ReplayItem::Kind::kAdvance;
       out.ns = record.ns;
       return true;
-    case tracefmt::RecordKind::kRegion: {
-      tracefmt::RegionData& region = record.region;
+    case tracefmt::RecordKind::kRegion:
+      if (programs_[record.program_id].empty()) {
+        throw tracefmt::TraceError(
+            "region references program " +
+            std::to_string(record.program_id) +
+            ", whose definition a seek skipped");
+      }
       out.kind = ReplayItem::Kind::kRegion;
-      out.name_id = region.name_id;
-      out.binding = std::move(region.binding);
-      RegionProgram::ColumnView view;
-      view.pages = region.pages.data();
-      view.compute = region.compute.data();
-      view.lines = region.lines.data();
-      view.line_begin = region.line_begin.data();
-      view.flags = region.flags.data();
-      view.offsets = region.offsets.data();
-      view.num_threads = region.num_threads();
-      view.size = region.size();
-      view.max_access_lines = region.max_access_lines;
-      view.max_line_begin = region.max_line_begin;
-      out.program = RegionProgram::from_columns(view);
+      out.name_id = record.name_id;
+      out.program_id = record.program_id;
+      out.binding = std::move(record.binding);
       return true;
-    }
   }
   REPRO_UNREACHABLE("unhandled record kind");
 }

@@ -1,4 +1,4 @@
-// The RTRC binary trace format (version 1).
+// The RTRC binary trace format (version 2).
 //
 // A trace file is the serialized frontend of one benchmark cell: the
 // exact sequence of compiled parallel regions, thread bindings and
@@ -8,21 +8,20 @@
 // configuration. Layout:
 //
 //   FileHeader | meta payload | Chunk* | kTableMagic | chunk table
-//              | name table | FileFooter
+//              | name table | program table | FileFooter
 //
 // Every multi-byte integer is little-endian; variable-length integers
 // are LEB128 (`varint`), signed deltas zigzag-coded (`svarint`). Each
-// chunk is self-contained -- delta state resets at record boundaries
-// and records never span chunks -- carries its own FNV-1a digest, and
-// is addressable through the footer's chunk table, so readers can mmap
-// the file and decode any chunk without touching the others, while a
-// pipe consumer can stream header + chunks sequentially (inline
-// kDefineName records precede every first use of a region name).
-// Every kIterationBegin marker sits alone in its chunk, so each timed
-// iteration is a run of whole chunks and two iterations that dispatch
-// the same stream carry equal chunk digests (older files that mixed
-// markers into body chunks still decode; they just have no iteration
-// index). The full spec lives in DESIGN.md §16.
+// distinct compiled program is stored once, in a kProgram record just
+// before its first use; every kRegion record is a reference (program
+// id, name id, binding). Records never span chunks, every chunk
+// carries its own FNV-1a digest and is addressable through the
+// footer's chunk table, and the program table names the chunk that
+// defines each id, so any chunk decodes -- ids validated -- without
+// touching the others. Every kIterationBegin marker sits alone in its
+// chunk, so each timed iteration is a run of whole chunks and two
+// iterations that dispatch the same stream carry equal chunk digests.
+// The full spec lives in DESIGN.md §16.
 #pragma once
 
 #include <cstddef>
@@ -45,7 +44,7 @@ inline constexpr std::uint32_t kFileMagic = 0x43525452;   // "RTRC"
 inline constexpr std::uint32_t kChunkMagic = 0x4b435452;  // "RTCK"
 inline constexpr std::uint32_t kTableMagic = 0x42545452;  // "RTTB"
 inline constexpr std::uint32_t kFooterMagic = 0x4e455452; // "RTEN"
-inline constexpr std::uint32_t kFormatVersion = 1;
+inline constexpr std::uint32_t kFormatVersion = 2;
 
 /// Fixed-size file header (immediately followed by `meta_bytes` of
 /// varint-encoded metadata whose FNV-1a digest is `meta_digest`).
@@ -76,10 +75,11 @@ struct FileFooter {
   std::uint64_t chunk_count = 0;
   std::uint64_t chunk_table_offset = 0;  // of kTableMagic
   std::uint64_t name_table_offset = 0;
+  std::uint64_t program_table_offset = 0;
   std::uint64_t total_records = 0;
-  std::uint64_t total_ops = 0;
+  std::uint64_t total_ops = 0;  // dispatched: each region counts its program
 };
-static_assert(sizeof(FileFooter) == 48);
+static_assert(sizeof(FileFooter) == 56);
 
 /// One row of the footer's chunk table.
 struct ChunkInfo {
@@ -88,6 +88,13 @@ struct ChunkInfo {
   std::uint64_t record_count = 0;
   std::uint64_t op_count = 0;
   std::uint64_t payload_digest = 0;
+};
+
+/// One row of the footer's program table (row index = program id).
+struct ProgramInfo {
+  std::uint64_t chunk = 0;  // the chunk holding the definition
+  std::uint32_t num_threads = 0;
+  std::uint32_t op_count = 0;
 };
 
 /// A named array allocation of the dumped address space (replay
@@ -117,13 +124,14 @@ struct TraceMeta {
   std::vector<TraceRange> hot_ranges;
 };
 
-/// Record kinds within a chunk payload.
+/// Record kinds within a chunk payload. Kind 0 is unused: region names
+/// live in the footer's name table.
 enum class RecordKind : std::uint8_t {
-  kDefineName = 0,      // varint id, varint length, bytes
   kColdBegin = 1,       // (no payload)
   kIterationBegin = 2,  // varint step
-  kRegion = 3,          // see RegionData
+  kRegion = 3,          // varint program id, varint name id, binding
   kAdvance = 4,         // varint nanoseconds
+  kProgram = 5,         // varint program id, program body (ProgramData)
 };
 
 /// Op flag bits, mirroring memsys::kOp* (the on-disk format must not
@@ -149,12 +157,15 @@ struct RegionColumns {
   std::uint32_t size = 0;
   std::uint32_t max_access_lines = 0;
   std::uint32_t max_line_begin = 0;
+  /// The caller's name for these exact columns, or 0 for none. A
+  /// nonzero serial passed again must come with the same columns, and
+  /// lets the writer reuse the program id without reading them.
+  std::uint64_t serial = 0;
 };
 
-/// Decoded kRegion payload: owned columns in the same layout.
-struct RegionData {
-  std::uint32_t name_id = 0;
-  std::vector<std::uint32_t> binding;  // empty = identity binding
+/// Decoded kProgram body: one compiled program's owned columns, in
+/// the RegionColumns layout.
+struct ProgramData {
   std::uint32_t max_access_lines = 0;
   std::uint32_t max_line_begin = 0;
   std::vector<std::uint64_t> pages;
@@ -176,11 +187,12 @@ struct RegionData {
 /// One decoded record.
 struct Record {
   RecordKind kind = RecordKind::kColdBegin;
-  std::uint32_t step = 0;      // kIterationBegin
-  std::uint64_t ns = 0;        // kAdvance
-  std::uint32_t name_id = 0;   // kDefineName
-  std::string name;            // kDefineName
-  RegionData region;           // kRegion
+  std::uint32_t step = 0;        // kIterationBegin
+  std::uint64_t ns = 0;          // kAdvance
+  std::uint32_t program_id = 0;  // kProgram, kRegion
+  std::uint32_t name_id = 0;     // kRegion
+  std::vector<std::uint32_t> binding;  // kRegion; empty = identity
+  ProgramData program;           // kProgram
 };
 
 // ---------------------------------------------------------------------------
@@ -267,6 +279,18 @@ struct Cursor {
   }
 
   [[nodiscard]] std::int64_t svarint() { return unzigzag(varint()); }
+
+  /// A count of items that each take at least one more byte, so one
+  /// the bytes left cannot hold is corrupt: rejected before a caller
+  /// reserves for it.
+  [[nodiscard]] std::uint32_t count(const char* what) {
+    const std::uint64_t n = varint();
+    if (n > size - at || n > UINT32_MAX) {
+      throw TraceError(std::string(what) + " count " + std::to_string(n) +
+                       " exceeds the bytes left");
+    }
+    return static_cast<std::uint32_t>(n);
+  }
 
   [[nodiscard]] std::string bytes(std::size_t n) {
     if (size - at < n) {

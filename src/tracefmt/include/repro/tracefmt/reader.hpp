@@ -1,14 +1,9 @@
-// Trace readers.
-//
-// TraceReader mmaps a finished file, validates header/footer, and
-// decodes any chunk independently (digest-verified). StreamReader
-// decodes the same format sequentially from any std::istream -- no
-// seeking, so it works on pipes; region names resolve through the
-// inline kDefineName records instead of the footer's table.
+// Trace reader: mmaps a finished file, validates header, footer and
+// tables, and decodes any chunk independently (digest-verified, with
+// every program id checked against the footer's program table).
 #pragma once
 
 #include <cstdint>
-#include <istream>
 #include <string>
 #include <vector>
 
@@ -40,6 +35,16 @@ class TraceReader {
     return names_.at(id);
   }
 
+  /// The program table: row `id` says which chunk defines program `id`
+  /// and its shape. Ids are defined in order, so rows are sorted by
+  /// chunk.
+  [[nodiscard]] std::size_t num_programs() const { return programs_.size(); }
+  [[nodiscard]] const ProgramInfo& program(std::uint32_t id) const {
+    return programs_.at(id);
+  }
+  /// How many programs chunks [0, chunk) define.
+  [[nodiscard]] std::uint32_t programs_before(std::size_t chunk) const;
+
   /// The chunk holding iteration `step`'s marker at [step - 1], for
   /// steps 1..meta().iterations. Derived at open from the chunk table
   /// alone (see marker_payload); empty when some marker does not sit
@@ -60,11 +65,18 @@ class TraceReader {
   /// TraceError.
   void verify_chunk(std::size_t i) const;
 
-  /// Decodes chunk `i` into `out` (cleared first), after verify_chunk;
-  /// a malformed payload throws TraceError.
+  /// Decodes chunk `i` into `out` (cleared first), after verify_chunk.
+  /// A malformed payload throws TraceError naming the chunk, and so
+  /// does a program id out of step with the program table: a region
+  /// referencing a program not defined before it, or a definition the
+  /// table does not place at that point.
   void decode_chunk(std::size_t i, std::vector<Record>& out) const;
 
  private:
+  void decode_payload(std::size_t chunk, const ChunkHeader& header,
+                      const std::uint8_t* payload,
+                      std::vector<Record>& out) const;
+
   const std::uint8_t* data_ = nullptr;
   std::uint64_t size_ = 0;
   void* map_ = nullptr;          // non-null when mmapped
@@ -72,45 +84,11 @@ class TraceReader {
   TraceMeta meta_;
   std::vector<ChunkInfo> chunks_;
   std::vector<std::string> names_;
+  std::vector<ProgramInfo> programs_;
   std::vector<std::size_t> iteration_chunks_;
   std::uint64_t content_digest_ = 0;
   std::uint64_t total_records_ = 0;
   std::uint64_t total_ops_ = 0;
 };
-
-/// Sequential decoder over an unseekable stream (pipes). Reads the
-/// header + meta at construction; next_chunk() yields chunks in order
-/// until the chunk-table marker terminates the record section.
-class StreamReader {
- public:
-  explicit StreamReader(std::istream& in);
-
-  [[nodiscard]] const TraceMeta& meta() const { return meta_; }
-
-  /// Decodes the next chunk into `out` (cleared first); false once the
-  /// record section ends. Names resolve via name() as they stream in.
-  bool next_chunk(std::vector<Record>& out);
-
-  /// Names defined by the records decoded so far.
-  [[nodiscard]] const std::string& name(std::uint32_t id) const {
-    return names_.at(id);
-  }
-
- private:
-  std::istream* in_;
-  TraceMeta meta_;
-  std::vector<std::string> names_;
-  bool done_ = false;
-};
-
-/// Shared payload decoder (used by both readers and fuzz tests):
-/// decodes exactly `header.record_count` records from `payload`,
-/// appending to `out` and cross-checking the op count.
-void decode_payload(const ChunkHeader& header, const std::uint8_t* payload,
-                    std::vector<Record>& out);
-
-/// Decodes a meta payload (header-validated bytes).
-[[nodiscard]] TraceMeta decode_meta(const std::uint8_t* data,
-                                    std::size_t size);
 
 }  // namespace repro::tracefmt

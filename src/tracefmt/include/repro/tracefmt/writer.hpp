@@ -7,6 +7,7 @@
 #include <fstream>
 #include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "repro/tracefmt/format.hpp"
@@ -17,10 +18,11 @@ namespace repro::tracefmt {
 /// reported by bench/replay_sweep).
 struct WriterStats {
   std::uint64_t records = 0;
-  std::uint64_t ops = 0;
+  std::uint64_t ops = 0;  // dispatched: each region counts its program
   std::uint64_t chunks = 0;
   std::uint64_t bytes = 0;  // final file size
   std::uint64_t regions = 0;
+  std::uint64_t programs = 0;  // distinct programs defined
 };
 
 class TraceWriter {
@@ -44,9 +46,10 @@ class TraceWriter {
   void iteration_begin(std::uint32_t step);
   /// Appends one region record. `binding` is thread-to-processor
   /// (empty = identity); `columns` is a borrowed view of the compiled
-  /// program. Page addresses are delta-encoded within each thread's
-  /// stream; the delta baseline resets per record, keeping chunks
-  /// independently decodable.
+  /// program. The program is interned: the first region whose columns
+  /// and validation maxima equal no earlier program's defines it, in
+  /// the same chunk, and every region record references its id. A
+  /// known nonzero `columns.serial` skips the columns altogether.
   void region(const std::string& name, std::span<const std::uint32_t> binding,
               const RegionColumns& columns);
   void advance(std::uint64_t ns);
@@ -57,10 +60,10 @@ class TraceWriter {
   WriterStats finish();
 
  private:
-  void begin_record();
   void end_record(std::uint64_t ops_in_record);
   void flush_chunk();
   [[nodiscard]] std::uint32_t intern(const std::string& name);
+  [[nodiscard]] std::uint32_t intern(const RegionColumns& columns);
 
   std::string path_;
   std::string tmp_path_;
@@ -72,6 +75,14 @@ class TraceWriter {
   std::uint64_t chunk_ops_ = 0;
   std::vector<ChunkInfo> chunks_;
   std::vector<std::string> names_;  // id = index
+  // Interned programs: id = index into bodies_ and programs_; a body is
+  // the kProgram record's bytes after the id. Ids are looked up by
+  // caller serial first, then by body hash + full comparison.
+  std::vector<std::vector<std::uint8_t>> bodies_;
+  std::vector<ProgramInfo> programs_;
+  std::unordered_map<std::uint64_t, std::uint32_t> serial_ids_;
+  std::unordered_multimap<std::uint64_t, std::uint32_t> body_ids_;
+  std::vector<std::uint8_t> body_;  // scratch
   WriterStats stats_;
   bool finished_ = false;
 };

@@ -5,6 +5,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 
@@ -38,8 +39,6 @@ void check_header(const FileHeader& header) {
   }
 }
 
-}  // namespace
-
 TraceMeta decode_meta(const std::uint8_t* data, std::size_t size) {
   Cursor c{data, size, 0};
   TraceMeta meta;
@@ -72,20 +71,59 @@ TraceMeta decode_meta(const std::uint8_t* data, std::size_t size) {
   return meta;
 }
 
-void decode_payload(const ChunkHeader& header, const std::uint8_t* payload,
-                    std::vector<Record>& out) {
+/// Decodes one kProgram body (see encode_program in writer.cpp).
+void decode_program(Cursor& c, ProgramData& program) {
+  const std::uint32_t num_threads = c.count("program thread");
+  program.max_access_lines = static_cast<std::uint32_t>(c.varint());
+  program.max_line_begin = static_cast<std::uint32_t>(c.varint());
+  program.offsets.reserve(std::size_t{num_threads} + 1);
+  program.offsets.push_back(0);
+  for (std::uint32_t t = 0; t < num_threads; ++t) {
+    const std::uint32_t count = c.count("thread op");
+    if (count > UINT32_MAX - program.offsets.back()) {
+      throw TraceError("program op count overflows 32 bits");
+    }
+    std::uint64_t prev_page = 0;
+    for (std::uint32_t i = 0; i < count; ++i) {
+      const std::uint8_t flags = c.u8();
+      if ((flags & ~kFlagMask) != 0) {
+        throw TraceError("op record with unknown flag bits");
+      }
+      program.flags.push_back(flags);
+      if ((flags & kFlagAccess) != 0) {
+        const std::int64_t delta = c.svarint();
+        const std::uint64_t page = static_cast<std::uint64_t>(
+            static_cast<std::int64_t>(prev_page) + delta);
+        program.pages.push_back(page);
+        prev_page = page;
+        program.lines.push_back(static_cast<std::uint32_t>(c.varint()));
+        program.line_begin.push_back(static_cast<std::uint32_t>(c.varint()));
+      } else {
+        program.pages.push_back(0);
+        program.lines.push_back(0);
+        program.line_begin.push_back(0);
+      }
+      program.compute.push_back(c.varint());
+    }
+    program.offsets.push_back(program.offsets.back() + count);
+  }
+}
+
+}  // namespace
+
+void TraceReader::decode_payload(std::size_t chunk, const ChunkHeader& header,
+                                 const std::uint8_t* payload,
+                                 std::vector<Record>& out) const {
   Cursor c{payload, header.payload_bytes, 0};
+  // Ids below `defined` exist at this point of the file; the table says
+  // which ones this chunk must define, in order.
+  std::uint32_t defined = programs_before(chunk);
+  const std::uint32_t defined_after = programs_before(chunk + 1);
   std::uint64_t ops = 0;
   for (std::uint64_t r = 0; r < header.record_count; ++r) {
     Record record;
     const std::uint8_t kind = c.u8();
     switch (kind) {
-      case static_cast<std::uint8_t>(RecordKind::kDefineName): {
-        record.kind = RecordKind::kDefineName;
-        record.name_id = static_cast<std::uint32_t>(c.varint());
-        record.name = read_string(c);
-        break;
-      }
       case static_cast<std::uint8_t>(RecordKind::kColdBegin):
         record.kind = RecordKind::kColdBegin;
         break;
@@ -97,56 +135,52 @@ void decode_payload(const ChunkHeader& header, const std::uint8_t* payload,
         record.kind = RecordKind::kAdvance;
         record.ns = c.varint();
         break;
+      case static_cast<std::uint8_t>(RecordKind::kProgram): {
+        record.kind = RecordKind::kProgram;
+        const std::uint64_t id = c.varint();
+        if (id < defined) {
+          throw TraceError("second definition of program " +
+                           std::to_string(id));
+        }
+        if (id != defined || id >= defined_after) {
+          throw TraceError("program " + std::to_string(id) +
+                           " is defined out of step with the program table");
+        }
+        record.program_id = defined++;
+        decode_program(c, record.program);
+        const ProgramInfo& info = programs_[record.program_id];
+        if (record.program.num_threads() != info.num_threads ||
+            record.program.size() != info.op_count) {
+          throw TraceError("program " + std::to_string(id) +
+                           " disagrees with the program table");
+        }
+        break;
+      }
       case static_cast<std::uint8_t>(RecordKind::kRegion): {
         record.kind = RecordKind::kRegion;
-        RegionData& region = record.region;
-        region.name_id = static_cast<std::uint32_t>(c.varint());
-        const auto num_threads = static_cast<std::uint32_t>(c.varint());
-        if (num_threads == 0) {
-          throw TraceError("region record with zero threads");
+        const std::uint64_t id = c.varint();
+        if (id >= defined) {
+          throw TraceError("region references undefined program " +
+                           std::to_string(id));
         }
-        const std::uint8_t binding_kind = c.u8();
-        if (binding_kind == 1) {
-          region.binding.reserve(num_threads);
-          for (std::uint32_t t = 0; t < num_threads; ++t) {
-            region.binding.push_back(static_cast<std::uint32_t>(c.varint()));
-          }
-        } else if (binding_kind != 0) {
-          throw TraceError("region record with unknown binding kind");
+        record.program_id = static_cast<std::uint32_t>(id);
+        const std::uint64_t name_id = c.varint();
+        if (name_id >= names_.size()) {
+          throw TraceError("region references undefined name " +
+                           std::to_string(name_id));
         }
-        region.max_access_lines = static_cast<std::uint32_t>(c.varint());
-        region.max_line_begin = static_cast<std::uint32_t>(c.varint());
-        region.offsets.reserve(num_threads + 1);
-        region.offsets.push_back(0);
-        for (std::uint32_t t = 0; t < num_threads; ++t) {
-          const auto count = static_cast<std::uint32_t>(c.varint());
-          std::uint64_t prev_page = 0;
-          for (std::uint32_t i = 0; i < count; ++i) {
-            const std::uint8_t flags = c.u8();
-            if ((flags & ~kFlagMask) != 0) {
-              throw TraceError("op record with unknown flag bits");
-            }
-            region.flags.push_back(flags);
-            if ((flags & kFlagAccess) != 0) {
-              const std::int64_t delta = c.svarint();
-              const std::uint64_t page =
-                  static_cast<std::uint64_t>(
-                      static_cast<std::int64_t>(prev_page) + delta);
-              region.pages.push_back(page);
-              prev_page = page;
-              region.lines.push_back(static_cast<std::uint32_t>(c.varint()));
-              region.line_begin.push_back(
-                  static_cast<std::uint32_t>(c.varint()));
-            } else {
-              region.pages.push_back(0);
-              region.lines.push_back(0);
-              region.line_begin.push_back(0);
-            }
-            region.compute.push_back(c.varint());
-          }
-          region.offsets.push_back(region.offsets.back() + count);
+        record.name_id = static_cast<std::uint32_t>(name_id);
+        const ProgramInfo& info = programs_[record.program_id];
+        const std::uint32_t binding = c.count("binding");
+        if (binding != 0 && binding != info.num_threads) {
+          throw TraceError("region binding does not match its program's "
+                           "thread count");
         }
-        ops += region.size();
+        record.binding.reserve(binding);
+        for (std::uint32_t t = 0; t < binding; ++t) {
+          record.binding.push_back(static_cast<std::uint32_t>(c.varint()));
+        }
+        ops += info.op_count;
         break;
       }
       default:
@@ -156,6 +190,10 @@ void decode_payload(const ChunkHeader& header, const std::uint8_t* payload,
   }
   if (!c.done()) {
     throw TraceError("chunk payload has trailing bytes");
+  }
+  if (defined != defined_after) {
+    throw TraceError("missing the definition of program " +
+                     std::to_string(defined));
   }
   if (ops != header.op_count) {
     throw TraceError("chunk op count mismatch (header says " +
@@ -252,6 +290,25 @@ TraceReader::TraceReader(const std::string& path) {
     names_.push_back(read_string(names));
   }
 
+  Cursor programs{data_, size_ - sizeof(FileFooter),
+                  footer.program_table_offset};
+  const std::uint32_t program_count = programs.count("program table");
+  programs_.reserve(program_count);
+  for (std::uint32_t id = 0; id < program_count; ++id) {
+    const std::uint64_t chunk = programs.varint();
+    const std::uint64_t num_threads = programs.varint();
+    const std::uint64_t op_count = programs.varint();
+    if (chunk >= chunks_.size() ||
+        (id > 0 && chunk < programs_.back().chunk) || num_threads == 0 ||
+        num_threads > UINT32_MAX || op_count > UINT32_MAX) {
+      throw TraceError("program table row " + std::to_string(id) +
+                       " is corrupt");
+    }
+    programs_.push_back(ProgramInfo{chunk,
+                                    static_cast<std::uint32_t>(num_threads),
+                                    static_cast<std::uint32_t>(op_count)});
+  }
+
   // Index the iterations from the table rows: step's marker chunk holds
   // one record, no ops and exactly marker_payload(step). Steps must
   // appear 1..iterations in order; a file whose markers share chunks
@@ -275,7 +332,8 @@ TraceReader::TraceReader(const std::string& path) {
   }
 
   // The meta digest, then every byte from the chunk-table marker to
-  // EOF: chunk rows (payload digests included), names and footer.
+  // EOF: chunk rows (payload digests included), names, programs and
+  // footer.
   content_digest_ = fnv1a(
       data_ + footer.chunk_table_offset, size_ - footer.chunk_table_offset,
       fnv1a(reinterpret_cast<const std::uint8_t*>(&header.meta_digest),
@@ -308,80 +366,26 @@ void TraceReader::verify_chunk(std::size_t i) const {
   }
 }
 
+std::uint32_t TraceReader::programs_before(std::size_t chunk) const {
+  return static_cast<std::uint32_t>(
+      std::partition_point(programs_.begin(), programs_.end(),
+                           [chunk](const ProgramInfo& p) {
+                             return p.chunk < chunk;
+                           }) -
+      programs_.begin());
+}
+
 void TraceReader::decode_chunk(std::size_t i, std::vector<Record>& out) const {
   out.clear();
   verify_chunk(i);
   const std::uint64_t offset = chunks_[i].offset;
   const auto header =
       read_struct<ChunkHeader>(data_, size_, offset, "chunk header");
-  decode_payload(header, data_ + offset + sizeof(ChunkHeader), out);
-}
-
-StreamReader::StreamReader(std::istream& in) : in_(&in) {
-  FileHeader header;
-  in.read(reinterpret_cast<char*>(&header), sizeof(header));
-  if (in.gcount() != sizeof(header)) {
-    throw TraceError("stream truncated reading header");
+  try {
+    decode_payload(i, header, data_ + offset + sizeof(ChunkHeader), out);
+  } catch (const TraceError& e) {
+    throw TraceError("chunk " + std::to_string(i) + ": " + e.what());
   }
-  check_header(header);
-  std::vector<std::uint8_t> meta_bytes(header.meta_bytes);
-  in.read(reinterpret_cast<char*>(meta_bytes.data()),
-          static_cast<std::streamsize>(meta_bytes.size()));
-  if (static_cast<std::uint64_t>(in.gcount()) != header.meta_bytes) {
-    throw TraceError("stream truncated reading metadata");
-  }
-  if (fnv1a(meta_bytes.data(), meta_bytes.size()) != header.meta_digest) {
-    throw TraceError("stream metadata digest mismatch");
-  }
-  meta_ = decode_meta(meta_bytes.data(), meta_bytes.size());
-}
-
-bool StreamReader::next_chunk(std::vector<Record>& out) {
-  out.clear();
-  if (done_) {
-    return false;
-  }
-  std::uint32_t magic = 0;
-  in_->read(reinterpret_cast<char*>(&magic), sizeof(magic));
-  if (in_->gcount() != sizeof(magic)) {
-    throw TraceError("stream truncated reading chunk magic");
-  }
-  if (magic == kTableMagic) {
-    // End of the record section; the chunk/name tables and footer that
-    // follow exist for seekable readers only.
-    done_ = true;
-    return false;
-  }
-  if (magic != kChunkMagic) {
-    throw TraceError("stream chunk has bad magic");
-  }
-  ChunkHeader header;
-  header.magic = magic;
-  in_->read(reinterpret_cast<char*>(&header) + sizeof(magic),
-            sizeof(header) - sizeof(magic));
-  if (static_cast<std::size_t>(in_->gcount()) !=
-      sizeof(header) - sizeof(magic)) {
-    throw TraceError("stream truncated reading chunk header");
-  }
-  std::vector<std::uint8_t> payload(header.payload_bytes);
-  in_->read(reinterpret_cast<char*>(payload.data()),
-            static_cast<std::streamsize>(payload.size()));
-  if (static_cast<std::uint64_t>(in_->gcount()) != header.payload_bytes) {
-    throw TraceError("stream truncated reading chunk payload");
-  }
-  if (fnv1a(payload.data(), payload.size()) != header.payload_digest) {
-    throw TraceError("stream chunk digest mismatch");
-  }
-  decode_payload(header, payload.data(), out);
-  for (const Record& r : out) {
-    if (r.kind == RecordKind::kDefineName) {
-      if (r.name_id != names_.size()) {
-        throw TraceError("stream name ids out of order");
-      }
-      names_.push_back(r.name);
-    }
-  }
-  return true;
 }
 
 }  // namespace repro::tracefmt

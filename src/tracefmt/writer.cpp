@@ -1,5 +1,6 @@
 #include "repro/tracefmt/writer.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 
@@ -34,6 +35,41 @@ std::vector<std::uint8_t> encode_meta(const TraceMeta& meta) {
     put_varint(out, r.pages);
   }
   return out;
+}
+
+/// A kProgram body: thread count, the two validation maxima, then per
+/// thread its op count and ops -- a flags byte, for accesses a zigzag
+/// page delta against the thread's previous access (baseline 0) plus
+/// lines and line_begin, then compute. A non-access op must hold zero
+/// page, lines and line_begin, which decode restores; everything else
+/// is encoded, so equal bodies mean equal columns and maxima.
+void encode_program(std::vector<std::uint8_t>& out,
+                    const RegionColumns& columns) {
+  put_varint(out, columns.num_threads);
+  put_varint(out, columns.max_access_lines);
+  put_varint(out, columns.max_line_begin);
+  for (std::uint32_t t = 0; t < columns.num_threads; ++t) {
+    const std::uint32_t begin = columns.offsets[t];
+    const std::uint32_t end = columns.offsets[t + 1];
+    put_varint(out, end - begin);
+    std::uint64_t prev_page = 0;
+    for (std::uint32_t i = begin; i < end; ++i) {
+      const std::uint8_t flags = columns.flags[i];
+      REPRO_REQUIRE((flags & ~kFlagMask) == 0);
+      out.push_back(flags);
+      if ((flags & kFlagAccess) != 0) {
+        put_svarint(out, static_cast<std::int64_t>(columns.pages[i]) -
+                             static_cast<std::int64_t>(prev_page));
+        prev_page = columns.pages[i];
+        put_varint(out, columns.lines[i]);
+        put_varint(out, columns.line_begin[i]);
+      } else {
+        REPRO_REQUIRE(columns.pages[i] == 0 && columns.lines[i] == 0 &&
+                      columns.line_begin[i] == 0);
+      }
+      put_varint(out, columns.compute[i]);
+    }
+  }
 }
 
 }  // namespace
@@ -71,15 +107,44 @@ std::uint32_t TraceWriter::intern(const std::string& name) {
       return static_cast<std::uint32_t>(i);
     }
   }
-  const auto id = static_cast<std::uint32_t>(names_.size());
   names_.push_back(name);
-  // Inline definition before first use, so a sequential (pipe) reader
-  // can resolve names without the footer's table.
-  payload_.push_back(static_cast<std::uint8_t>(RecordKind::kDefineName));
-  put_varint(payload_, id);
-  put_string(payload_, name);
-  ++chunk_records_;
-  ++stats_.records;
+  return static_cast<std::uint32_t>(names_.size() - 1);
+}
+
+std::uint32_t TraceWriter::intern(const RegionColumns& columns) {
+  if (columns.serial != 0) {
+    const auto known = serial_ids_.find(columns.serial);
+    if (known != serial_ids_.end()) {
+      return known->second;
+    }
+  }
+  body_.clear();
+  encode_program(body_, columns);
+  const std::uint64_t hash = fnv1a(body_.data(), body_.size());
+  const auto [first, last] = body_ids_.equal_range(hash);
+  const auto same = std::find_if(first, last, [this](const auto& entry) {
+    return bodies_[entry.second] == body_;
+  });
+  std::uint32_t id = 0;
+  if (same != last) {
+    id = same->second;
+  } else {
+    // Define it here, in the chunk of its first reference: the caller
+    // appends the reference before the chunk can be cut.
+    id = static_cast<std::uint32_t>(bodies_.size());
+    payload_.push_back(static_cast<std::uint8_t>(RecordKind::kProgram));
+    put_varint(payload_, id);
+    payload_.insert(payload_.end(), body_.begin(), body_.end());
+    ++chunk_records_;
+    ++stats_.records;
+    programs_.push_back(
+        ProgramInfo{chunks_.size(), columns.num_threads, columns.size});
+    body_ids_.emplace(hash, id);
+    bodies_.push_back(body_);
+  }
+  if (columns.serial != 0) {
+    serial_ids_.emplace(columns.serial, id);
+  }
   return id;
 }
 
@@ -120,44 +185,19 @@ void TraceWriter::region(const std::string& name,
                          const RegionColumns& columns) {
   REPRO_REQUIRE(columns.offsets != nullptr && columns.num_threads >= 1);
   REPRO_REQUIRE(binding.empty() || binding.size() == columns.num_threads);
+  const std::uint32_t program_id = intern(columns);
   const std::uint32_t name_id = intern(name);
   payload_.push_back(static_cast<std::uint8_t>(RecordKind::kRegion));
+  put_varint(payload_, program_id);
   put_varint(payload_, name_id);
-  put_varint(payload_, columns.num_threads);
   bool identity = true;
   for (std::size_t t = 0; t < binding.size(); ++t) {
     identity = identity && binding[t] == t;
   }
-  if (identity) {
-    payload_.push_back(0);
-  } else {
-    payload_.push_back(1);
+  put_varint(payload_, identity ? 0 : binding.size());
+  if (!identity) {
     for (const std::uint32_t proc : binding) {
       put_varint(payload_, proc);
-    }
-  }
-  put_varint(payload_, columns.max_access_lines);
-  put_varint(payload_, columns.max_line_begin);
-  for (std::uint32_t t = 0; t < columns.num_threads; ++t) {
-    const std::uint32_t begin = columns.offsets[t];
-    const std::uint32_t end = columns.offsets[t + 1];
-    put_varint(payload_, end - begin);
-    // Per-thread delta baseline, reset every record: chunks stay
-    // independently decodable and the first op costs one extra byte at
-    // most per thread.
-    std::uint64_t prev_page = 0;
-    for (std::uint32_t i = begin; i < end; ++i) {
-      const std::uint8_t flags = columns.flags[i];
-      REPRO_REQUIRE((flags & ~kFlagMask) == 0);
-      payload_.push_back(flags);
-      if ((flags & kFlagAccess) != 0) {
-        put_svarint(payload_, static_cast<std::int64_t>(columns.pages[i]) -
-                                  static_cast<std::int64_t>(prev_page));
-        prev_page = columns.pages[i];
-        put_varint(payload_, columns.lines[i]);
-        put_varint(payload_, columns.line_begin[i]);
-      }
-      put_varint(payload_, columns.compute[i]);
     }
   }
   ++stats_.regions;
@@ -214,11 +254,22 @@ WriterStats TraceWriter::finish() {
   }
   out_.write(reinterpret_cast<const char*>(names.data()),
              static_cast<std::streamsize>(names.size()));
+  const std::uint64_t programs_offset = names_offset + names.size();
+  std::vector<std::uint8_t> programs;
+  put_varint(programs, programs_.size());
+  for (const ProgramInfo& p : programs_) {
+    put_varint(programs, p.chunk);
+    put_varint(programs, p.num_threads);
+    put_varint(programs, p.op_count);
+  }
+  out_.write(reinterpret_cast<const char*>(programs.data()),
+             static_cast<std::streamsize>(programs.size()));
 
   FileFooter footer;
   footer.chunk_count = chunks_.size();
   footer.chunk_table_offset = table_offset;
   footer.name_table_offset = names_offset;
+  footer.program_table_offset = programs_offset;
   footer.total_records = stats_.records;
   footer.total_ops = stats_.ops;
   out_.write(reinterpret_cast<const char*>(&footer), sizeof(footer));
@@ -231,7 +282,8 @@ WriterStats TraceWriter::finish() {
     throw TraceError("cannot rename " + tmp_path_ + " to " + path_);
   }
   finished_ = true;
-  stats_.bytes = names_offset + names.size() + sizeof(footer);
+  stats_.bytes = programs_offset + programs.size() + sizeof(footer);
+  stats_.programs = programs_.size();
   return stats_;
 }
 

@@ -8,6 +8,8 @@
 // ReplayGolden and ReplayHarness are plain-leg only.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -108,6 +110,37 @@ void expect_columns_equal(const RegionProgram& a, const RegionProgram& b) {
   }
 }
 
+tracefmt::RegionColumns columns_of(const RegionProgram& program) {
+  const RegionProgram::ColumnView view = program.columns();
+  tracefmt::RegionColumns columns;
+  columns.pages = view.pages;
+  columns.compute = view.compute;
+  columns.lines = view.lines;
+  columns.line_begin = view.line_begin;
+  columns.flags = view.flags;
+  columns.offsets = view.offsets;
+  columns.num_threads = view.num_threads;
+  columns.size = view.size;
+  columns.max_access_lines = view.max_access_lines;
+  columns.max_line_begin = view.max_line_begin;
+  return columns;
+}
+
+tracefmt::RegionColumns columns_of(const tracefmt::ProgramData& d) {
+  tracefmt::RegionColumns columns;
+  columns.pages = d.pages.data();
+  columns.compute = d.compute.data();
+  columns.lines = d.lines.data();
+  columns.line_begin = d.line_begin.data();
+  columns.flags = d.flags.data();
+  columns.offsets = d.offsets.data();
+  columns.num_threads = d.num_threads();
+  columns.size = d.size();
+  columns.max_access_lines = d.max_access_lines;
+  columns.max_line_begin = d.max_line_begin;
+  return columns;
+}
+
 /// Records `programs` (one region each, identity binding) into `path`.
 tracefmt::WriterStats record_programs(
     const std::string& path, const tracefmt::TraceMeta& meta,
@@ -116,35 +149,43 @@ tracefmt::WriterStats record_programs(
   tracefmt::TraceWriter writer(path, meta, chunk_target_bytes);
   writer.cold_begin();
   for (std::size_t i = 0; i < programs.size(); ++i) {
-    const RegionProgram::ColumnView view = programs[i]->columns();
-    tracefmt::RegionColumns columns;
-    columns.pages = view.pages;
-    columns.compute = view.compute;
-    columns.lines = view.lines;
-    columns.line_begin = view.line_begin;
-    columns.flags = view.flags;
-    columns.offsets = view.offsets;
-    columns.num_threads = view.num_threads;
-    columns.size = view.size;
-    columns.max_access_lines = view.max_access_lines;
-    columns.max_line_begin = view.max_line_begin;
-    writer.region("region_" + std::to_string(i % 3), {}, columns);
+    writer.region("region_" + std::to_string(i % 3), {},
+                  columns_of(*programs[i]));
     writer.advance(static_cast<Ns>(17 + i));
   }
   return writer.finish();
 }
 
-/// Replays every kRegion item of `path` back as programs.
+/// Replays every kRegion item of `path` back as programs (copies of
+/// the replayer's one decoded program per id).
 std::vector<RegionProgram> replayed_programs(const std::string& path) {
   TraceReplayer replayer(path);
   std::vector<RegionProgram> out;
   ReplayItem item;
   while (replayer.next(item)) {
     if (item.kind == ReplayItem::Kind::kRegion) {
-      out.push_back(std::move(item.program));
+      out.push_back(RegionProgram::from_columns(
+          replayer.program(item.program_id).columns()));
     }
   }
   return out;
+}
+
+/// How many kProgram records `path` holds per program id, decoding
+/// every chunk in order.
+std::vector<std::uint32_t> definitions_per_program(const std::string& path) {
+  tracefmt::TraceReader reader(path);
+  std::vector<std::uint32_t> defined(reader.num_programs(), 0);
+  std::vector<tracefmt::Record> records;
+  for (std::size_t c = 0; c < reader.num_chunks(); ++c) {
+    reader.decode_chunk(c, records);
+    for (const tracefmt::Record& r : records) {
+      if (r.kind == tracefmt::RecordKind::kProgram) {
+        ++defined.at(r.program_id);
+      }
+    }
+  }
+  return defined;
 }
 
 std::vector<std::uint8_t> read_bytes(const std::string& path) {
@@ -180,14 +221,17 @@ void rewrite_trace(const std::string& src, const std::string& dst,
   tracefmt::TraceReader reader(src);
   tracefmt::TraceWriter writer(dst, reader.meta());
   std::vector<tracefmt::Record> records;
+  std::vector<tracefmt::ProgramData> programs(reader.num_programs());
   std::uint32_t current = 0;  // 0 = the cold start
   bool lengthened = extra_ns == 0;
   for (std::size_t c = 0; c < reader.num_chunks(); ++c) {
     reader.decode_chunk(c, records);
-    for (const tracefmt::Record& r : records) {
+    for (tracefmt::Record& r : records) {
       switch (r.kind) {
-        case tracefmt::RecordKind::kDefineName:
-          break;  // the writer interns names on first use itself
+        case tracefmt::RecordKind::kProgram:
+          // The writer defines it again on its first reference.
+          programs[r.program_id] = std::move(r.program);
+          break;
         case tracefmt::RecordKind::kColdBegin:
           writer.cold_begin();
           break;
@@ -208,22 +252,10 @@ void rewrite_trace(const std::string& src, const std::string& dst,
             writer.advance(r.ns);
           }
           break;
-        case tracefmt::RecordKind::kRegion: {
-          const tracefmt::RegionData& d = r.region;
-          tracefmt::RegionColumns columns;
-          columns.pages = d.pages.data();
-          columns.compute = d.compute.data();
-          columns.lines = d.lines.data();
-          columns.line_begin = d.line_begin.data();
-          columns.flags = d.flags.data();
-          columns.offsets = d.offsets.data();
-          columns.num_threads = d.num_threads();
-          columns.size = d.size();
-          columns.max_access_lines = d.max_access_lines;
-          columns.max_line_begin = d.max_line_begin;
-          writer.region(reader.name(d.name_id), d.binding, columns);
+        case tracefmt::RecordKind::kRegion:
+          writer.region(reader.name(r.name_id), r.binding,
+                        columns_of(programs[r.program_id]));
           break;
-        }
       }
     }
   }
@@ -231,67 +263,131 @@ void rewrite_trace(const std::string& src, const std::string& dst,
   ASSERT_TRUE(lengthened) << "iteration " << step << " has no advance";
 }
 
-void put_chunk_row(std::vector<std::uint8_t>& out,
-                   const tracefmt::ChunkInfo& row) {
-  tracefmt::put_varint(out, row.offset);
-  tracefmt::put_varint(out, row.payload_bytes);
-  tracefmt::put_varint(out, row.record_count);
-  tracefmt::put_varint(out, row.op_count);
-  append_raw(out, row.payload_digest);
+/// A trace taken apart for hand assembly (see assemble_trace).
+struct RawChunk {
+  std::vector<std::uint8_t> payload;
+  std::uint64_t records = 0;
+  std::uint64_t ops = 0;
+};
+struct RawTrace {
+  std::vector<std::uint8_t> prefix;  // file header and metadata
+  std::vector<RawChunk> chunks;
+  std::vector<std::string> names;
+  std::vector<tracefmt::ProgramInfo> programs;
+};
+
+RawTrace read_raw(const std::string& path) {
+  const std::vector<std::uint8_t> bytes = read_bytes(path);
+  tracefmt::TraceReader reader(path);
+  RawTrace raw;
+  raw.prefix.assign(bytes.begin(),
+                    bytes.begin() +
+                        static_cast<std::ptrdiff_t>(reader.chunk(0).offset));
+  for (std::size_t c = 0; c < reader.num_chunks(); ++c) {
+    const tracefmt::ChunkInfo& row = reader.chunk(c);
+    const auto begin = bytes.begin() + static_cast<std::ptrdiff_t>(
+                                           row.offset +
+                                           sizeof(tracefmt::ChunkHeader));
+    raw.chunks.push_back(RawChunk{
+        {begin, begin + static_cast<std::ptrdiff_t>(row.payload_bytes)},
+        row.record_count,
+        row.op_count});
+  }
+  for (std::uint32_t id = 0; id < reader.num_names(); ++id) {
+    raw.names.push_back(reader.name(id));
+  }
+  for (std::uint32_t id = 0; id < reader.num_programs(); ++id) {
+    raw.programs.push_back(reader.program(id));
+  }
+  return raw;
+}
+
+/// Writes `raw` to `path`, deriving chunk headers, digests, tables and
+/// footer (built from the format.hpp structs, bypassing TraceWriter),
+/// so only the payloads and the program table can be wrong.
+void assemble_trace(const std::string& path, const RawTrace& raw) {
+  std::vector<std::uint8_t> out = raw.prefix;
+  std::vector<tracefmt::ChunkInfo> rows;
+  tracefmt::FileFooter footer;
+  for (const RawChunk& c : raw.chunks) {
+    tracefmt::ChunkHeader header;
+    header.payload_bytes = c.payload.size();
+    header.record_count = c.records;
+    header.op_count = c.ops;
+    header.payload_digest = tracefmt::fnv1a(c.payload.data(), c.payload.size());
+    rows.push_back(tracefmt::ChunkInfo{out.size(), header.payload_bytes,
+                                       c.records, c.ops,
+                                       header.payload_digest});
+    append_raw(out, header);
+    out.insert(out.end(), c.payload.begin(), c.payload.end());
+    footer.total_records += c.records;
+    footer.total_ops += c.ops;
+  }
+  footer.chunk_table_offset = out.size();
+  append_raw(out, tracefmt::kTableMagic);
+  for (const tracefmt::ChunkInfo& row : rows) {
+    tracefmt::put_varint(out, row.offset);
+    tracefmt::put_varint(out, row.payload_bytes);
+    tracefmt::put_varint(out, row.record_count);
+    tracefmt::put_varint(out, row.op_count);
+    append_raw(out, row.payload_digest);
+  }
+  footer.name_table_offset = out.size();
+  tracefmt::put_varint(out, raw.names.size());
+  for (const std::string& name : raw.names) {
+    tracefmt::put_varint(out, name.size());
+    out.insert(out.end(), name.begin(), name.end());
+  }
+  footer.program_table_offset = out.size();
+  tracefmt::put_varint(out, raw.programs.size());
+  for (const tracefmt::ProgramInfo& p : raw.programs) {
+    tracefmt::put_varint(out, p.chunk);
+    tracefmt::put_varint(out, p.num_threads);
+    tracefmt::put_varint(out, p.op_count);
+  }
+  footer.chunk_count = raw.chunks.size();
+  append_raw(out, footer);
+  write_bytes(path, out);
 }
 
 /// Re-assembles `src` with chunks [first, end) merged into one, so the
-/// iteration markers from there on share a chunk with region records,
-/// as older writers laid them out (built from the format.hpp structs,
-/// bypassing TraceWriter).
+/// iteration markers from there on share a chunk with region records.
 void merge_chunks_from(const std::string& src, const std::string& dst,
                        std::size_t first) {
-  const std::vector<std::uint8_t> bytes = read_bytes(src);
-  tracefmt::TraceReader reader(src);
-  tracefmt::FileFooter footer;
-  std::memcpy(&footer, bytes.data() + bytes.size() - sizeof(footer),
-              sizeof(footer));
-  tracefmt::ChunkInfo merged;
-  merged.offset = reader.chunk(first).offset;
-  std::vector<std::uint8_t> payload;
-  for (std::size_t c = first; c < reader.num_chunks(); ++c) {
-    const tracefmt::ChunkInfo& info = reader.chunk(c);
-    const auto begin = bytes.begin() + static_cast<std::ptrdiff_t>(
-                                           info.offset +
-                                           sizeof(tracefmt::ChunkHeader));
-    payload.insert(payload.end(), begin,
-                   begin + static_cast<std::ptrdiff_t>(info.payload_bytes));
-    merged.record_count += info.record_count;
-    merged.op_count += info.op_count;
+  RawTrace raw = read_raw(src);
+  RawChunk& merged = raw.chunks[first];
+  for (std::size_t c = first + 1; c < raw.chunks.size(); ++c) {
+    merged.payload.insert(merged.payload.end(), raw.chunks[c].payload.begin(),
+                          raw.chunks[c].payload.end());
+    merged.records += raw.chunks[c].records;
+    merged.ops += raw.chunks[c].ops;
   }
-  merged.payload_bytes = payload.size();
-  merged.payload_digest = tracefmt::fnv1a(payload.data(), payload.size());
+  raw.chunks.resize(first + 1);
+  for (tracefmt::ProgramInfo& p : raw.programs) {
+    p.chunk = std::min<std::uint64_t>(p.chunk, first);
+  }
+  assemble_trace(dst, raw);
+}
 
-  std::vector<std::uint8_t> out(
-      bytes.begin(), bytes.begin() + static_cast<std::ptrdiff_t>(merged.offset));
-  tracefmt::ChunkHeader header;
-  header.payload_bytes = merged.payload_bytes;
-  header.record_count = merged.record_count;
-  header.op_count = merged.op_count;
-  header.payload_digest = merged.payload_digest;
-  append_raw(out, header);
-  out.insert(out.end(), payload.begin(), payload.end());
-  const std::uint64_t table_offset = out.size();
-  append_raw(out, tracefmt::kTableMagic);
-  for (std::size_t c = 0; c < first; ++c) {
-    put_chunk_row(out, reader.chunk(c));
+/// Appends a kProgram record for `id`: one thread, one compute op.
+void put_program(std::vector<std::uint8_t>& out, std::uint64_t id) {
+  out.push_back(static_cast<std::uint8_t>(tracefmt::RecordKind::kProgram));
+  tracefmt::put_varint(out, id);
+  for (const std::uint64_t v : {1U, 0U, 0U, 1U}) {  // threads, maxima, ops
+    tracefmt::put_varint(out, v);
   }
-  put_chunk_row(out, merged);
-  const std::uint64_t names_offset = out.size();
-  out.insert(out.end(),
-             bytes.begin() +
-                 static_cast<std::ptrdiff_t>(footer.name_table_offset),
-             bytes.end() - static_cast<std::ptrdiff_t>(sizeof(footer)));
-  footer.chunk_count = first + 1;
-  footer.chunk_table_offset = table_offset;
-  footer.name_table_offset = names_offset;
-  append_raw(out, footer);
-  write_bytes(dst, out);
+  out.push_back(0);  // flags: compute
+  tracefmt::put_varint(out, 250);
+}
+
+/// Appends a kRegion record referencing program `id` and name 0 with
+/// `binding` processors listed (0 = identity).
+void put_reference(std::vector<std::uint8_t>& out, std::uint64_t id,
+                   std::uint64_t binding = 0) {
+  out.push_back(static_cast<std::uint8_t>(tracefmt::RecordKind::kRegion));
+  tracefmt::put_varint(out, id);
+  tracefmt::put_varint(out, 0);
+  tracefmt::put_varint(out, binding);
 }
 
 harness::RunConfig tiny_config(const std::string& placement, bool upmlib) {
@@ -449,6 +545,124 @@ TEST(TraceFmt, FuzzReplayedProgramSimulatesIdentically) {
   }
 }
 
+/// Four threads of eight two-line reads each, at pages shifted by
+/// `shift`: equal shapes (so equal arena sizes) with distinct contents.
+RegionProgram shifted_program(std::uint64_t shift) {
+  RegionBuilder builder(4);
+  for (std::uint32_t t = 0; t < 4; ++t) {
+    for (std::uint64_t i = 0; i < 8; ++i) {
+      builder.access(ThreadId(t), VPage(64 * t + 2 * i + shift), 2,
+                     /*write=*/i % 3 == 0, /*compute=*/40);
+    }
+  }
+  return RegionProgram::compile(std::move(builder));
+}
+
+TEST(TraceFmt, RecorderInternsOneShotProgramsByContent) {
+  memsys::MachineConfig config;
+  config.num_nodes = 4;
+  config.procs_per_node = 1;
+  config.frames_per_node = 4096;
+  topo::FatHypercube topo_a(4);
+  HomeByPage backend_a(4);
+  memsys::MemorySystem mem_a(config, topo_a, backend_a);
+  sim::Engine engine_a(mem_a);
+  std::vector<Ns> direct_ends;
+  Ns now = 0;
+  const std::vector<ProcId> binding{ProcId(0), ProcId(1), ProcId(2),
+                                    ProcId(3)};
+
+  TempFile file("one_shot.rtrc");
+  TraceRecorder recorder(file.path, small_meta());
+  recorder.begin_cold_start();
+  const auto dispatch = [&](const RegionProgram& program) {
+    recorder.on_region("one_shot", program, binding);
+    now = engine_a.run(now, program).end;
+    direct_ends.push_back(now);
+  };
+  // One-shot programs built back to back, each destroyed after its
+  // dispatch, as Runtime::run does with a builder: the allocator may
+  // hand the next one the same arena, so only content tells them apart.
+  for (const std::uint64_t shift : {0U, 1U, 2U, 3U}) {
+    dispatch(shifted_program(shift));
+  }
+  // Equal contents from different objects, and a repeat of one object.
+  const RegionProgram a = shifted_program(10);
+  const RegionProgram b = shifted_program(10);
+  ASSERT_NE(a.serial(), b.serial());
+  dispatch(a);
+  dispatch(b);
+  dispatch(a);
+  dispatch(shifted_program(0));
+  const tracefmt::WriterStats stats = recorder.finish();
+  EXPECT_EQ(stats.regions, 8u);
+  EXPECT_EQ(stats.programs, 5u);
+  EXPECT_EQ(stats.ops, 8u * a.size());
+  EXPECT_EQ(definitions_per_program(file.path),
+            std::vector<std::uint32_t>(5, 1));
+
+  topo::FatHypercube topo_b(4);
+  HomeByPage backend_b(4);
+  memsys::MemorySystem mem_b(config, topo_b, backend_b);
+  sim::Engine engine_b(mem_b);
+  TraceReplayer replayer(file.path);
+  EXPECT_EQ(replayer.reader().total_ops(), stats.ops);
+  std::vector<Ns> replay_ends;
+  std::vector<std::uint32_t> ids;
+  now = 0;
+  ReplayItem item;
+  while (replayer.next(item)) {
+    if (item.kind == ReplayItem::Kind::kRegion) {
+      ids.push_back(item.program_id);
+      now = engine_b.run(now, replayer.program(item.program_id)).end;
+      replay_ends.push_back(now);
+    }
+  }
+  EXPECT_EQ(ids, (std::vector<std::uint32_t>{0, 1, 2, 3, 4, 4, 4, 0}));
+  EXPECT_EQ(replay_ends, direct_ends);
+  const memsys::ProcStats sa = mem_a.total_stats();
+  const memsys::ProcStats sb = mem_b.total_stats();
+  EXPECT_EQ(sa.hit_lines, sb.hit_lines);
+  EXPECT_EQ(sa.local_miss_lines, sb.local_miss_lines);
+  EXPECT_EQ(sa.remote_miss_lines, sb.remote_miss_lines);
+  EXPECT_EQ(sa.queue_wait, sb.queue_wait);
+}
+
+TEST(TraceFmt, WriterInternsByContentNotByAddress) {
+  // One buffer rewritten in place between regions: same pointers, new
+  // content, and no serial to vouch for either.
+  const RegionProgram seed = shifted_program(0);
+  const RegionProgram::ColumnView view = seed.columns();
+  std::vector<std::uint64_t> pages(view.pages, view.pages + view.size);
+  tracefmt::RegionColumns columns = columns_of(seed);
+  columns.pages = pages.data();
+  TempFile file("in_place.rtrc");
+  tracefmt::TraceWriter writer(file.path, small_meta());
+  writer.cold_begin();
+  writer.region("r", {}, columns);
+  pages[5] += 7;
+  writer.region("r", {}, columns);
+  pages[5] -= 7;
+  writer.region("r", {}, columns);
+  // A serial vouches for the columns it was first seen with.
+  columns.serial = 42;
+  writer.region("r", {}, columns);
+  pages[5] += 7;
+  writer.region("r", {}, columns);
+  EXPECT_EQ(writer.finish().programs, 2u);
+
+  TraceReplayer replayer(file.path);
+  std::vector<std::uint32_t> ids;
+  ReplayItem item;
+  while (replayer.next(item)) {
+    if (item.kind == ReplayItem::Kind::kRegion) {
+      ids.push_back(item.program_id);
+    }
+  }
+  EXPECT_EQ(ids, (std::vector<std::uint32_t>{0, 1, 0, 0, 0}));
+  EXPECT_EQ(replayer.program(1).page(5).value(), view.pages[5] + 7);
+}
+
 TEST(TraceFmt, MultiChunkFilesSupportRandomChunkAccess) {
   Rng rng(3);
   std::vector<RegionProgram> programs;
@@ -476,7 +690,7 @@ TEST(TraceFmt, MultiChunkFilesSupportRandomChunkAccess) {
     EXPECT_EQ(out.size(), reader.chunk(i - 1).record_count);
     for (const tracefmt::Record& r : out) {
       if (r.kind == tracefmt::RecordKind::kRegion) {
-        ops += r.region.size();
+        ops += reader.program(r.program_id).op_count;
       }
     }
   }
@@ -484,41 +698,6 @@ TEST(TraceFmt, MultiChunkFilesSupportRandomChunkAccess) {
   EXPECT_EQ(ops, stats.ops);
   EXPECT_EQ(reader.total_records(), stats.records);
   EXPECT_EQ(reader.total_ops(), stats.ops);
-}
-
-TEST(TraceFmt, StreamReaderDecodesPipesWithoutTheFooter) {
-  Rng rng(11);
-  std::vector<RegionProgram> programs;
-  for (int i = 0; i < 6; ++i) {
-    programs.push_back(random_program(rng, 2));
-  }
-  std::vector<const RegionProgram*> ptrs;
-  for (const RegionProgram& p : programs) {
-    ptrs.push_back(&p);
-  }
-  TempFile file("stream.rtrc");
-  const tracefmt::WriterStats stats =
-      record_programs(file.path, small_meta(2), ptrs,
-                      /*chunk_target_bytes=*/128);
-
-  std::ifstream in(file.path, std::ios::binary);
-  ASSERT_TRUE(in.good());
-  tracefmt::StreamReader stream(in);
-  EXPECT_EQ(stream.meta().benchmark, "XX");
-  std::uint64_t records = 0;
-  std::vector<tracefmt::Record> out;
-  bool saw_region_name = false;
-  while (stream.next_chunk(out)) {
-    records += out.size();
-    for (const tracefmt::Record& r : out) {
-      if (r.kind == tracefmt::RecordKind::kRegion) {
-        saw_region_name =
-            saw_region_name || stream.name(r.region.name_id) == "region_0";
-      }
-    }
-  }
-  EXPECT_EQ(records, stats.records);
-  EXPECT_TRUE(saw_region_name);
 }
 
 TEST(TraceFmt, RejectsTruncationCorruptionAndBadMagic) {
@@ -593,6 +772,82 @@ TEST(TraceFmt, RejectsTruncationCorruptionAndBadMagic) {
     EXPECT_THROW(tracefmt::TraceReader reader(variant.path),
                  tracefmt::TraceError);
   }
+
+  // A version-1 file is refused by name.
+  {
+    std::vector<char> old = bytes;
+    const std::uint32_t v1 = 1;
+    std::memcpy(old.data() + offsetof(tracefmt::FileHeader, version), &v1,
+                sizeof(v1));
+    write_variant(old);
+    try {
+      tracefmt::TraceReader reader(variant.path);
+      ADD_FAILURE() << "a version-1 file was accepted";
+    } catch (const tracefmt::TraceError& e) {
+      EXPECT_NE(std::string(e.what()).find("unsupported trace version 1"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+
+  // Hand-built payloads whose digests and tables are all consistent:
+  // decode must reject each with the chunk index, and a count read from
+  // the file is checked against the bytes left before anything is
+  // reserved for it (the last three would otherwise ask for gigabytes).
+  const std::vector<std::uint8_t> prefix = read_raw(file.path).prefix;
+  const std::vector<tracefmt::ProgramInfo> one_program{{0, 1, 1}};
+  std::vector<std::uint8_t> defines;
+  put_program(defines, 0);
+  std::vector<std::uint8_t> undefined = defines;
+  put_reference(undefined, 1);
+  std::vector<std::uint8_t> huge_threads{
+      static_cast<std::uint8_t>(tracefmt::RecordKind::kProgram), 0};
+  tracefmt::put_varint(huge_threads, 0xFFFFFFFEU);
+  std::vector<std::uint8_t> huge_ops{
+      static_cast<std::uint8_t>(tracefmt::RecordKind::kProgram), 0, 1, 0, 0};
+  tracefmt::put_varint(huge_ops, 0xFFFFFFFEU);
+  std::vector<std::uint8_t> huge_binding = defines;
+  put_reference(huge_binding, 0, 0xFFFFFFFEU);
+  std::vector<std::uint8_t> referenced = defines;
+  put_reference(referenced, 0);
+  const struct {
+    const char* what;
+    std::vector<RawChunk> chunks;
+    std::vector<tracefmt::ProgramInfo> programs;
+    std::size_t bad_chunk;
+  } cases[] = {
+      {"undefined program 1", {{undefined, 2, 1}}, one_program, 0},
+      {"second definition of program 0",
+       {{referenced, 2, 1}, {referenced, 2, 1}},
+       one_program,
+       1},
+      {"program thread count",
+       {{huge_threads, 1, 0}},
+       {{0, 0xFFFFFFFEU, 0}},
+       0},
+      {"thread op count", {{huge_ops, 1, 0}}, {{0, 1, 0xFFFFFFFEU}}, 0},
+      {"binding count", {{huge_binding, 2, 1}}, one_program, 0},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.what);
+    assemble_trace(variant.path, RawTrace{prefix, c.chunks, {"r"},
+                                          c.programs});
+    tracefmt::TraceReader reader(variant.path);
+    std::vector<tracefmt::Record> out;
+    for (std::size_t i = 0; i < c.bad_chunk; ++i) {
+      reader.decode_chunk(i, out);
+    }
+    try {
+      reader.decode_chunk(c.bad_chunk, out);
+      ADD_FAILURE() << "decoded";
+    } catch (const tracefmt::TraceError& e) {
+      const std::string message = e.what();
+      EXPECT_NE(message.find("chunk " + std::to_string(c.bad_chunk) + ": "),
+                std::string::npos)
+          << message;
+      EXPECT_NE(message.find(c.what), std::string::npos) << message;
+    }
+  }
 }
 
 TEST(TraceFmt, EveryIterationMarkerSitsAloneInItsChunk) {
@@ -618,6 +873,32 @@ TEST(TraceFmt, EveryIterationMarkerSitsAloneInItsChunk) {
   }
   EXPECT_EQ(steps, (std::vector<std::uint32_t>{1, 2, 3, 4, 5}));
   EXPECT_EQ(reader.iteration_chunks(), marker_chunks);
+}
+
+TEST(TraceFmt, DumpSizeIsFlatInTheIterationCount) {
+  TempFile short_dump("flat8.rtrc");
+  TempFile long_dump("flat64.rtrc");
+  harness::RunConfig config = tiny_config("ft", false);
+  config.iterations = 8;
+  const harness::TraceDumpStats small =
+      harness::dump_trace(config, short_dump.path);
+  config.iterations = 64;
+  const harness::TraceDumpStats big =
+      harness::dump_trace(config, long_dump.path);
+  // Programs are stored once; an iteration adds only its marker,
+  // references and advances.
+  EXPECT_EQ(big.programs, small.programs);
+  EXPECT_LE(big.bytes, small.bytes + 512 * (64 - 8))
+      << small.bytes << " B at 8 iterations";
+  // The op and region counts still count what was dispatched.
+  EXPECT_EQ((big.ops - small.ops) % 56, 0u);
+  EXPECT_GT(big.ops, small.ops);
+  EXPECT_EQ(tracefmt::TraceReader(long_dump.path).total_ops(), big.ops);
+  for (const std::string& path : {short_dump.path, long_dump.path}) {
+    const std::vector<std::uint32_t> defined = definitions_per_program(path);
+    EXPECT_EQ(defined.size(), small.programs);
+    EXPECT_EQ(defined, std::vector<std::uint32_t>(defined.size(), 1));
+  }
 }
 
 TEST(TraceFmt, TraceWithMarkersInBodyChunksReplaysWithoutSkipping) {
@@ -803,6 +1084,73 @@ TEST(ReplayHarness, CorruptChunkInASkippedIterationStillThrows) {
   std::vector<std::uint8_t> bytes = read_bytes(dump.path);
   bytes[flip] ^= 0x40;
   write_bytes(dump.path, bytes);
+  EXPECT_THROW((void)harness::run_benchmark(config), tracefmt::TraceError);
+}
+
+TEST(ReplayHarness, CorruptProgramDefinitionThrows) {
+  TempFile dump("corrupt_program.rtrc");
+  harness::RunConfig config = tiny_config("rr", false);
+  config.iterations = 10;
+  (void)harness::dump_trace(config, dump.path);
+  config.replay = dump.path;
+  (void)harness::run_benchmark(config);
+
+  // The cold start's first record after its marker defines program 0:
+  // kind byte, one-byte id, then the body, which every later reference
+  // replays.
+  std::size_t flip = 0;
+  {
+    tracefmt::TraceReader reader(dump.path);
+    std::vector<tracefmt::Record> records;
+    reader.decode_chunk(0, records);
+    ASSERT_GE(records.size(), 2u);
+    ASSERT_EQ(records[1].kind, tracefmt::RecordKind::kProgram);
+    ASSERT_EQ(records[1].program_id, 0u);
+    ASSERT_GE(records[1].program.size(), 8u);
+    flip = reader.chunk(0).offset + sizeof(tracefmt::ChunkHeader) + 3 +
+           records[1].program.size();
+  }
+  std::vector<std::uint8_t> bytes = read_bytes(dump.path);
+  bytes[flip] ^= 0x40;
+  write_bytes(dump.path, bytes);
+  EXPECT_THROW((void)harness::run_benchmark(config), tracefmt::TraceError);
+}
+
+TEST(ReplayHarness, RedefinitionInASkippedIterationStillThrows) {
+  TempFile dump("redefine_src.rtrc");
+  TempFile crafted("redefine.rtrc");
+  harness::RunConfig config = tiny_config("rr", false);
+  config.iterations = 10;
+  (void)harness::dump_trace(config, dump.path);
+  config.replay = dump.path;
+  const harness::RunResult intact = harness::run_benchmark(config);
+  ASSERT_GT(intact.iterations_replayed, 0u);
+  ASSERT_EQ(intact.iterations_simulated + intact.iterations_replayed, 10u);
+
+  // From the last simulated iteration on, every body starts with a
+  // definition of one extra, unreferenced program: the first is valid,
+  // each later one a byte-equal second definition. A full replay
+  // rejects iteration k + 1; so must the fast-forward, whose first
+  // synthesized iteration has iteration k as its twin.
+  const std::uint32_t k = intact.iterations_simulated;
+  RawTrace raw = read_raw(dump.path);
+  const std::vector<std::size_t> markers =
+      tracefmt::TraceReader(dump.path).iteration_chunks();
+  const auto extra = static_cast<std::uint32_t>(raw.programs.size());
+  for (std::uint32_t step = k; step <= 10; ++step) {
+    RawChunk& body = raw.chunks[markers[step - 1] + 1];
+    std::vector<std::uint8_t> payload;
+    put_program(payload, extra);
+    payload.insert(payload.end(), body.payload.begin(), body.payload.end());
+    body.payload = payload;
+    ++body.records;
+  }
+  raw.programs.push_back({markers[k - 1] + 1, 1, 1});
+  assemble_trace(crafted.path, raw);
+
+  config.replay = crafted.path;
+  EXPECT_THROW((void)harness::run_benchmark(config), tracefmt::TraceError);
+  config.no_fast_forward = true;
   EXPECT_THROW((void)harness::run_benchmark(config), tracefmt::TraceError);
 }
 

@@ -2,19 +2,23 @@
 """Inspect an RTRC binary trace file (see DESIGN.md section 16).
 
 Usage:
-    tools/trace_info.py TRACE.rtrc            # header, meta, chunk table
+    tools/trace_info.py TRACE.rtrc            # header, meta, tables
     tools/trace_info.py TRACE.rtrc --verify   # + recompute every digest
 
-Prints the file header, decoded metadata, the footer's chunk table and
-the region-name table.  With --verify the FNV-1a digest of the metadata
-block and of every chunk payload is recomputed and compared against the
-stored values; any mismatch (or structural inconsistency between the
+Prints the file header, decoded metadata, the footer's chunk table,
+the region-name table and the program table (each distinct compiled
+program, stored once: the chunk defining it, its thread and op
+counts).  With --verify the FNV-1a digest of the metadata block and of
+every chunk payload is recomputed and compared against the stored
+values, every record is decoded, and every program id must be defined
+exactly once, in the chunk the program table names, before its first
+reference; any mismatch (or structural inconsistency between the
 footer and the chunk headers) exits nonzero.  CI runs --verify on the
-trace dumped by the replay smoke step, so a silent encoder change that
-still replays cleanly is caught here.
+traces its replay smoke and fast-forward steps dump, so a silent
+encoder change that still replays cleanly is caught here.
 
 Pure standard library; layout constants mirror
-src/tracefmt/include/repro/tracefmt/format.hpp (RTRC version 1).
+src/tracefmt/include/repro/tracefmt/format.hpp (RTRC version 2).
 """
 
 import argparse
@@ -25,18 +29,19 @@ FILE_MAGIC = 0x43525452  # "RTRC"
 CHUNK_MAGIC = 0x4B435452  # "RTCK"
 TABLE_MAGIC = 0x42545452  # "RTTB"
 FOOTER_MAGIC = 0x4E455452  # "RTEN"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 FILE_HEADER = struct.Struct("<IIQQQ")  # magic, version, meta_bytes, meta_digest, reserved
 CHUNK_HEADER = struct.Struct("<IIQQQQ")  # magic, reserved, payload, records, ops, digest
-FOOTER = struct.Struct("<IIQQQQQ")  # magic, version, chunks, table_off, names_off, records, ops
+# magic, version, chunks, table_off, names_off, programs_off, records, ops
+FOOTER = struct.Struct("<IIQQQQQQ")
 
 FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x00000100000001B3
 MASK64 = (1 << 64) - 1
 
-RECORD_KINDS = {0: "define_name", 1: "cold_begin", 2: "iteration_begin",
-                3: "region", 4: "advance"}
+RECORD_KINDS = {1: "cold_begin", 2: "iteration_begin", 3: "region",
+                4: "advance", 5: "program"}
 
 
 def fnv1a(data: bytes) -> int:
@@ -107,46 +112,107 @@ def decode_meta(blob: bytes) -> dict:
     return meta
 
 
-def count_record_kinds(payload: bytes, record_count: int) -> dict:
-    """Tallies record kinds in one chunk payload (structural decode)."""
+def skip_program_body(payload: bytes, c: Cursor) -> tuple:
+    """Walks one program body; returns (threads, ops)."""
+    num_threads = c.varint()
+    c.varint()  # max_access_lines
+    c.varint()  # max_line_begin
+    ops = 0
+    for _ in range(num_threads):
+        count = c.varint()
+        ops += count
+        for _ in range(count):
+            if c.at >= len(payload):
+                raise ValueError("op past end of payload")
+            flags = payload[c.at]
+            c.at += 1
+            if flags & ~0xF:
+                raise ValueError(f"unknown op flags {flags:#x}")
+            if flags & 0x1:  # access
+                c.varint()  # page delta (zigzag)
+                c.varint()  # lines
+                c.varint()  # line_begin
+            c.varint()  # compute
+    return num_threads, ops
+
+
+def read_chunk(data: bytes, row: dict) -> bytes:
+    """Checks a chunk's header against its table row and its payload
+    against its digest; returns the payload."""
+    (magic, _, payload_bytes, records, ops, digest) = \
+        CHUNK_HEADER.unpack_from(data, row["offset"])
+    if magic != CHUNK_MAGIC:
+        raise ValueError(f"bad magic {magic:#x}")
+    if (payload_bytes, records, ops, digest) != (
+            row["payload_bytes"], row["record_count"], row["op_count"],
+            row["payload_digest"]):
+        raise ValueError("header disagrees with chunk table")
+    start = row["offset"] + CHUNK_HEADER.size
+    payload = data[start:start + payload_bytes]
+    if fnv1a(payload) != digest:
+        raise ValueError("payload digest mismatch")
+    return payload
+
+
+def decode_chunk(index: int, payload: bytes, record_count: int,
+                 op_count: int, programs: list, defined: int, names: list,
+                 kinds: dict) -> int:
+    """Decodes one chunk payload, tallying record kinds into `kinds`.
+
+    `defined` is the number of programs defined before this chunk; the
+    count after it is returned.  A definition must carry the next id
+    and sit in the chunk the program table names, and a region may
+    reference only ids already defined.
+    """
     c = Cursor(payload)
-    kinds = {}
+    ops = 0
     for _ in range(record_count):
+        if c.at >= len(payload):
+            raise ValueError("record past end of payload")
         kind = payload[c.at]
         c.at += 1
         name = RECORD_KINDS.get(kind)
         if name is None:
             raise ValueError(f"unknown record kind {kind}")
         kinds[name] = kinds.get(name, 0) + 1
-        if name == "define_name":
+        if name in ("iteration_begin", "advance"):
             c.varint()
-            c.string()
-        elif name == "iteration_begin" or name == "advance":
-            c.varint()
+        elif name == "program":
+            pid = c.varint()
+            if pid < defined:
+                raise ValueError(f"second definition of program {pid}")
+            if pid != defined or pid >= len(programs) or \
+                    programs[pid]["chunk"] != index:
+                raise ValueError(f"program {pid} is defined out of step "
+                                 "with the program table")
+            defined += 1
+            shape = skip_program_body(payload, c)
+            row = programs[pid]
+            if shape != (row["threads"], row["ops"]):
+                raise ValueError(f"program {pid} disagrees with the "
+                                 "program table")
         elif name == "region":
-            c.varint()  # name_id
-            num_threads = c.varint()
-            binding_kind = payload[c.at]
-            c.at += 1
-            if binding_kind == 1:
-                for _ in range(num_threads):
-                    c.varint()
-            elif binding_kind != 0:
-                raise ValueError(f"unknown binding kind {binding_kind}")
-            c.varint()  # max_access_lines
-            c.varint()  # max_line_begin
-            for _ in range(num_threads):
-                for _ in range(c.varint()):
-                    flags = payload[c.at]
-                    c.at += 1
-                    if flags & 0x1:  # access
-                        c.varint()  # page delta (zigzag)
-                        c.varint()  # lines
-                        c.varint()  # line_begin
-                    c.varint()  # compute
+            pid = c.varint()
+            if pid >= defined:
+                raise ValueError(f"region references undefined program "
+                                 f"{pid}")
+            programs[pid]["references"] += 1
+            if c.varint() >= len(names):
+                raise ValueError("region references an undefined name")
+            binding = c.varint()
+            if binding not in (0, programs[pid]["threads"]):
+                raise ValueError("region binding does not match its "
+                                 "program's thread count")
+            for _ in range(binding):
+                c.varint()
+            ops += programs[pid]["ops"]
     if c.at != len(payload):
         raise ValueError("chunk payload has trailing bytes")
-    return kinds
+    if defined != sum(1 for p in programs if p["chunk"] <= index):
+        raise ValueError(f"missing the definition of program {defined}")
+    if ops != op_count:
+        raise ValueError(f"op count {op_count} != {ops} referenced")
+    return defined
 
 
 def fail(message: str) -> None:
@@ -180,7 +246,7 @@ def main() -> None:
     except ValueError as e:
         fail(f"{args.trace}: {e}")
 
-    (f_magic, f_version, chunk_count, table_off, names_off,
+    (f_magic, f_version, chunk_count, table_off, names_off, programs_off,
      total_records, total_ops) = FOOTER.unpack_from(
          data, len(data) - FOOTER.size)
     if f_magic != FOOTER_MAGIC:
@@ -204,6 +270,13 @@ def main() -> None:
 
     names_cursor = Cursor(data[:len(data) - FOOTER.size], names_off)
     names = [names_cursor.string() for _ in range(names_cursor.varint())]
+    programs_cursor = Cursor(data[:len(data) - FOOTER.size], programs_off)
+    programs = [
+        {"chunk": programs_cursor.varint(),
+         "threads": programs_cursor.varint(),
+         "ops": programs_cursor.varint(), "references": 0}
+        for _ in range(programs_cursor.varint())
+    ]
 
     print(f"file:          {args.trace} ({len(data)} bytes)")
     print(f"format:        RTRC version {version}")
@@ -217,9 +290,14 @@ def main() -> None:
     print(f"hot ranges:    " + (", ".join(
         f"[{r['first_page']}, {r['first_page'] + r['pages']})"
         for r in meta["hot_ranges"]) or "-"))
-    print(f"totals:        {total_records} records, {total_ops} ops, "
-          f"{chunk_count} chunk(s)")
+    print(f"totals:        {total_records} records, {total_ops} ops "
+          f"dispatched, {chunk_count} chunk(s), {len(programs)} program(s) "
+          f"of {sum(p['ops'] for p in programs)} ops")
     print(f"region names:  {', '.join(names) or '-'}")
+    print()
+    print("program  chunk   threads  ops")
+    for i, p in enumerate(programs):
+        print(f"{i:<8} {p['chunk']:<7} {p['threads']:<8} {p['ops']}")
     print()
     print("chunk  offset      payload  records  ops      digest")
     for i, c in enumerate(chunks):
@@ -234,6 +312,10 @@ def main() -> None:
         fail(f"chunk table records {sum_records} != footer {total_records}")
     if sum_ops != total_ops:
         fail(f"chunk table ops {sum_ops} != footer {total_ops}")
+    table_chunks = [p["chunk"] for p in programs]
+    if table_chunks != sorted(table_chunks) or \
+            any(c >= len(chunks) for c in table_chunks):
+        fail("program table names chunks out of order or past the end")
 
     if not args.verify:
         return
@@ -243,39 +325,28 @@ def main() -> None:
         print("VERIFY: metadata digest mismatch", file=sys.stderr)
         failures += 1
     record_kinds = {}
+    defined = 0
     for i, c in enumerate(chunks):
-        (h_magic, _, h_payload, h_records, h_ops, h_digest) = \
-            CHUNK_HEADER.unpack_from(data, c["offset"])
-        if h_magic != CHUNK_MAGIC:
-            print(f"VERIFY: chunk {i}: bad magic {h_magic:#x}",
-                  file=sys.stderr)
-            failures += 1
-            continue
-        if (h_payload, h_records, h_ops, h_digest) != (
-                c["payload_bytes"], c["record_count"], c["op_count"],
-                c["payload_digest"]):
-            print(f"VERIFY: chunk {i}: header disagrees with chunk table",
-                  file=sys.stderr)
-            failures += 1
-        payload = data[c["offset"] + CHUNK_HEADER.size:
-                       c["offset"] + CHUNK_HEADER.size + h_payload]
-        if fnv1a(payload) != h_digest:
-            print(f"VERIFY: chunk {i}: payload digest mismatch",
-                  file=sys.stderr)
-            failures += 1
-            continue
         try:
-            for kind, n in count_record_kinds(payload, h_records).items():
-                record_kinds[kind] = record_kinds.get(kind, 0) + n
+            payload = read_chunk(data, c)
+            defined = decode_chunk(i, payload, c["record_count"],
+                                   c["op_count"], programs, defined, names,
+                                   record_kinds)
         except ValueError as e:
             print(f"VERIFY: chunk {i}: {e}", file=sys.stderr)
             failures += 1
+            # Resynchronise with the table: one bad chunk, one failure.
+            defined = sum(1 for p in programs if p["chunk"] <= i)
     print()
     print("records:       " + (", ".join(
         f"{n} {kind}" for kind, n in sorted(record_kinds.items())) or "-"))
+    print("references:    " + (", ".join(
+        f"program {i} x{p['references']}"
+        for i, p in enumerate(programs)) or "-"))
     if failures:
         fail(f"{failures} verification failure(s)")
-    print(f"verify:        OK ({len(chunks)} chunk digest(s) + metadata)")
+    print(f"verify:        OK ({len(chunks)} chunk digest(s) + metadata, "
+          f"{len(programs)} program(s) each defined once before use)")
 
 
 if __name__ == "__main__":
