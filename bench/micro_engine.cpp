@@ -3,8 +3,9 @@
 // access path, page migration, UPMlib scan/migrate passes, machine
 // bring-up, the daemon cell's kernel digest, the line-grain coherence
 // model's per-line cost, the canonical-trace digest and whole
-// simulated iterations. These measure *host* performance of the
-// simulator (how fast the reproduction runs), not simulated time.
+// simulated iterations, with and without the kernel daemon. These
+// measure *host* performance of the simulator (how fast the
+// reproduction runs), not simulated time.
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -282,6 +283,24 @@ void BM_NasIteration(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_NasIteration)->Unit(benchmark::kMillisecond);
+
+void BM_NasIterationDaemon(benchmark::State& state) {
+  // The paper-daemon shape: one full SP rr iteration with the kernel
+  // migration daemon on, so every miss also runs the counter increment
+  // and the daemon's comparator.
+  auto machine = omp::Machine::create(memsys::MachineConfig{});
+  machine->set_placement("rr");
+  machine->enable_kernel_daemon(os::DaemonConfig{});
+  nas::WorkloadParams params;
+  auto workload = nas::make_workload("SP", params);
+  workload->setup(*machine);
+  workload->cold_start(*machine);
+  std::uint32_t step = 1;
+  for (auto _ : state) {
+    workload->iteration(*machine, nas::IterationContext{}, step++);
+  }
+}
+BENCHMARK(BM_NasIterationDaemon)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

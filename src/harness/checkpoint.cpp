@@ -1,10 +1,14 @@
 #include "repro/harness/checkpoint.hpp"
 
+#include <array>
+#include <charconv>
+#include <cmath>
 #include <fstream>
 #include <iomanip>
+#include <optional>
+#include <span>
 #include <sstream>
 #include <string_view>
-#include <unordered_map>
 
 #include "repro/common/hash.hpp"
 #include "repro/harness/atomic_file.hpp"
@@ -57,14 +61,136 @@ std::string fence_line(std::string_view body) {
   return os.str();
 }
 
-bool split_u64(const std::string& s, std::vector<std::uint64_t>* out) {
-  out->clear();
-  std::istringstream is(s);
-  std::uint64_t v = 0;
-  while (is >> v) {
-    out->push_back(v);
+// --- decode_result's parsing: string_views over the body, no copies --
+
+/// The keys decode_result reads, in encode_result's order.
+enum Key : std::uint8_t {
+  kVersion,
+  kIdentity,
+  kLabel,
+  kBenchmark,
+  kTotal,
+  kIterationTimes,
+  kIterationsSimulated,
+  kIterationsReplayed,
+  kFaultRate,
+  kTraceDigest,
+  kMem,
+  kKernel,
+  kDaemon,
+  kUpm,
+  kUpmPerInvocation,
+  kFault,
+  kCoherence,
+  kMetricIteration,
+  kMetricMigrations,
+  kMetricQueueP95,
+  kMetricFaults,
+  kSweep,
+  kNumKeys,
+};
+
+constexpr std::array<std::string_view, kNumKeys> kKeyNames = {
+    "version",
+    "identity",
+    "label",
+    "benchmark",
+    "total",
+    "iteration_times",
+    "iterations_simulated",
+    "iterations_replayed",
+    "fault_rate",
+    "trace_digest",
+    "mem",
+    "kernel",
+    "daemon",
+    "upm",
+    "upm_migrations_per_invocation",
+    "fault",
+    "coherence",
+    "metric_iteration",
+    "metric_migrations",
+    "metric_queue_p95",
+    "metric_faults",
+    "sweep",
+};
+
+/// Calls `f` with each space-separated decimal u64 of `s`. False on a
+/// token from_chars does not consume whole: a sign, any other
+/// character, or a value past 2^64 - 1.
+template <class F>
+bool for_each_u64(std::string_view s, F&& f) {
+  const char* p = s.data();
+  const char* const end = p + s.size();
+  while (true) {
+    while (p != end && *p == ' ') {
+      ++p;
+    }
+    if (p == end) {
+      return true;
+    }
+    std::uint64_t v = 0;
+    const auto [next, ec] = std::from_chars(p, end, v);
+    if (ec != std::errc{} || (next != end && *next != ' ')) {
+      return false;
+    }
+    f(v);
+    p = next;
   }
-  return is.eof();
+}
+
+/// Space-separated tokens in `s`: sizes a column before it is parsed,
+/// so decoded results hold no spare capacity.
+std::size_t count_tokens(std::string_view s) {
+  std::size_t n = 0;
+  char prev = ' ';
+  for (const char c : s) {
+    n += static_cast<std::size_t>(prev == ' ' && c != ' ');
+    prev = c;
+  }
+  return n;
+}
+
+bool parse_u64s(std::string_view s, std::vector<std::uint64_t>* out) {
+  out->clear();
+  out->reserve(count_tokens(s));
+  return for_each_u64(s, [out](std::uint64_t v) { out->push_back(v); });
+}
+
+/// Exactly out.size() numbers.
+bool parse_fixed(std::string_view s, std::span<std::uint64_t> out) {
+  std::size_t n = 0;
+  return for_each_u64(s,
+                      [&](std::uint64_t v) {
+                        if (n < out.size()) {
+                          out[n] = v;
+                        }
+                        ++n;
+                      }) &&
+         n == out.size();
+}
+
+/// The whole of `s` as one double. Subnormal values are refused:
+/// strtod-based readers report them as ERANGE, so a body holding one
+/// was never readable and must not become readable.
+bool parse_double(std::string_view s, double* out) {
+  double v = 0.0;
+  const auto [next, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (ec != std::errc{} || next != s.data() + s.size() ||
+      std::fpclassify(v) == FP_SUBNORMAL) {
+    return false;
+  }
+  *out = v;
+  return true;
+}
+
+/// True when `s` is exactly the decimal text of `v`.
+bool is_decimal(std::string_view s, std::uint64_t v) {
+  std::array<char, 24> buf{};
+  const auto [end, ec] = std::to_chars(buf.data(), buf.data() + buf.size(), v);
+  return ec == std::errc{} &&
+         s == std::string_view(buf.data(), static_cast<std::size_t>(
+                                               end - buf.data()));
 }
 
 }  // namespace
@@ -260,96 +386,89 @@ std::string encode_result(std::uint64_t identity, const RunResult& result) {
 
 bool decode_result(const std::string& text, std::uint64_t expected_identity,
                    RunResult* out, std::uint64_t* sweep_out) {
-  std::istringstream in(text);
-  std::unordered_map<std::string, std::string> kv;
-  std::string line;
-  while (std::getline(in, line)) {
+  // One pass splits the body into key=value lines; each known key keeps
+  // a view of its last value (unknown keys are ignored).
+  std::array<std::optional<std::string_view>, kNumKeys> values;
+  const std::string_view body = text;
+  for (std::size_t pos = 0; pos < body.size();) {
+    std::size_t eol = body.find('\n', pos);
+    if (eol == std::string_view::npos) {
+      eol = body.size();
+    }
+    const std::string_view line = body.substr(pos, eol - pos);
+    pos = eol + 1;
     const std::size_t eq = line.find('=');
-    if (eq == std::string::npos) {
+    if (eq == std::string_view::npos) {
       return false;
     }
-    kv[line.substr(0, eq)] = line.substr(eq + 1);
+    const std::string_view key = line.substr(0, eq);
+    for (std::size_t k = 0; k < kNumKeys; ++k) {
+      if (key == kKeyNames[k]) {
+        values[k] = line.substr(eq + 1);
+        break;
+      }
+    }
   }
-  const auto get = [&](const char* key) -> const std::string* {
-    const auto it = kv.find(key);
-    return it == kv.end() ? nullptr : &it->second;
-  };
-  const std::string* version = get("version");
-  const std::string* identity = get("identity");
-  if (version == nullptr || identity == nullptr ||
-      *version != std::to_string(kFormatVersion) ||
-      *identity != std::to_string(expected_identity)) {
+  for (std::size_t k = 0; k < kNumKeys; ++k) {
+    if (k != kSweep && !values[k].has_value()) {
+      return false;
+    }
+  }
+  const auto value = [&values](Key key) { return *values[key]; };
+  if (!is_decimal(value(kVersion), kFormatVersion) ||
+      !is_decimal(value(kIdentity), expected_identity)) {
     return false;
   }
   if (sweep_out != nullptr) {
     *sweep_out = 0;
-    std::vector<std::uint64_t> sv;
-    const std::string* sweep = get("sweep");
-    if (sweep != nullptr) {
-      if (!split_u64(*sweep, &sv) || sv.size() != 1) {
+    std::uint64_t sweep = 0;
+    if (values[kSweep].has_value()) {
+      if (!parse_fixed(*values[kSweep], {&sweep, 1})) {
         return false;
       }
-      *sweep_out = sv[0];
+      *sweep_out = sweep;
     }
   }
 
   RunResult r;
-  std::vector<std::uint64_t> v;
-  const auto want = [&](const char* key, std::size_t n) {
-    const std::string* s = get(key);
-    return s != nullptr && split_u64(*s, &v) && v.size() == n;
+  r.label = value(kLabel);
+  r.benchmark = value(kBenchmark);
+  r.trace_digest = value(kTraceDigest);
+  std::uint64_t one = 0;
+  std::array<std::uint64_t, 11> v{};
+  const auto fixed = [&v](std::string_view s, std::size_t n) {
+    return parse_fixed(s, std::span(v).first(n));
   };
-  const std::string* s = nullptr;
-  if ((s = get("label")) == nullptr) {
+  if (!parse_fixed(value(kTotal), {&one, 1})) {
     return false;
   }
-  r.label = *s;
-  if ((s = get("benchmark")) == nullptr) {
+  r.total = one;
+  if (!parse_u64s(value(kIterationTimes), &r.iteration_times) ||
+      !parse_fixed(value(kIterationsSimulated), {&one, 1})) {
     return false;
   }
-  r.benchmark = *s;
-  if (!want("total", 1)) {
+  r.iterations_simulated = static_cast<std::uint32_t>(one);
+  if (!parse_fixed(value(kIterationsReplayed), {&one, 1})) {
     return false;
   }
-  r.total = v[0];
-  if ((s = get("iteration_times")) == nullptr || !split_u64(*s, &v)) {
+  r.iterations_replayed = static_cast<std::uint32_t>(one);
+  if (!parse_double(value(kFaultRate), &r.fault_rate)) {
     return false;
   }
-  r.iteration_times = v;
-  if (!want("iterations_simulated", 1)) {
-    return false;
-  }
-  r.iterations_simulated = static_cast<std::uint32_t>(v[0]);
-  if (!want("iterations_replayed", 1)) {
-    return false;
-  }
-  r.iterations_replayed = static_cast<std::uint32_t>(v[0]);
-  if ((s = get("fault_rate")) == nullptr) {
-    return false;
-  }
-  try {
-    r.fault_rate = std::stod(*s);
-  } catch (const std::exception&) {
-    return false;
-  }
-  if ((s = get("trace_digest")) == nullptr) {
-    return false;
-  }
-  r.trace_digest = *s;
 
-  if (!want("mem", 6)) {
+  if (!fixed(value(kMem), 6)) {
     return false;
   }
   r.memory_totals = {v[0], v[1], v[2], v[3], v[4], v[5]};
-  if (!want("kernel", 8)) {
+  if (!fixed(value(kKernel), 8)) {
     return false;
   }
   r.kernel_stats = {v[0], v[1], v[2], v[3], v[4], v[5], v[6], v[7]};
-  if (!want("daemon", 8)) {
+  if (!fixed(value(kDaemon), 8)) {
     return false;
   }
   r.daemon_stats = {v[0], v[1], v[2], v[3], v[4], v[5], v[6], v[7]};
-  if (!want("upm", 11)) {
+  if (!fixed(value(kUpm), 11)) {
     return false;
   }
   r.upm_stats.distribution_migrations = v[0];
@@ -363,42 +482,47 @@ bool decode_result(const std::string& text, std::uint64_t expected_identity,
   r.upm_stats.hysteresis_deferrals = v[8];
   r.upm_stats.distribution_cost = v[9];
   r.upm_stats.recrep_cost = v[10];
-  if ((s = get("upm_migrations_per_invocation")) == nullptr ||
-      !split_u64(*s, &v)) {
+  if (!parse_u64s(value(kUpmPerInvocation),
+                  &r.upm_stats.migrations_per_invocation)) {
     return false;
   }
-  r.upm_stats.migrations_per_invocation = v;
-  if (!want("fault", 7)) {
+  if (!fixed(value(kFault), 7)) {
     return false;
   }
   r.fault_stats = {v[0], v[1], v[2], v[3], v[4], v[5], v[6]};
-  if (!want("coherence", 10)) {
+  if (!fixed(value(kCoherence), 10)) {
     return false;
   }
   r.coherence_enabled = v[0] != 0;
   r.coherence_totals = {v[1], v[2], v[3], v[4], v[5],
                         v[6], v[7], v[8], v[9]};
 
-  std::vector<std::uint64_t> iters;
-  std::vector<std::uint64_t> migrations;
-  std::vector<std::uint64_t> p95;
-  std::vector<std::uint64_t> faults;
-  if ((s = get("metric_iteration")) == nullptr || !split_u64(*s, &iters) ||
-      (s = get("metric_migrations")) == nullptr ||
-      !split_u64(*s, &migrations) ||
-      (s = get("metric_queue_p95")) == nullptr || !split_u64(*s, &p95) ||
-      (s = get("metric_faults")) == nullptr || !split_u64(*s, &faults) ||
-      migrations.size() != iters.size() || p95.size() != iters.size() ||
-      faults.size() != iters.size()) {
+  // Per-iteration metric columns: the iteration column sizes the rows,
+  // every other column must fill exactly those rows.
+  std::vector<trace::IterationMetrics>& rows = r.iteration_metrics;
+  rows.reserve(count_tokens(value(kMetricIteration)));
+  if (!for_each_u64(value(kMetricIteration), [&rows](std::uint64_t x) {
+        rows.emplace_back().iteration = static_cast<std::uint32_t>(x);
+      })) {
     return false;
   }
-  r.iteration_metrics.resize(iters.size());
-  for (std::size_t i = 0; i < iters.size(); ++i) {
-    r.iteration_metrics[i].iteration =
-        static_cast<std::uint32_t>(iters[i]);
-    r.iteration_metrics[i].migrations = migrations[i];
-    r.iteration_metrics[i].queue_backlog_p95 = p95[i];
-    r.iteration_metrics[i].faults_injected = faults[i];
+  const auto column = [&rows](std::string_view s, auto field) {
+    std::size_t i = 0;
+    return for_each_u64(s,
+                        [&](std::uint64_t x) {
+                          if (i < rows.size()) {
+                            rows[i].*field = x;
+                          }
+                          ++i;
+                        }) &&
+           i == rows.size();
+  };
+  if (!column(value(kMetricMigrations), &trace::IterationMetrics::migrations) ||
+      !column(value(kMetricQueueP95),
+              &trace::IterationMetrics::queue_backlog_p95) ||
+      !column(value(kMetricFaults),
+              &trace::IterationMetrics::faults_injected)) {
+    return false;
   }
 
   *out = std::move(r);

@@ -10,6 +10,7 @@ namespace repro::memsys {
 Directory::Directory(std::size_t num_procs, bool sparse)
     : num_procs_(num_procs),
       words_per_entry_((num_procs + 63) / 64),
+      stride_(words_per_entry_ + 1),
       sparse_(sparse) {
   REPRO_REQUIRE(num_procs >= 1 && num_procs <= 65536);
   if (words_per_entry_ > 1) {
@@ -25,10 +26,9 @@ unsigned Directory::AccessOutcome::invalidations() const {
   return count;
 }
 
-bool Directory::live(std::uint32_t slot) const {
-  const std::uint64_t* w = words(slot);
+bool Directory::live(const std::uint64_t* e) const {
   for (std::size_t i = 0; i < words_per_entry_; ++i) {
-    if (w[i] != 0) {
+    if (e[i] != 0) {
       return true;
     }
   }
@@ -40,18 +40,17 @@ std::uint32_t Directory::find_slot(VPage page) const {
     const std::uint32_t* slot = index_.find(page.value());
     return slot == nullptr ? kNoSlot : *slot;
   }
-  return page.value() < meta_.size()
+  return page.value() * stride_ < entries_.size()
              ? static_cast<std::uint32_t>(page.value())
              : kNoSlot;
 }
 
 std::uint32_t Directory::ensure_slot(VPage page) {
   if (!sparse_) {
-    if (page.value() >= meta_.size()) {
-      const std::size_t size =
-          std::max<std::size_t>(page.value() + 1, meta_.size() * 2);
-      meta_.resize(size);
-      words_.resize(size * words_per_entry_, 0);
+    if (page.value() * stride_ >= entries_.size()) {
+      entries_.resize(std::max<std::size_t>((page.value() + 1) * stride_,
+                                            entries_.size() * 2),
+                      0);
     }
     return static_cast<std::uint32_t>(page.value());
   }
@@ -63,9 +62,8 @@ std::uint32_t Directory::ensure_slot(VPage page) {
     slot = free_slots_.back();
     free_slots_.pop_back();
   } else {
-    slot = static_cast<std::uint32_t>(meta_.size());
-    meta_.emplace_back();
-    words_.resize(words_.size() + words_per_entry_, 0);
+    slot = static_cast<std::uint32_t>(entries_.size() / stride_);
+    entries_.resize(entries_.size() + stride_, 0);
   }
   index_[page.value()] = slot;
   return slot;
@@ -82,58 +80,60 @@ void Directory::release_slot(VPage page, std::uint32_t slot) {
 
 Directory::AccessOutcome Directory::on_read(ProcId proc, VPage page) {
   REPRO_REQUIRE(proc.value() < num_procs_);
-  const std::uint32_t slot = ensure_slot(page);
-  if (!live(slot)) {
+  std::uint64_t* e = entry(ensure_slot(page));
+  if (!live(e)) {
     ++tracked_;
   }
-  words(slot)[proc.value() / 64] |= 1ULL << (proc.value() % 64);
-  Meta& m = meta_[slot];
-  if (m.has_owner && m.owner != proc.value()) {
+  e[proc.value() / 64] |= 1ULL << (proc.value() % 64);
+  std::uint64_t& owner = e[words_per_entry_];
+  if (owner != 0 && owner != proc.value() + 1ULL) {
     // A reader joins: the writer loses exclusivity but keeps its copy.
-    m.has_owner = false;
+    owner = 0;
   }
   return {};
 }
 
 Directory::AccessOutcome Directory::on_write(ProcId proc, VPage page) {
   REPRO_REQUIRE(proc.value() < num_procs_);
-  const std::uint32_t slot = ensure_slot(page);
-  if (!live(slot)) {
+  std::uint64_t* e = entry(ensure_slot(page));
+  if (!live(e)) {
     ++tracked_;
   }
-  std::uint64_t* w = words(slot);
   const std::size_t self_word = proc.value() / 64;
   const std::uint64_t self_bit = 1ULL << (proc.value() % 64);
   AccessOutcome out;
-  out.invalidate_mask = w[0] & (self_word == 0 ? ~self_bit : ~0ULL);
+  out.invalidate_mask = e[0] & (self_word == 0 ? ~self_bit : ~0ULL);
   if (words_per_entry_ > 1) {
     for (std::size_t i = 1; i < words_per_entry_; ++i) {
-      scratch_high_[i - 1] = w[i] & (self_word == i ? ~self_bit : ~0ULL);
+      scratch_high_[i - 1] = e[i] & (self_word == i ? ~self_bit : ~0ULL);
     }
     out.invalidate_high = scratch_high_;
   }
-  std::fill(w, w + words_per_entry_, 0);
-  w[self_word] = self_bit;
-  meta_[slot].owner = proc.value();
-  meta_[slot].has_owner = true;
+  std::fill(e, e + words_per_entry_, 0);
+  e[self_word] = self_bit;
+  e[words_per_entry_] = proc.value() + 1ULL;
   return out;
 }
 
 void Directory::on_evict(ProcId proc, VPage page) {
   REPRO_REQUIRE(proc.value() < num_procs_);
   const std::uint32_t slot = find_slot(page);
-  if (slot == kNoSlot || !live(slot)) {
+  if (slot == kNoSlot) {
     return;
   }
-  words(slot)[proc.value() / 64] &= ~(1ULL << (proc.value() % 64));
-  Meta& m = meta_[slot];
-  if (m.has_owner && m.owner == proc.value()) {
-    m.has_owner = false;
+  std::uint64_t* e = entry(slot);
+  if (!live(e)) {
+    return;
   }
-  if (!live(slot)) {
-    meta_[slot] = Meta{};
+  e[proc.value() / 64] &= ~(1ULL << (proc.value() % 64));
+  std::uint64_t& owner = e[words_per_entry_];
+  if (!live(e)) {
+    // The last sharer left, so no owner either.
+    owner = 0;
     --tracked_;
     release_slot(page, slot);
+  } else if (owner == proc.value() + 1ULL) {
+    owner = 0;
   }
 }
 
@@ -142,17 +142,14 @@ std::uint64_t Directory::digest() const {
   // exactly the behaviourally relevant ones; page order is
   // deterministic. High words are mixed only on > 64-proc machines,
   // keeping 16-node digests byte-identical to the single-word layout.
+  // The owner word holds the digest's owner value (id + 1, 0 = none).
   StateHash hash;
   hash.mix(tracked_);
-  const auto mix_entry = [&](std::uint64_t page, std::uint32_t slot) {
-    const std::uint64_t* w = words(slot);
+  const auto mix_entry = [&](std::uint64_t page, const std::uint64_t* e) {
     hash.mix(page);
-    hash.mix(w[0]);
-    for (std::size_t i = 1; i < words_per_entry_; ++i) {
-      hash.mix(w[i]);
+    for (std::size_t i = 0; i < stride_; ++i) {
+      hash.mix(e[i]);
     }
-    const Meta& m = meta_[slot];
-    hash.mix(m.has_owner ? m.owner + 1ull : 0ull);
   };
   if (sparse_) {
     std::vector<std::pair<std::uint64_t, std::uint32_t>> live_pages;
@@ -162,13 +159,14 @@ std::uint64_t Directory::digest() const {
     });
     std::sort(live_pages.begin(), live_pages.end());
     for (const auto& [page, slot] : live_pages) {
-      mix_entry(page, slot);
+      mix_entry(page, entry(slot));
     }
   } else {
-    for (std::size_t p = 0; p < meta_.size(); ++p) {
-      const auto slot = static_cast<std::uint32_t>(p);
-      if (live(slot)) {
-        mix_entry(p, slot);
+    const std::size_t slots = entries_.size() / stride_;
+    for (std::size_t p = 0; p < slots; ++p) {
+      const std::uint64_t* e = entry(static_cast<std::uint32_t>(p));
+      if (live(e)) {
+        mix_entry(p, e);
       }
     }
   }
@@ -177,7 +175,7 @@ std::uint64_t Directory::digest() const {
 
 std::uint64_t Directory::sharers(VPage page) const {
   const std::uint32_t slot = find_slot(page);
-  return slot == kNoSlot ? 0 : words(slot)[0];
+  return slot == kNoSlot ? 0 : entry(slot)[0];
 }
 
 bool Directory::is_exclusive(ProcId proc, VPage page) const {
@@ -185,15 +183,14 @@ bool Directory::is_exclusive(ProcId proc, VPage page) const {
   if (slot == kNoSlot) {
     return false;
   }
-  const Meta& m = meta_[slot];
-  if (!m.has_owner || m.owner != proc.value()) {
+  const std::uint64_t* e = entry(slot);
+  if (e[words_per_entry_] != proc.value() + 1ULL) {
     return false;
   }
-  const std::uint64_t* w = words(slot);
   for (std::size_t i = 0; i < words_per_entry_; ++i) {
     const std::uint64_t expected =
         i == proc.value() / 64 ? 1ULL << (proc.value() % 64) : 0;
-    if (w[i] != expected) {
+    if (e[i] != expected) {
       return false;
     }
   }

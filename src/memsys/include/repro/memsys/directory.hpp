@@ -67,24 +67,18 @@ class Directory {
   [[nodiscard]] std::uint64_t digest() const;
 
  private:
-  /// Sharer words live in `words_` at slot * words_per_entry_; a slot
-  /// whose words are all zero is dead (has_owner implies the owner is a
-  /// sharer, so an empty set also means no owner).
-  struct Meta {
-    /// Valid only when `has_owner`; identifies the exclusive writer.
-    std::uint32_t owner = 0;
-    bool has_owner = false;
-  };
-
   static constexpr std::uint32_t kNoSlot = UINT32_MAX;
 
-  [[nodiscard]] std::uint64_t* words(std::uint32_t slot) {
-    return &words_[static_cast<std::size_t>(slot) * words_per_entry_];
+  /// Slot `slot`'s entry: its sharer words, then its owner word.
+  [[nodiscard]] std::uint64_t* entry(std::uint32_t slot) {
+    return &entries_[static_cast<std::size_t>(slot) * stride_];
   }
-  [[nodiscard]] const std::uint64_t* words(std::uint32_t slot) const {
-    return &words_[static_cast<std::size_t>(slot) * words_per_entry_];
+  [[nodiscard]] const std::uint64_t* entry(std::uint32_t slot) const {
+    return &entries_[static_cast<std::size_t>(slot) * stride_];
   }
-  [[nodiscard]] bool live(std::uint32_t slot) const;
+  /// True while any sharer bit is set. A dead slot's owner word is 0
+  /// too (has_owner implies the owner is a sharer).
+  [[nodiscard]] bool live(const std::uint64_t* e) const;
 
   /// Slot of `page`, or kNoSlot when the page has no live entry.
   [[nodiscard]] std::uint32_t find_slot(VPage page) const;
@@ -95,10 +89,15 @@ class Directory {
 
   std::size_t num_procs_;
   std::size_t words_per_entry_;
+  /// Words per slot: the sharer words plus one owner word.
+  std::size_t stride_;
   bool sparse_;
 
-  std::vector<Meta> meta_;
-  std::vector<std::uint64_t> words_;
+  /// One array of slots, `stride_` words each: sharer bitmap words
+  /// (ceil(num_procs / 64)), then the owner word -- 0 for none, else
+  /// the exclusive writer's id + 1. A miss touches one slot, one cache
+  /// line at the paper's 16 processors (two words).
+  std::vector<std::uint64_t> entries_;
   /// Sparse backend: page -> slot, plus recycled slots.
   FlatMap<std::uint32_t> index_;
   std::vector<std::uint32_t> free_slots_;

@@ -143,6 +143,10 @@ class MemorySystem final : public TlbInvalidator {
   /// Cumulative queueing wait observed at a node's memory module.
   [[nodiscard]] const MemQueue& queue(NodeId node) const;
 
+  /// Read-only views of the page-grain state (tests and tools).
+  [[nodiscard]] const Directory& directory() const { return directory_; }
+  [[nodiscard]] const PageCache& cache(ProcId proc) const;
+
   /// Emits one kQueueSample event per node into `lane`: the backlog
   /// (how far each module's busy horizon extends past `now`) and the
   /// cumulative lines served. Called at region joins by the OpenMP

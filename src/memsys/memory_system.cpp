@@ -346,6 +346,11 @@ const MemQueue& MemorySystem::queue(NodeId node) const {
   return queues_[node.value()];
 }
 
+const PageCache& MemorySystem::cache(ProcId proc) const {
+  REPRO_REQUIRE(proc.value() < config_.num_procs());
+  return caches_[proc.value()];
+}
+
 void MemorySystem::sample_queues(trace::TraceSink& sink, std::uint16_t lane,
                                  Ns now) const {
   for (std::uint32_t n = 0; n < queues_.size(); ++n) {

@@ -93,7 +93,7 @@ memsys::HomeInfo Kernel::resolve(ProcId accessor, VPage page, bool write) {
   const NodeId home = phys_.node_of(frame);
   if (write) {
     entry->dirty = true;
-    if (!entry->replicas.empty()) {
+    if (entry->has_replicas()) {
       // Writing a replicated page collapses every replica (the
       // page-grain coherence action); the cost lands on the writer.
       pending_penalty_ += collapse_replicas(page);
@@ -103,10 +103,10 @@ memsys::HomeInfo Kernel::resolve(ProcId accessor, VPage page, bool write) {
   // Reads are served from the closest copy; the reference counters
   // stay aggregated on the primary frame.
   NodeId best = home;
-  if (!entry->replicas.empty()) {
+  if (entry->has_replicas()) {
     const NodeId from = node_of(accessor);
     unsigned best_hops = topology_->hops(from, best);
-    for (const FrameId replica : entry->replicas) {
+    for (const FrameId replica : entry->replicas()) {
       const NodeId node = phys_.node_of(replica);
       const unsigned h = topology_->hops(from, node);
       if (h < best_hops) {
@@ -217,7 +217,7 @@ Ns Kernel::on_write_hit(ProcId /*accessor*/, VPage page) {
     return 0;
   }
   entry->dirty = true;
-  if (entry->replicas.empty()) {
+  if (!entry->has_replicas()) {
     return 0;
   }
   return collapse_replicas(page);
@@ -231,7 +231,7 @@ ReplicationResult Kernel::replicate_page(VPage page, NodeId target) {
   if (home_of(page) == target) {
     return out;
   }
-  for (const FrameId replica : table_.entry(page).replicas) {
+  for (const FrameId replica : table_.replicas(page)) {
     if (phys_.node_of(replica) == target) {
       return out;
     }
@@ -286,7 +286,7 @@ Ns Kernel::collapse_replicas(VPage page) {
 }
 
 std::size_t Kernel::replica_count(VPage page) const {
-  return table_.entry(page).replicas.size();
+  return table_.replicas(page).size();
 }
 
 bool Kernel::is_dirty(VPage page) const { return table_.is_dirty(page); }

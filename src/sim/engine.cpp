@@ -1,8 +1,8 @@
 #include "repro/sim/engine.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
-#include <utility>
 
 #include "repro/common/assert.hpp"
 
@@ -25,25 +25,26 @@ double RegionResult::imbalance() const {
 
 Engine::Engine(memsys::MemorySystem& memory) : memory_(&memory) {}
 
-void Engine::sift_down_root() {
+void Engine::sift_down_root(std::uint64_t key) {
+  // Keys are distinct (the thread id is in the low bits), so the
+  // smaller child is the only candidate to move up.
   const std::size_t n = heap_.size();
-  std::size_t i = 0;
+  std::size_t hole = 0;
   while (true) {
-    const std::size_t left = 2 * i + 1;
-    const std::size_t right = left + 1;
-    std::size_t best = i;
-    if (left < n && earlier(heap_[left], heap_[best])) {
-      best = left;
-    }
-    if (right < n && earlier(heap_[right], heap_[best])) {
-      best = right;
-    }
-    if (best == i) {
+    std::size_t child = 2 * hole + 1;
+    if (child >= n) {
       break;
     }
-    std::swap(heap_[i], heap_[best]);
-    i = best;
+    if (child + 1 < n && heap_[child + 1] < heap_[child]) {
+      ++child;
+    }
+    if (key < heap_[child]) {
+      break;
+    }
+    heap_[hole] = heap_[child];
+    hole = child;
   }
+  heap_[hole] = key;
 }
 
 RegionResult Engine::run(Ns start, const RegionProgram& program,
@@ -60,6 +61,13 @@ RegionResult Engine::run(Ns start, const RegionProgram& program,
       "access op line_begin exceeds lines per page");
 
   const auto num_threads = static_cast<std::uint32_t>(program.num_threads());
+  // Schedule keys: clock << bits | thread. One thread needs no bits.
+  const auto bits = static_cast<unsigned>(std::bit_width(num_threads - 1));
+  const std::uint64_t thread_mask = (std::uint64_t{1} << bits) - 1;
+  const Ns max_clock = std::numeric_limits<Ns>::max() >> bits;
+  REPRO_REQUIRE_MSG(start <= max_clock,
+                    "region start clock outside the schedule key range");
+
   RegionResult result;
   result.start = start;
   result.end = start;
@@ -68,16 +76,17 @@ RegionResult Engine::run(Ns start, const RegionProgram& program,
   cursor_.assign(num_threads, 0);
   heap_.clear();
   // Every thread starts at `start`, in ascending thread order: the
-  // array is sorted by earlier(), so it is already a valid heap.
+  // keys ascend, so the array is already a valid heap.
   for (std::uint32_t t = 0; t < num_threads; ++t) {
     cursor_[t] = program.thread_begin(t);
     if (program.thread_begin(t) != program.thread_end(t)) {
-      heap_.push_back({start, t});
+      heap_.push_back((start << bits) | t);
     }
   }
 
   while (!heap_.empty()) {
-    const Pending cur = heap_.front();
+    const std::uint64_t cur = heap_.front();
+    const auto thread = static_cast<std::uint32_t>(cur & thread_mask);
 
     // The root holds the earliest event. Its ops cannot be overtaken
     // by any other thread until its clock reaches the next queued
@@ -89,33 +98,35 @@ RegionResult Engine::run(Ns start, const RegionProgram& program,
     Ns limit = std::numeric_limits<Ns>::max();
     bool run_at_limit = true;
     if (heap_.size() > 1) {
-      const Pending& next =
-          heap_.size() > 2 && earlier(heap_[2], heap_[1]) ? heap_[2]
-                                                          : heap_[1];
-      limit = next.clock;
-      run_at_limit = cur.thread < next.thread;
+      const std::uint64_t next =
+          heap_.size() > 2 ? std::min(heap_[1], heap_[2]) : heap_[1];
+      limit = next >> bits;
+      run_at_limit = thread < (next & thread_mask);
     }
 
-    const ProcId proc =
-        binding.empty() ? ProcId(cur.thread) : binding[cur.thread];
+    const ProcId proc = binding.empty() ? ProcId(thread) : binding[thread];
     const memsys::MemorySystem::BatchResult batch = memory_->access_batch(
-        proc, program.slice(cur.thread, cursor_[cur.thread]), cur.clock,
-        limit, run_at_limit);
-    cursor_[cur.thread] += batch.executed;
+        proc, program.slice(thread, cursor_[thread]), cur >> bits, limit,
+        run_at_limit);
+    cursor_[thread] += batch.executed;
     ops_executed_ += batch.executed;
 
     // Re-seat the root in place with one sift-down. The schedule order
     // is total, so the sequence of roots is the same whatever the
     // heap's internal layout.
-    if (cursor_[cur.thread] < program.thread_end(cur.thread)) {
-      heap_.front().clock = batch.clock;
+    if (cursor_[thread] < program.thread_end(thread)) {
+      REPRO_REQUIRE_MSG(batch.clock <= max_clock,
+                        "thread clock outside the schedule key range");
+      sift_down_root((batch.clock << bits) | thread);
     } else {
-      result.thread_end[cur.thread] = batch.clock;
+      result.thread_end[thread] = batch.clock;
       result.end = std::max(result.end, batch.clock);
-      heap_.front() = heap_.back();
+      const std::uint64_t last = heap_.back();
       heap_.pop_back();
+      if (!heap_.empty()) {
+        sift_down_root(last);
+      }
     }
-    sift_down_root();
   }
   return result;
 }

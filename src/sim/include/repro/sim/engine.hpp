@@ -45,6 +45,10 @@ class Engine {
   /// clock, so the per-op priority-queue traffic of a naive
   /// discrete-event loop disappears while the access order (and thus
   /// every stat and sub-ns carry) stays bit-identical.
+  ///
+  /// Every clock of the run (`start` included) must stay below
+  /// 2^(64 - b), b = bit_width(num_threads - 1), or the schedule key
+  /// cannot hold it: ContractViolation, never a wrapped order.
   RegionResult run(Ns start, const RegionProgram& program,
                    std::span<const ProcId> binding = {});
 
@@ -59,28 +63,20 @@ class Engine {
   [[nodiscard]] std::uint64_t ops_executed() const { return ops_executed_; }
 
  private:
-  struct Pending {
-    Ns clock;
-    std::uint32_t thread;
-  };
-
-  /// Strict weak order of the schedule: earliest clock first, lower
-  /// thread id on ties (the order is total, so pop order is identical
-  /// to the std::priority_queue this heap replaced).
-  [[nodiscard]] static bool earlier(const Pending& a, const Pending& b) {
-    return a.clock != b.clock ? a.clock < b.clock : a.thread < b.thread;
-  }
-
-  /// Restores the heap after the root's clock grew or the root was
-  /// replaced by the last element.
-  void sift_down_root();
+  /// Restores the heap after the root's key grew or the root was
+  /// replaced by the last element, with `key` as the new root: moves a
+  /// hole down from the root instead of swapping.
+  void sift_down_root(std::uint64_t key);
 
   memsys::MemorySystem* memory_;
   std::uint64_t ops_executed_ = 0;
   /// Reusable run state: the pending-event min-heap and per-thread op
   /// cursors keep their capacity across region runs, so the steady
-  /// state allocates nothing per region.
-  std::vector<Pending> heap_;
+  /// state allocates nothing per region. Each pending thread is one
+  /// schedule key, `clock << b | thread` with b the bits the run's
+  /// thread count needs, so the schedule order -- earliest clock, lower
+  /// thread on ties -- is one unsigned compare.
+  std::vector<std::uint64_t> heap_;
   std::vector<std::uint32_t> cursor_;
 };
 

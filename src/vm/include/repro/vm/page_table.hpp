@@ -14,7 +14,9 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -26,20 +28,16 @@ namespace repro::vm {
 
 class PageTable {
  public:
+  /// One mapping. 32 bytes: the members a miss reads sit inline, and
+  /// the two that are empty in every paper cell -- replicas, and mapper
+  /// words for processors >= 64 -- live out of line behind one pointer
+  /// that is null while both are empty.
   struct Entry {
     FrameId frame;
     /// Bitmask of processors 0..63 that have faulted the page into
     /// their TLB since the last shootdown.
     std::uint64_t mapper_mask = 0;
-    /// Mapper words for processors >= 64 (word w covers processors
-    /// 64*(w+1)..64*(w+2)-1). Empty on machines with <= 64 processors,
-    /// which keeps their digests byte-identical to the single-word
-    /// representation.
-    std::vector<std::uint64_t> mapper_high;
     std::uint32_t migrations = 0;
-    /// Read-only replicas of the page on other nodes (frames holding
-    /// copies; the primary stays authoritative). Collapsed on write.
-    std::vector<FrameId> replicas;
     /// Written since the last clear_dirty() (drives the replication
     /// policy: only clean pages may replicate).
     bool dirty = false;
@@ -48,18 +46,52 @@ class PageTable {
     /// are mapped iff indexed.
     bool mapped = false;
 
+    Entry() = default;
+    Entry(const Entry& other);
+    Entry& operator=(const Entry& other);
+    Entry(Entry&&) noexcept = default;
+    Entry& operator=(Entry&&) noexcept = default;
+    ~Entry() = default;
+
     /// Records that `proc` established a TLB mapping for the page.
     void note_mapper(ProcId proc) {
       if (proc.value() < 64) {
         mapper_mask |= 1ULL << proc.value();
         return;
       }
-      const std::size_t word = proc.value() / 64 - 1;
-      if (word >= mapper_high.size()) {
-        mapper_high.resize(word + 1, 0);
-      }
-      mapper_high[word] |= 1ULL << (proc.value() % 64);
+      note_high_mapper(proc);
     }
+
+    /// Mapper words for processors >= 64 (word w covers processors
+    /// 64*(w+1)..64*(w+2)-1). Empty on machines with <= 64 processors,
+    /// which keeps their digests byte-identical to the single-word
+    /// representation.
+    [[nodiscard]] std::span<const std::uint64_t> mapper_high() const {
+      return rare_ == nullptr ? std::span<const std::uint64_t>{}
+                              : std::span<const std::uint64_t>(
+                                    rare_->mapper_high);
+    }
+    /// Read-only replicas of the page on other nodes (frames holding
+    /// copies; the primary stays authoritative), in creation order.
+    /// Collapsed on write.
+    [[nodiscard]] std::span<const FrameId> replicas() const {
+      return rare_ == nullptr ? std::span<const FrameId>{}
+                              : std::span<const FrameId>(rare_->replicas);
+    }
+    [[nodiscard]] bool has_replicas() const {
+      return rare_ != nullptr && !rare_->replicas.empty();
+    }
+
+   private:
+    friend class PageTable;
+    struct Rare {
+      std::vector<std::uint64_t> mapper_high;
+      std::vector<FrameId> replicas;
+    };
+    void note_high_mapper(ProcId proc);
+    /// Frees the out-of-line part once both of its vectors are empty.
+    void trim();
+    std::unique_ptr<Rare> rare_;
   };
 
   explicit PageTable(bool sparse = false) : sparse_(sparse) {}
@@ -117,7 +149,7 @@ class PageTable {
   void add_replica(VPage page, FrameId frame);
   /// Removes and returns all replica frames (write collapse).
   [[nodiscard]] std::vector<FrameId> take_replicas(VPage page);
-  [[nodiscard]] const std::vector<FrameId>& replicas(VPage page) const;
+  [[nodiscard]] std::span<const FrameId> replicas(VPage page) const;
 
   /// Number of processors with a live mapping.
   [[nodiscard]] unsigned mapper_count(VPage page) const;

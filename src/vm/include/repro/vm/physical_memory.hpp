@@ -11,6 +11,7 @@
 #include <optional>
 #include <vector>
 
+#include "repro/common/assert.hpp"
 #include "repro/common/strong_id.hpp"
 #include "repro/topology/topology.hpp"
 
@@ -35,7 +36,14 @@ class PhysicalMemory {
 
   void free(FrameId frame);
 
-  [[nodiscard]] NodeId node_of(FrameId frame) const;
+  /// On every miss (the kernel's resolve): a shift when frames_per_node
+  /// is a power of two, as it is at every paper shape.
+  [[nodiscard]] NodeId node_of(FrameId frame) const {
+    const auto idx = static_cast<std::size_t>(frame.value());
+    REPRO_REQUIRE(idx < allocated_.size());
+    return NodeId(static_cast<std::uint32_t>(
+        frame_shift_ >= 0 ? idx >> frame_shift_ : idx / frames_per_node_));
+  }
   [[nodiscard]] std::size_t free_frames(NodeId node) const;
   [[nodiscard]] std::size_t total_free() const;
   [[nodiscard]] std::size_t num_nodes() const { return num_nodes_; }
@@ -54,10 +62,18 @@ class PhysicalMemory {
  private:
   std::size_t num_nodes_;
   std::size_t frames_per_node_;
+  /// log2(frames_per_node_) when it is a power of two, else -1.
+  int frame_shift_;
   const topo::Topology* topology_;
-  std::vector<std::vector<FrameId>> free_lists_;  // by node (LIFO)
-  /// Smallest size each node's free list ever had (by node).
+  /// Each node's LIFO free list is stored lazily. Its bottom
+  /// `low_water_[n]` entries were never popped and still hold their
+  /// construction values: entry i is frame fpn - 1 - i of the node, so
+  /// the lowest frame id pops first. Only the entries above the mark
+  /// (frames freed since) are kept, in `above_[n]`, top last. A pop
+  /// below the mark hands out the next construction frame and lowers
+  /// the mark, so bring-up writes no list at all.
   std::vector<std::size_t> low_water_;
+  std::vector<std::vector<FrameId>> above_;
   std::vector<bool> allocated_;  // by frame
 };
 

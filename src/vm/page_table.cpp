@@ -8,6 +8,44 @@
 
 namespace repro::vm {
 
+// Two entries per 64-byte cache line on the dense table.
+static_assert(sizeof(PageTable::Entry) == 32);
+
+PageTable::Entry::Entry(const Entry& other)
+    : frame(other.frame),
+      mapper_mask(other.mapper_mask),
+      migrations(other.migrations),
+      dirty(other.dirty),
+      mapped(other.mapped),
+      rare_(other.rare_ == nullptr ? nullptr
+                                   : std::make_unique<Rare>(*other.rare_)) {}
+
+PageTable::Entry& PageTable::Entry::operator=(const Entry& other) {
+  if (this != &other) {
+    *this = Entry(other);
+  }
+  return *this;
+}
+
+void PageTable::Entry::note_high_mapper(ProcId proc) {
+  if (rare_ == nullptr) {
+    rare_ = std::make_unique<Rare>();
+  }
+  std::vector<std::uint64_t>& high = rare_->mapper_high;
+  const std::size_t word = proc.value() / 64 - 1;
+  if (word >= high.size()) {
+    high.resize(word + 1, 0);
+  }
+  high[word] |= 1ULL << (proc.value() % 64);
+}
+
+void PageTable::Entry::trim() {
+  if (rare_ != nullptr && rare_->mapper_high.empty() &&
+      rare_->replicas.empty()) {
+    rare_.reset();
+  }
+}
+
 PageTable::Entry& PageTable::mutable_entry(VPage page) {
   Entry* e = find(page);
   REPRO_REQUIRE_MSG(e != nullptr, "page not mapped");
@@ -57,12 +95,12 @@ FrameId PageTable::unmap(VPage page) {
 
 FrameId PageTable::remap(VPage page, FrameId frame) {
   Entry& e = mutable_entry(page);
-  REPRO_REQUIRE_MSG(e.replicas.empty(),
+  REPRO_REQUIRE_MSG(!e.has_replicas(),
                     "collapse replicas before migrating a page");
   const FrameId old = e.frame;
   e.frame = frame;
   e.mapper_mask = 0;
-  e.mapper_high.clear();
+  e.rare_.reset();  // no replicas, and the high mapper words clear
   ++e.migrations;
   return old;
 }
@@ -82,14 +120,23 @@ bool PageTable::is_dirty(VPage page) const { return entry(page).dirty; }
 void PageTable::add_replica(VPage page, FrameId frame) {
   Entry& e = mutable_entry(page);
   REPRO_REQUIRE_MSG(frame != e.frame, "replica must differ from primary");
-  for (const FrameId existing : e.replicas) {
+  for (const FrameId existing : e.replicas()) {
     REPRO_REQUIRE_MSG(existing != frame, "duplicate replica frame");
   }
-  e.replicas.push_back(frame);
+  if (e.rare_ == nullptr) {
+    e.rare_ = std::make_unique<Entry::Rare>();
+  }
+  e.rare_->replicas.push_back(frame);
 }
 
 std::vector<FrameId> PageTable::take_replicas(VPage page) {
-  return std::exchange(mutable_entry(page).replicas, {});
+  Entry& e = mutable_entry(page);
+  if (e.rare_ == nullptr) {
+    return {};
+  }
+  std::vector<FrameId> out = std::exchange(e.rare_->replicas, {});
+  e.trim();
+  return out;
 }
 
 std::vector<std::uint64_t> PageTable::sorted_pages() const {
@@ -111,15 +158,17 @@ std::uint64_t PageTable::digest() const {
     // High mapper words exist only on > 64-proc machines; skipping them
     // when empty keeps <= 64-proc digests byte-identical to the
     // historical single-word layout (the 16-node golden traces).
-    if (!e.mapper_high.empty()) {
-      hash.mix(e.mapper_high.size());
-      for (const std::uint64_t word : e.mapper_high) {
+    const std::span<const std::uint64_t> high = e.mapper_high();
+    if (!high.empty()) {
+      hash.mix(high.size());
+      for (const std::uint64_t word : high) {
         hash.mix(word);
       }
     }
     hash.mix(e.dirty ? 1 : 0);
-    hash.mix(e.replicas.size());
-    for (const FrameId replica : e.replicas) {
+    const std::span<const FrameId> replicas = e.replicas();
+    hash.mix(replicas.size());
+    for (const FrameId replica : replicas) {
       hash.mix(replica.value());
     }
   };
@@ -154,14 +203,14 @@ std::vector<std::pair<VPage, PageTable::Entry>> PageTable::entries() const {
   return out;
 }
 
-const std::vector<FrameId>& PageTable::replicas(VPage page) const {
-  return entry(page).replicas;
+std::span<const FrameId> PageTable::replicas(VPage page) const {
+  return entry(page).replicas();
 }
 
 unsigned PageTable::mapper_count(VPage page) const {
   const Entry& e = entry(page);
   auto count = static_cast<unsigned>(std::popcount(e.mapper_mask));
-  for (const std::uint64_t word : e.mapper_high) {
+  for (const std::uint64_t word : e.mapper_high()) {
     count += static_cast<unsigned>(std::popcount(word));
   }
   return count;

@@ -716,6 +716,178 @@ TEST(Checkpoint, EncodeDecodeKeepsCoherenceCounters) {
   EXPECT_EQ(results_to_json({decoded}), results_to_json({original}));
 }
 
+/// `body` with the value of `key`'s line passed through `edit`, or the
+/// line dropped when `edit` is null.
+std::string edit_line(const std::string& body, const std::string& key,
+                      std::string (*edit)(const std::string&)) {
+  std::istringstream in(body);
+  std::string out;
+  std::string line;
+  bool found = false;
+  while (std::getline(in, line)) {
+    if (line.rfind(key + "=", 0) == 0) {
+      found = true;
+      if (edit == nullptr) {
+        continue;
+      }
+      line = key + "=" + edit(line.substr(key.size() + 1));
+    }
+    out += line + "\n";
+  }
+  EXPECT_TRUE(found) << key;
+  return out;
+}
+
+/// Every key encode_result writes.
+const std::vector<std::string> kResultKeys = {
+    "version", "identity", "label", "benchmark", "total", "iteration_times",
+    "iterations_simulated", "iterations_replayed", "fault_rate",
+    "trace_digest", "mem", "kernel", "daemon", "upm",
+    "upm_migrations_per_invocation", "fault", "coherence",
+    "metric_iteration", "metric_migrations", "metric_queue_p95",
+    "metric_faults"};
+
+/// The keys whose values are decimal u64 lists.
+const std::vector<std::string> kNumericKeys = {
+    "total", "iteration_times", "iterations_simulated",
+    "iterations_replayed", "mem", "kernel", "daemon", "upm",
+    "upm_migrations_per_invocation", "fault", "coherence",
+    "metric_iteration", "metric_migrations", "metric_queue_p95",
+    "metric_faults"};
+
+void expect_round_trip(const RunConfig& config, std::size_t iterations) {
+  const RunResult original = run_benchmark(config);
+  ASSERT_EQ(original.iteration_times.size(), iterations);
+  ASSERT_EQ(original.iteration_metrics.size(), iterations);
+  const std::uint64_t id = config_identity(config);
+  const std::string body = encode_result(id, original);
+  RunResult decoded;
+  ASSERT_TRUE(decode_result(body, id, &decoded));
+  EXPECT_EQ(encode_result(id, decoded), body);
+  EXPECT_EQ(results_to_json({decoded}), results_to_json({original}));
+  std::uint64_t sweep = 1;
+  ASSERT_TRUE(decode_result(body + "sweep=42\n", id, &decoded, &sweep));
+  EXPECT_EQ(sweep, 42u);
+  ASSERT_TRUE(decode_result(body, id, &decoded, &sweep));
+  EXPECT_EQ(sweep, 0u);
+}
+
+TEST(Checkpoint, DecodeRoundTripsPaperLengthAndShortResults) {
+  RunConfig sp;
+  sp.benchmark = "SP";
+  sp.placement = "ft";
+  sp.iterations = 400;
+  sp.workload.size_scale = 0.25;
+  sp.trace = true;
+  expect_round_trip(sp, 400);
+
+  RunConfig mg = small_config("rr", /*upmlib=*/true);
+  mg.benchmark = "MG";
+  mg.iterations = 4;
+  mg.trace = true;
+  mg.fault = uniform_plan(0.02);
+  expect_round_trip(mg, 4);
+}
+
+TEST(Checkpoint, DecodeRejectsMalformedBodies) {
+  RunConfig config = small_config("rr", /*upmlib=*/true);
+  config.benchmark = "MG";
+  config.iterations = 4;
+  config.trace = true;
+  config.fault = uniform_plan(0.02);
+  const RunResult result = run_benchmark(config);
+  ASSERT_FALSE(result.upm_stats.migrations_per_invocation.empty());
+  ASSERT_GT(result.fault_rate, 0.0);
+  const std::uint64_t id = config_identity(config);
+  const std::string body = encode_result(id, result);
+  RunResult decoded;
+  ASSERT_TRUE(decode_result(body, id, &decoded));
+
+  std::vector<std::pair<std::string, std::string>> bad;
+  for (const std::string& key : kResultKeys) {
+    bad.emplace_back("missing " + key, edit_line(body, key, nullptr));
+  }
+  for (const std::string& key : kNumericKeys) {
+    // The first token turns non-numeric; the token count stays.
+    bad.emplace_back(key + " non-numeric",
+                     edit_line(body, key, [](const std::string& v) {
+                       return v.empty() ? std::string("x") : "1x" + v.substr(1);
+                     }));
+    bad.emplace_back(key + " negative",
+                     edit_line(body, key, [](const std::string& v) {
+                       return "-" + v;
+                     }));
+  }
+  bad.emplace_back("total past 2^64",
+                   edit_line(body, "total", [](const std::string&) {
+                     return std::string("18446744073709551616");
+                   }));
+  bad.emplace_back("mem one short", edit_line(body, "mem", [](const std::string& v) {
+                     return v.substr(0, v.rfind(' '));
+                   }));
+  bad.emplace_back("kernel one long",
+                   edit_line(body, "kernel", [](const std::string& v) {
+                     return v + " 0";
+                   }));
+  bad.emplace_back("fault_rate trailing characters",
+                   edit_line(body, "fault_rate", [](const std::string& v) {
+                     return v + "x";
+                   }));
+  bad.emplace_back("fault_rate trailing space",
+                   edit_line(body, "fault_rate", [](const std::string& v) {
+                     return v + " ";
+                   }));
+  bad.emplace_back("fault_rate empty",
+                   edit_line(body, "fault_rate", [](const std::string&) {
+                     return std::string();
+                   }));
+  bad.emplace_back("fault_rate out of range",
+                   edit_line(body, "fault_rate", [](const std::string&) {
+                     return std::string("1e999");
+                   }));
+  bad.emplace_back("fault_rate subnormal",
+                   edit_line(body, "fault_rate", [](const std::string&) {
+                     return std::string("1e-310");
+                   }));
+  bad.emplace_back("metric column one long",
+                   edit_line(body, "metric_migrations",
+                             [](const std::string& v) { return v + " 7"; }));
+  bad.emplace_back("metric column one short",
+                   edit_line(body, "metric_faults", [](const std::string& v) {
+                     return v.substr(0, v.rfind(' '));
+                   }));
+  bad.emplace_back("wrong version",
+                   edit_line(body, "version", [](const std::string&) {
+                     return std::string("4");
+                   }));
+  bad.emplace_back("padded version",
+                   edit_line(body, "version", [](const std::string& v) {
+                     return "0" + v;
+                   }));
+  bad.emplace_back("wrong identity",
+                   edit_line(body, "identity", [](const std::string& v) {
+                     return std::to_string(std::stoull(v) ^ 1);
+                   }));
+  bad.emplace_back("padded identity",
+                   edit_line(body, "identity", [](const std::string& v) {
+                     return "0" + v;
+                   }));
+  bad.emplace_back("line without '='", "garbage\n" + body);
+  bad.emplace_back("empty line", body + "\n");
+  bad.emplace_back("empty body", "");
+  for (const auto& [what, text] : bad) {
+    RunResult untouched;
+    untouched.label = "untouched";
+    EXPECT_FALSE(decode_result(text, id, &untouched)) << what;
+    EXPECT_EQ(untouched.label, "untouched") << what;
+  }
+  // A bad sweep id matters only to a caller that asks for it.
+  const std::string bad_sweep = body + "sweep=1 2\n";
+  std::uint64_t sweep = 0;
+  EXPECT_FALSE(decode_result(bad_sweep, id, &decoded, &sweep));
+  EXPECT_TRUE(decode_result(bad_sweep, id, &decoded));
+}
+
 TEST(Checkpoint, ReplayCellsAreKeyedByTraceContent) {
   const std::string dir = temp_dir("replay_content");
   const std::string trace = dir + "/cell.rtrc";

@@ -89,7 +89,7 @@ TEST_P(FuzzInvariants, FrameAccountingBalances) {
   // used == total.
   std::uint64_t used = 0;
   for (const auto& [page, entry] : kernel.page_table().entries()) {
-    used += 1 + entry.replicas.size();
+    used += 1 + entry.replicas().size();
   }
   EXPECT_EQ(kernel.physical_memory().total_free() + used,
             driver.machine().config().total_frames());
@@ -111,7 +111,7 @@ TEST_P(FuzzInvariants, NoFrameIsSharedBetweenPages) {
                             << " and " << page.value();
     };
     claim(entry.frame);
-    for (const FrameId replica : entry.replicas) {
+    for (const FrameId replica : entry.replicas()) {
       claim(replica);
     }
   }

@@ -9,6 +9,7 @@
 //    byte-identical to the serial jobs=1 mode.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <functional>
 #include <queue>
 #include <string>
@@ -19,6 +20,7 @@
 #include "repro/harness/json.hpp"
 #include "repro/harness/scheduler.hpp"
 #include "repro/omp/machine.hpp"
+#include "repro/os/daemon.hpp"
 #include "repro/sim/engine.hpp"
 #include "repro/sim/program.hpp"
 
@@ -55,10 +57,35 @@ sim::RegionBuilder contended_region(omp::Machine& machine,
   return region;
 }
 
+/// Every thread starts at the same clock and runs `ties` equal-cost
+/// compute-only ops before each access, so all of them reach every
+/// first access of a round at exactly the same clock: the order of
+/// those writes to shared pages (queue waits, invalidations) is decided
+/// by the schedule's tie-break alone.
+sim::RegionBuilder tied_region(omp::Machine& machine,
+                               const vm::PageRange& shared) {
+  omp::Runtime& rt = machine.runtime();
+  const std::uint32_t lines = machine.config().lines_per_page();
+  sim::RegionBuilder region = rt.make_region();
+  constexpr std::uint32_t kRounds = 3;
+  constexpr std::uint32_t kTies = 2;
+  for (std::uint32_t t = 0; t < rt.num_threads(); ++t) {
+    for (std::uint32_t round = 0; round < kRounds; ++round) {
+      for (std::uint32_t k = 0; k < kTies; ++k) {
+        region.compute(ThreadId(t), 100);
+      }
+      region.access(ThreadId(t), shared.page(round % shared.count), lines / 4,
+                    /*write=*/(t + round) % 2 == 0, 0);
+    }
+  }
+  return region;
+}
+
 /// One-op-at-a-time reference engine: the discrete-event loop the
 /// batched engine replaced, kept here as the semantics oracle.
 std::vector<Ns> reference_run(memsys::MemorySystem& memory,
-                              const std::vector<sim::ThreadProgram>& programs) {
+                              const std::vector<sim::ThreadProgram>& programs,
+                              Ns start = 0) {
   struct Pending {
     Ns clock;
     std::uint32_t thread;
@@ -68,10 +95,10 @@ std::vector<Ns> reference_run(memsys::MemorySystem& memory,
   };
   std::priority_queue<Pending, std::vector<Pending>, std::greater<>> queue;
   std::vector<std::size_t> cursor(programs.size(), 0);
-  std::vector<Ns> end(programs.size(), 0);
+  std::vector<Ns> end(programs.size(), start);
   for (std::uint32_t t = 0; t < programs.size(); ++t) {
     if (!programs[t].empty()) {
-      queue.push({0, t});
+      queue.push({start, t});
     }
   }
   while (!queue.empty()) {
@@ -104,34 +131,121 @@ void expect_same_stats(const memsys::ProcStats& a,
   EXPECT_EQ(a.invalidations_sent, b.invalidations_sent);
 }
 
-TEST(BatchedEngine, MatchesPerOpReference) {
-  auto batched = make_machine();
-  auto reference = make_machine();
+/// A machine for the engine-order oracle. 16 nodes is the paper's
+/// Origin; 512 nodes takes the sparse tables and 9 bits of thread id.
+struct EngineShape {
+  std::size_t nodes;
+  const char* topology;
+  std::size_t frames_per_node;
+};
 
-  const auto allocate = [](omp::Machine& m) {
-    return std::pair{m.address_space().allocate("shared", 64 * kKiB),
-                     m.address_space().allocate("priv", 2 * kMiB)};
-  };
-  const auto [shared_a, priv_a] = allocate(*batched);
-  const auto [shared_b, priv_b] = allocate(*reference);
+constexpr EngineShape kEngineShapes[] = {
+    {16, "fat-hypercube", 32768},
+    {64, "fat-hypercube", 4096},
+    {512, "hier:8x8x8", 1024},
+};
 
-  sim::RegionBuilder region_a = contended_region(*batched, shared_a, priv_a);
-  sim::RegionBuilder region_b =
-      contended_region(*reference, shared_b, priv_b);
-  const std::vector<sim::ThreadProgram> programs = std::move(region_b).take();
-
-  sim::Engine engine(batched->memory());
-  const sim::RegionResult result =
-      engine.run(0, sim::RegionProgram::compile(std::move(region_a)));
-  const std::vector<Ns> expected_end =
-      reference_run(reference->memory(), programs);
-
-  ASSERT_EQ(result.thread_end.size(), expected_end.size());
-  for (std::size_t t = 0; t < expected_end.size(); ++t) {
-    EXPECT_EQ(result.thread_end[t], expected_end[t]) << "thread " << t;
+std::unique_ptr<omp::Machine> make_machine(const EngineShape& shape,
+                                           bool daemon) {
+  memsys::MachineConfig config;
+  config.num_nodes = shape.nodes;
+  config.topology = shape.topology;
+  config.frames_per_node = shape.frames_per_node;
+  auto machine = omp::Machine::create(config);
+  machine->set_placement("ft");
+  if (daemon) {
+    // A low threshold and short cooloffs, so the daemon migrates (and
+    // charges its handler cost to the faulting thread) within a region.
+    os::DaemonConfig dc;
+    dc.threshold = 8;
+    dc.page_cooloff_ns = 1000;
+    dc.global_min_interval_ns = 100;
+    machine->enable_kernel_daemon(dc);
   }
-  expect_same_stats(batched->memory().total_stats(),
-                    reference->memory().total_stats());
+  return machine;
+}
+
+TEST(BatchedEngine, MatchesPerOpReference) {
+  for (const EngineShape& shape : kEngineShapes) {
+    for (const bool daemon : {false, true}) {
+      for (const bool tied : {false, true}) {
+        SCOPED_TRACE(::testing::Message()
+                     << shape.nodes << " nodes, daemon " << daemon
+                     << (tied ? ", tied region" : ", contended region"));
+        auto batched = make_machine(shape, daemon);
+        auto reference = make_machine(shape, daemon);
+
+        // Four private pages per thread, whatever the thread count.
+        const Bytes priv_bytes =
+            4 * shape.nodes * batched->config().page_size;
+        const auto allocate = [&](omp::Machine& m) {
+          return std::pair{m.address_space().allocate("shared", 64 * kKiB),
+                           m.address_space().allocate("priv", priv_bytes)};
+        };
+        const auto [shared_a, priv_a] = allocate(*batched);
+        const auto [shared_b, priv_b] = allocate(*reference);
+
+        sim::RegionBuilder region_a =
+            tied ? tied_region(*batched, shared_a)
+                 : contended_region(*batched, shared_a, priv_a);
+        sim::RegionBuilder region_b =
+            tied ? tied_region(*reference, shared_b)
+                 : contended_region(*reference, shared_b, priv_b);
+        const std::vector<sim::ThreadProgram> programs =
+            std::move(region_b).take();
+
+        sim::Engine engine(batched->memory());
+        const sim::RegionResult result =
+            engine.run(0, sim::RegionProgram::compile(std::move(region_a)));
+        const std::vector<Ns> expected_end =
+            reference_run(reference->memory(), programs);
+
+        ASSERT_EQ(result.thread_end.size(), expected_end.size());
+        for (std::size_t t = 0; t < expected_end.size(); ++t) {
+          EXPECT_EQ(result.thread_end[t], expected_end[t]) << "thread " << t;
+        }
+        expect_same_stats(batched->memory().total_stats(),
+                          reference->memory().total_stats());
+        EXPECT_EQ(batched->kernel().stats(), reference->kernel().stats());
+        if (daemon) {
+          EXPECT_GT(batched->kernel().daemon()->stats().interrupts, 0u);
+          EXPECT_EQ(batched->kernel().daemon()->stats(),
+                    reference->kernel().daemon()->stats());
+        }
+      }
+    }
+  }
+}
+
+// Schedule keys pack clock << b | thread (b = the bits the thread count
+// needs), so a clock at or past 2^(64-b) cannot be ordered: the run
+// must refuse it rather than wrap. Just below the range a short region
+// still runs, and matches the per-op reference there.
+TEST(BatchedEngine, ClockPastTheKeyRangeThrows) {
+  for (const EngineShape& shape : {kEngineShapes[0], kEngineShapes[2]}) {
+    SCOPED_TRACE(::testing::Message() << shape.nodes << " nodes");
+    auto batched = make_machine(shape, /*daemon=*/false);
+    auto reference = make_machine(shape, /*daemon=*/false);
+    const auto shared_a = batched->address_space().allocate("shared", 64 * kKiB);
+    const auto shared_b =
+        reference->address_space().allocate("shared", 64 * kKiB);
+    const auto bits = static_cast<unsigned>(std::bit_width(shape.nodes - 1));
+    const Ns range = Ns{1} << (64 - bits);
+
+    sim::Engine engine(batched->memory());
+    const sim::RegionProgram program =
+        sim::RegionProgram::compile(tied_region(*batched, shared_a));
+    EXPECT_THROW(engine.run(range, program), ContractViolation);
+    // A region that starts inside the range but ends past it.
+    EXPECT_THROW(engine.run(range - 150, program), ContractViolation);
+
+    const Ns start = range / 2;
+    const sim::RegionResult result = engine.run(start, program);
+    const std::vector<Ns> expected_end = reference_run(
+        reference->memory(),
+        std::move(tied_region(*reference, shared_b)).take(), start);
+    EXPECT_EQ(result.thread_end, expected_end);
+  }
 }
 
 TEST(RegionProgram, CompileRoundTripsOps) {

@@ -3,9 +3,14 @@
 // placement policies and the address space.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <optional>
+#include <random>
+#include <vector>
 
 #include "repro/common/assert.hpp"
+#include "repro/common/hash.hpp"
 #include "repro/topology/topology.hpp"
 #include "repro/vm/address_space.hpp"
 #include "repro/vm/counters.hpp"
@@ -130,6 +135,131 @@ TEST(PhysicalMemory, DigestCoversFreeListOrder) {
   EXPECT_EQ(PhysicalMemory(2, 8, topology).digest(),
             PhysicalMemory(2, 8, topology).digest());
   EXPECT_NE(PhysicalMemory(2, 8, topology).digest(), forward.digest());
+}
+
+/// The eager free lists PhysicalMemory kept before they became lazy:
+/// every free frame listed, LIFO, the lowest frame id on top at
+/// construction. The oracle for the lazy lists' order and digest.
+class EagerFreeLists {
+ public:
+  EagerFreeLists(std::size_t nodes, std::size_t frames_per_node,
+                 const topo::Topology& topology)
+      : fpn_(frames_per_node),
+        topology_(&topology),
+        lists_(nodes),
+        low_water_(nodes, frames_per_node) {
+    for (std::size_t n = 0; n < nodes; ++n) {
+      for (std::size_t f = fpn_; f-- > 0;) {
+        lists_[n].push_back(n * fpn_ + f);
+      }
+    }
+  }
+
+  std::optional<std::uint64_t> allocate_strict(NodeId node) {
+    std::vector<std::uint64_t>& list = lists_[node.value()];
+    if (list.empty()) {
+      return std::nullopt;
+    }
+    const std::uint64_t frame = list.back();
+    list.pop_back();
+    low_water_[node.value()] =
+        std::min(low_water_[node.value()], list.size());
+    return frame;
+  }
+
+  std::optional<std::uint64_t> allocate(NodeId preferred,
+                                        std::optional<NodeId> exclude) {
+    if (exclude != preferred) {
+      if (auto frame = allocate_strict(preferred)) {
+        return frame;
+      }
+    }
+    std::optional<NodeId> best;
+    for (std::uint32_t n = 0; n < lists_.size(); ++n) {
+      if (lists_[n].empty() || exclude == NodeId(n)) {
+        continue;
+      }
+      if (!best || topology_->hops(preferred, NodeId(n)) <
+                       topology_->hops(preferred, *best)) {
+        best = NodeId(n);
+      }
+    }
+    return best ? allocate_strict(*best) : std::nullopt;
+  }
+
+  void free(std::uint64_t frame) { lists_[frame / fpn_].push_back(frame); }
+
+  [[nodiscard]] std::size_t free_frames(std::size_t node) const {
+    return lists_[node].size();
+  }
+
+  [[nodiscard]] std::uint64_t digest() const {
+    StateHash hash;
+    for (std::size_t n = 0; n < lists_.size(); ++n) {
+      hash.mix(low_water_[n]);
+      hash.mix(lists_[n].size());
+      for (std::size_t i = low_water_[n]; i < lists_[n].size(); ++i) {
+        hash.mix(lists_[n][i]);
+      }
+    }
+    return hash.value();
+  }
+
+ private:
+  std::size_t fpn_;
+  const topo::Topology* topology_;
+  std::vector<std::vector<std::uint64_t>> lists_;
+  std::vector<std::size_t> low_water_;
+};
+
+TEST(PhysicalMemory, LazyFreeListsMatchEagerLists) {
+  const topo::FatHypercube topology(4);
+  // 8 frames per node takes node_of's shift, 6 its divide.
+  for (const std::size_t fpn : {std::size_t{8}, std::size_t{6}}) {
+    SCOPED_TRACE(::testing::Message() << fpn << " frames per node");
+    PhysicalMemory lazy(4, fpn, topology);
+    EagerFreeLists eager(4, fpn, topology);
+    std::vector<std::uint64_t> held;
+    std::mt19937_64 rng(fpn);
+    for (int step = 0; step < 4000; ++step) {
+      SCOPED_TRACE(::testing::Message() << "step " << step);
+      const auto node = NodeId(static_cast<std::uint32_t>(rng() % 4));
+      const std::uint64_t op = rng() % 8;
+      if (op < 3 && !held.empty()) {
+        const std::size_t i = rng() % held.size();
+        lazy.free(FrameId(held[i]));
+        eager.free(held[i]);
+        held.erase(held.begin() + static_cast<std::ptrdiff_t>(i));
+      } else {
+        std::optional<FrameId> got;
+        std::optional<std::uint64_t> want;
+        if (op < 5) {
+          got = lazy.allocate_strict(node);
+          want = eager.allocate_strict(node);
+        } else {
+          std::optional<NodeId> exclude;
+          if (op == 7) {
+            exclude = NodeId(static_cast<std::uint32_t>(rng() % 4));
+          }
+          got = lazy.allocate(node, exclude);
+          want = eager.allocate(node, exclude);
+        }
+        ASSERT_EQ(got.has_value(), want.has_value());
+        if (got) {
+          ASSERT_EQ(got->value(), *want);
+          ASSERT_EQ(lazy.node_of(*got).value(), *want / fpn);
+          held.push_back(*want);
+        }
+      }
+      std::size_t total = 0;
+      for (std::uint32_t n = 0; n < 4; ++n) {
+        ASSERT_EQ(lazy.free_frames(NodeId(n)), eager.free_frames(n));
+        total += eager.free_frames(n);
+      }
+      ASSERT_EQ(lazy.total_free(), total);
+      ASSERT_EQ(lazy.digest(), eager.digest());
+    }
+  }
 }
 
 TEST(RefCounters, CopyIsDeepAndDigestsEqual) {
