@@ -2,7 +2,8 @@
 // touches, directory transitions, counter updates, the memory-system
 // access path, page migration, UPMlib scan/migrate passes, machine
 // bring-up, the daemon cell's kernel digest, the line-grain coherence
-// model's per-line cost, the canonical-trace digest and whole
+// model's per-line cost (warm, and a cold sweep that builds the
+// directory), the canonical-trace digest and whole
 // simulated iterations, with and without the kernel daemon. These
 // measure *host* performance of the simulator (how fast the
 // reproduction runs), not simulated time.
@@ -229,6 +230,35 @@ void BM_CoherenceLineStream(benchmark::State& state) {
                           static_cast<std::int64_t>(access.lines));
 }
 BENCHMARK(BM_CoherenceLineStream);
+
+void BM_CoherenceColdSweep(benchmark::State& state) {
+  // A coherent cell's first lap, directory build included: a fresh
+  // default model under MESI per iteration, then one whole-page sweep
+  // of BM_CoherenceLineStream's pattern over all 16 x 360 pages (CG's
+  // footprint), so every page allocates its directory block.
+  const memsys::MachineConfig machine;
+  coherence::CoherenceConfig config;
+  config.policy = coherence::Policy::kMesi;
+  constexpr std::uint64_t kPagesPerProc = 360;
+  const std::uint32_t procs = static_cast<std::uint32_t>(machine.num_procs());
+  memsys::LineAccess access;
+  access.lines = machine.lines_per_page();
+  for (auto _ : state) {
+    coherence::CoherenceModel model(machine, config);
+    for (std::uint64_t k = 0; k < kPagesPerProc; ++k) {
+      for (std::uint32_t proc = 0; proc < procs; ++proc) {
+        access.proc = ProcId(proc);
+        access.page = VPage(1 + proc * kPagesPerProc + k);
+        access.write = k % 4 == 0;
+        benchmark::DoNotOptimize(model.on_access(0, access));
+      }
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kPagesPerProc * procs *
+                                                    access.lines));
+}
+BENCHMARK(BM_CoherenceColdSweep)->Unit(benchmark::kMillisecond);
 
 void BM_TraceDigest(benchmark::State& state) {
   // Host cost per event of a traced cell's digest (canonical sort,

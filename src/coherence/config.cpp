@@ -1,5 +1,7 @@
 #include "repro/coherence/config.hpp"
 
+#include <bit>
+
 #include "repro/common/assert.hpp"
 
 namespace repro::coherence {
@@ -25,8 +27,12 @@ std::optional<Policy> parse_policy(std::string_view name) {
 }
 
 void CoherenceConfig::validate() const {
-  REPRO_REQUIRE_MSG(sets >= 1, "coherence cache needs at least one set");
-  REPRO_REQUIRE_MSG(ways >= 1, "coherence cache needs at least one way");
+  // The model indexes sets with a mask and compiles its way walk once
+  // per way count.
+  REPRO_REQUIRE_MSG(std::has_single_bit(sets),
+                    "coherence cache sets must be a power of two");
+  REPRO_REQUIRE_MSG(std::has_single_bit(ways) && ways <= 16,
+                    "coherence cache ways must be 1, 2, 4, 8 or 16");
   REPRO_REQUIRE_MSG(upgrade_ns >= 0.0, "negative upgrade cost");
   REPRO_REQUIRE_MSG(intervention_ns >= 0.0, "negative intervention cost");
 }

@@ -36,7 +36,8 @@ struct CoherenceConfig {
 
   /// Private per-processor cache geometry: `sets` x `ways` lines.
   /// 64 x 8 x 128 B = a 64 KiB L1-class cache, small enough that the
-  /// NAS working sets exercise capacity evictions.
+  /// NAS working sets exercise capacity evictions. `sets` must be a
+  /// power of two and `ways` one of 1, 2, 4, 8, 16.
   std::size_t sets = 64;
   std::size_t ways = 8;
 

@@ -21,15 +21,22 @@
 // observed; tests/test_coherence.cpp checks exactly that against an
 // independent flat-memory oracle, plus the structural audit() below.
 //
-// Directory layout: the first access to a virtual page allocates one
-// contiguous block of lines_per_page() directory slots (and their
-// sharer words); `page_base_[page]` holds the block's first slot, so a
-// line's slot is base + index and an access resolves its page once.
+// Directory layout: the first access to a virtual page takes the next
+// lines_per_page() directory slots as its block; `page_base_[page]`
+// holds the block's first slot, so a line's slot is base + index and
+// an access resolves its page once. Each slot is one record (entry
+// words, then the sharer, ever-filled and inv-pending bitmaps) in a
+// fixed-size chunk allocated on first use, so records never move.
 // Each cached way also carries its line's slot, which lets evictions
 // and upgrades reach the directory entry without any lookup.
+//
+// The way walk is compiled once per way count (CoherenceConfig allows
+// 1, 2, 4, 8 or 16 ways); each access picks its instantiation once and
+// each line makes one pass over its set, finding the hit or the victim.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -128,25 +135,49 @@ class CoherenceModel final : public memsys::LineModel {
   // so their size is the model's fixed cost per cell.
   static_assert(sizeof(Way) == 32);
 
-  /// Directory entry. A page's slots exist from its first access, but a
-  /// line's entry counts as created only from its first miss; entries
-  /// persist once created so the "ever filled" and "invalidated"
-  /// bitmaps survive eviction (miss classification).
-  struct Entry {
-    std::uint64_t memory_version = 0;
-    std::uint32_t owner = kNoOwner;  ///< proc holding E or M, if any
-    bool dirty = false;              ///< owner's copy is M
-    bool created = false;            ///< the line has missed at least once
+  /// One pass over a set: the way holding the line (null on a miss),
+  /// and on a miss the way a fill takes -- the first invalid way, else
+  /// the first with the smallest LRU stamp.
+  struct Probe {
+    Way* hit = nullptr;
+    Way* victim = nullptr;
   };
+
   static constexpr std::uint32_t kNoOwner = ~0u;
   /// No block (page_base_) or no created entry (slot_of).
   static constexpr std::uint32_t kNoSlot = ~0u;
+  /// Directory records per chunk (2^12: 160 KiB of records at 16 procs).
+  static constexpr unsigned kChunkShift = 12;
+  static constexpr std::uint32_t kChunkMask = (1u << kChunkShift) - 1;
 
+  /// Calls fn(std::integral_constant<std::size_t, W>{}) with W the
+  /// configured way count, and returns what it returns.
+  template <typename Fn>
+  decltype(auto) with_ways(Fn&& fn) const;
+  /// Way 0 of the set `line` maps to in `proc`'s cache.
+  template <std::size_t W>
+  [[nodiscard]] Way* set_of(std::uint32_t proc, std::uint64_t line) {
+    return ways_.data() +
+           (static_cast<std::size_t>(proc) * config_.sets +
+            (line & set_mask_)) *
+               W;
+  }
+  template <std::size_t W>
+  [[nodiscard]] static Probe walk(Way* set, std::uint64_t line);
+  template <std::size_t W>
+  [[nodiscard]] Way* find_way(std::uint32_t proc, std::uint64_t line) {
+    return walk<W>(set_of<W>(proc, line), line).hit;
+  }
+  /// find_way<W> at the configured way count, for the paths outside an
+  /// access's line loop.
   [[nodiscard]] Way* find_way(std::uint32_t proc, std::uint64_t line);
   [[nodiscard]] const Way* find_way(std::uint32_t proc,
-                                    std::uint64_t line) const;
-  /// First slot of `page`'s directory block, allocating it (and growing
-  /// page_base_) on the page's first access.
+                                    std::uint64_t line) const {
+    // A lookup writes nothing.
+    return const_cast<CoherenceModel*>(this)->find_way(proc, line);
+  }
+  /// First slot of `page`'s directory block, allocating it (and the
+  /// chunks its records reach) on the page's first access.
   [[nodiscard]] std::uint32_t page_block(VPage page);
   /// First slot of `page`'s block, or kNoSlot if it was never accessed.
   [[nodiscard]] std::uint32_t block_of(std::uint64_t page) const;
@@ -156,43 +187,55 @@ class CoherenceModel final : public memsys::LineModel {
   /// line order (pages ascending, then lines within the page).
   template <typename Fn>
   void for_each_entry(Fn&& fn) const;
+  /// Touches the access's lines for `proc`, whose page block starts at
+  /// `base`.
+  template <std::size_t W>
+  void touch_lines(Ns now, const memsys::LineAccess& access,
+                   std::uint32_t base, memsys::LineOutcome& out);
   /// Touches one coherence line for `proc`; classifies, mutates cache +
   /// directory state, accumulates into `out` and the stats, and emits
   /// per-line events. `page` and `index` locate the line for events;
   /// `slot` is its directory slot.
+  template <std::size_t W>
   void touch_line(Ns now, std::uint32_t proc, VPage page,
                   std::uint32_t index, std::uint32_t slot, bool write,
                   memsys::LineOutcome& out);
   /// Invalidates every cached copy of `line` except `keeper`; marks the
   /// victims' inv-pending bits (their next miss is a coherence miss).
   /// Returns the victim count.
-  [[nodiscard]] std::uint32_t invalidate_others(std::uint32_t slot,
+  template <std::size_t W>
+  [[nodiscard]] std::uint32_t invalidate_others(std::uint64_t* rec,
                                                 std::uint64_t line,
                                                 std::uint32_t keeper);
-  /// Inserts `line` (directory slot `slot`) for `proc`, choosing an
-  /// invalid or LRU way and evicting the victim: dirty victims write
-  /// back (memory version update + posted occupancy at their home).
-  /// Returns the way.
-  Way& fill_line(std::uint32_t proc, std::uint64_t line, std::uint32_t slot,
-                 LineState state, std::uint64_t version);
+  /// Puts `line` (directory slot `slot`) into `proc`'s way `victim`,
+  /// evicting its line first: dirty victims write back (memory version
+  /// update + posted occupancy at their home).
+  void fill_line(std::uint32_t proc, Way& victim, std::uint64_t line,
+                 std::uint32_t slot, LineState state, std::uint64_t version);
 
-  // Sharer-word helpers (words-per-entry scales past 64 procs).
-  [[nodiscard]] bool test_bit(const std::uint64_t* words,
-                              std::uint32_t proc) const;
-  void set_bit(std::uint64_t* words, std::uint32_t proc);
-  void clear_bit(std::uint64_t* words, std::uint32_t proc);
-
-  [[nodiscard]] std::uint64_t* sharer_words(std::uint32_t slot) {
-    return words_.data() + static_cast<std::size_t>(slot) * 3 * wpe_;
+  // Directory records, record_words_ per slot:
+  //   [0] memory version;
+  //   [1] owner + 1 (the proc holding E or M; 0: none) | dirty << 32
+  //       (the owner's copy is M) | created << 33;
+  //   then the sharer, ever-filled and inv-pending bitmaps, wpe_ words
+  //   each (more than one past 64 procs).
+  // A page's slots exist from its first access, but a line's entry
+  // counts as created only from its first miss; entries persist once
+  // created so the ever-filled and inv-pending bitmaps survive eviction
+  // (miss classification).
+  [[nodiscard]] std::uint64_t* record(std::uint32_t slot) {
+    return chunks_[slot >> kChunkShift].get() +
+           static_cast<std::size_t>(slot & kChunkMask) * record_words_;
   }
-  [[nodiscard]] const std::uint64_t* sharer_words(std::uint32_t slot) const {
-    return words_.data() + static_cast<std::size_t>(slot) * 3 * wpe_;
+  [[nodiscard]] const std::uint64_t* record(std::uint32_t slot) const {
+    return chunks_[slot >> kChunkShift].get() +
+           static_cast<std::size_t>(slot & kChunkMask) * record_words_;
   }
-  [[nodiscard]] std::uint64_t* ever_words(std::uint32_t slot) {
-    return sharer_words(slot) + wpe_;
+  [[nodiscard]] std::uint64_t* ever_words(std::uint64_t* rec) const {
+    return rec + 2 + wpe_;
   }
-  [[nodiscard]] std::uint64_t* inv_words(std::uint32_t slot) {
-    return sharer_words(slot) + 2 * wpe_;
+  [[nodiscard]] std::uint64_t* inv_words(std::uint64_t* rec) const {
+    return rec + 2 + 2 * static_cast<std::size_t>(wpe_);
   }
 
   CoherenceConfig config_;
@@ -200,14 +243,18 @@ class CoherenceModel final : public memsys::LineModel {
   std::uint32_t lpp_ = 0;     ///< machine (cache_line) lines per page
   std::uint32_t clpp_ = 0;    ///< coherence lines per page
   std::uint32_t fine_ = 1;    ///< coherence lines per machine line (>=1)
-  std::uint32_t coarse_ = 1;  ///< machine lines per coherence line (>=1)
-  std::uint32_t wpe_ = 1;     ///< sharer words per directory entry
+  /// log2 of the machine lines per coherence line (0 unless coarser).
+  unsigned coarse_shift_ = 0;
+  std::uint32_t wpe_ = 1;     ///< sharer words per bitmap
+  std::size_t record_words_ = 0;  ///< 2 + 3 * wpe_
+  std::uint64_t set_mask_ = 0;    ///< sets - 1
 
   std::vector<Way> ways_;          // [proc][set][way], flat
   std::vector<std::uint64_t> lru_clock_;  // per proc
   std::vector<std::uint32_t> page_base_;  // by VPage: block's first slot
-  std::vector<Entry> entries_;     // by slot, clpp_ per accessed page
-  std::vector<std::uint64_t> words_;  // 3 * wpe_ per slot
+  std::uint32_t next_slot_ = 0;    // first slot of the next page block
+  /// 2^kChunkShift records each, allocated zeroed as blocks reach them.
+  std::vector<std::unique_ptr<std::uint64_t[]>> chunks_;
   std::vector<CoherenceStats> stats_;
   std::uint64_t next_version_ = 0;
   std::vector<std::uint64_t> writeback_scratch_;

@@ -1,11 +1,51 @@
 #include "repro/coherence/model.hpp"
 
 #include <algorithm>
-#include <utility>
+#include <bit>
+#include <type_traits>
 
 #include "repro/common/assert.hpp"
 
 namespace repro::coherence {
+
+namespace {
+
+// Record word 1 (CoherenceModel::record): owner + 1 in the low half, so
+// a zeroed record has no owner, then the dirty and created bits.
+constexpr std::uint64_t kDirtyBit = std::uint64_t{1} << 32;
+constexpr std::uint64_t kCreatedBit = std::uint64_t{1} << 33;
+
+std::uint32_t owner_of(const std::uint64_t* rec) {
+  return static_cast<std::uint32_t>(rec[1]) - 1;  // ~0u: no owner
+}
+
+bool is_dirty(const std::uint64_t* rec) { return (rec[1] & kDirtyBit) != 0; }
+
+bool is_created(const std::uint64_t* rec) {
+  return (rec[1] & kCreatedBit) != 0;
+}
+
+/// Sets the owner (~0u for none) and its dirty bit; keeps `created`.
+void set_owner(std::uint64_t* rec, std::uint32_t owner, bool dirty) {
+  rec[1] = (rec[1] & kCreatedBit) | (owner + 1u) | (dirty ? kDirtyBit : 0);
+}
+
+std::uint64_t* sharer_words(std::uint64_t* rec) { return rec + 2; }
+const std::uint64_t* sharer_words(const std::uint64_t* rec) { return rec + 2; }
+
+bool test_bit(const std::uint64_t* words, std::uint32_t proc) {
+  return ((words[proc / 64] >> (proc % 64)) & 1u) != 0;
+}
+
+void set_bit(std::uint64_t* words, std::uint32_t proc) {
+  words[proc / 64] |= std::uint64_t{1} << (proc % 64);
+}
+
+void clear_bit(std::uint64_t* words, std::uint32_t proc) {
+  words[proc / 64] &= ~(std::uint64_t{1} << (proc % 64));
+}
+
+}  // namespace
 
 double CoherenceStats::coherence_miss_rate() const {
   const std::uint64_t total = hit_lines + miss_lines();
@@ -34,10 +74,14 @@ CoherenceModel::CoherenceModel(const memsys::MachineConfig& machine,
   if (config_.line_size < machine.cache_line) {
     fine_ = static_cast<std::uint32_t>(machine.cache_line / config_.line_size);
   } else {
-    coarse_ =
-        static_cast<std::uint32_t>(config_.line_size / machine.cache_line);
+    // Both sizes are powers of two (MachineConfig::validate, and the
+    // line size divides the page), so the ratio is one too.
+    coarse_shift_ = static_cast<unsigned>(
+        std::countr_zero(config_.line_size / machine.cache_line));
   }
   wpe_ = (num_procs_ + 63) / 64;
+  record_words_ = 2 + 3 * static_cast<std::size_t>(wpe_);
+  set_mask_ = config_.sets - 1;
   ways_.resize(static_cast<std::size_t>(num_procs_) * config_.sets *
                config_.ways);
   lru_clock_.resize(num_procs_, 0);
@@ -70,35 +114,47 @@ CoherenceStats CoherenceModel::total_stats() const {
   return total;
 }
 
-bool CoherenceModel::test_bit(const std::uint64_t* words,
-                              std::uint32_t proc) const {
-  return ((words[proc / 64] >> (proc % 64)) & 1u) != 0;
+template <typename Fn>
+decltype(auto) CoherenceModel::with_ways(Fn&& fn) const {
+  switch (config_.ways) {
+    case 1:
+      return fn(std::integral_constant<std::size_t, 1>{});
+    case 2:
+      return fn(std::integral_constant<std::size_t, 2>{});
+    case 4:
+      return fn(std::integral_constant<std::size_t, 4>{});
+    case 8:
+      return fn(std::integral_constant<std::size_t, 8>{});
+    case 16:
+      return fn(std::integral_constant<std::size_t, 16>{});
+    default:
+      REPRO_UNREACHABLE("way count outside CoherenceConfig::validate's set");
+  }
 }
 
-void CoherenceModel::set_bit(std::uint64_t* words, std::uint32_t proc) {
-  words[proc / 64] |= std::uint64_t{1} << (proc % 64);
-}
-
-void CoherenceModel::clear_bit(std::uint64_t* words, std::uint32_t proc) {
-  words[proc / 64] &= ~(std::uint64_t{1} << (proc % 64));
+template <std::size_t W>
+CoherenceModel::Probe CoherenceModel::walk(Way* set, std::uint64_t line) {
+  Way* invalid = nullptr;
+  Way* oldest = set;  // read only when every way is valid
+  for (std::size_t w = 0; w < W; ++w) {
+    Way& way = set[w];
+    if (way.state == LineState::kInvalid) {
+      if (invalid == nullptr) {
+        invalid = &way;
+      }
+    } else if (way.line == line) {
+      return {&way, nullptr};
+    } else if (way.lru < oldest->lru) {
+      oldest = &way;
+    }
+  }
+  return {nullptr, invalid != nullptr ? invalid : oldest};
 }
 
 CoherenceModel::Way* CoherenceModel::find_way(std::uint32_t proc,
                                               std::uint64_t line) {
-  return const_cast<Way*>(std::as_const(*this).find_way(proc, line));
-}
-
-const CoherenceModel::Way* CoherenceModel::find_way(
-    std::uint32_t proc, std::uint64_t line) const {
-  const std::size_t set = line % config_.sets;
-  const Way* base =
-      ways_.data() + (proc * config_.sets + set) * config_.ways;
-  for (std::size_t w = 0; w < config_.ways; ++w) {
-    if (base[w].state != LineState::kInvalid && base[w].line == line) {
-      return base + w;
-    }
-  }
-  return nullptr;
+  return with_ways(
+      [&](auto ways) { return find_way<decltype(ways)::value>(proc, line); });
 }
 
 std::uint32_t CoherenceModel::page_block(VPage page) {
@@ -107,12 +163,14 @@ std::uint32_t CoherenceModel::page_block(VPage page) {
   }
   std::uint32_t& base = page_base_[page.value()];
   if (base == kNoSlot) {
-    REPRO_REQUIRE_MSG(entries_.size() + clpp_ < kNoSlot,
+    REPRO_REQUIRE_MSG(std::uint64_t{next_slot_} + clpp_ < kNoSlot,
                       "coherence directory exceeds 2^32 line slots");
-    base = static_cast<std::uint32_t>(entries_.size());
-    entries_.resize(entries_.size() + clpp_);
-    words_.resize(words_.size() + 3 * static_cast<std::size_t>(wpe_) * clpp_,
-                  0);
+    base = next_slot_;
+    next_slot_ += clpp_;
+    while ((chunks_.size() << kChunkShift) < next_slot_) {
+      chunks_.push_back(std::make_unique<std::uint64_t[]>(
+          (std::size_t{1} << kChunkShift) * record_words_));
+    }
   }
   return base;
 }
@@ -127,7 +185,7 @@ std::uint32_t CoherenceModel::slot_of(std::uint64_t line) const {
     return kNoSlot;
   }
   const std::uint32_t slot = base + static_cast<std::uint32_t>(line % clpp_);
-  return entries_[slot].created ? slot : kNoSlot;
+  return is_created(record(slot)) ? slot : kNoSlot;
 }
 
 template <typename Fn>
@@ -138,18 +196,19 @@ void CoherenceModel::for_each_entry(Fn&& fn) const {
       continue;
     }
     for (std::uint32_t index = 0; index < clpp_; ++index) {
-      if (entries_[base + index].created) {
+      if (is_created(record(base + index))) {
         fn(line_id(VPage(page), index), base + index);
       }
     }
   }
 }
 
-std::uint32_t CoherenceModel::invalidate_others(std::uint32_t slot,
+template <std::size_t W>
+std::uint32_t CoherenceModel::invalidate_others(std::uint64_t* rec,
                                                 std::uint64_t line,
                                                 std::uint32_t keeper) {
-  std::uint64_t* sharers = sharer_words(slot);
-  std::uint64_t* inv = inv_words(slot);
+  std::uint64_t* sharers = sharer_words(rec);
+  std::uint64_t* inv = inv_words(rec);
   std::uint32_t victims = 0;
   for (std::uint32_t w = 0; w < wpe_; ++w) {
     std::uint64_t word = sharers[w];
@@ -161,7 +220,7 @@ std::uint32_t CoherenceModel::invalidate_others(std::uint32_t slot,
       if (q == keeper) {
         continue;
       }
-      Way* way = find_way(q, line);
+      Way* way = find_way<W>(q, line);
       REPRO_ASSERT(way != nullptr);
       way->state = LineState::kInvalid;
       clear_bit(sharers, q);
@@ -170,64 +229,48 @@ std::uint32_t CoherenceModel::invalidate_others(std::uint32_t slot,
       ++victims;
     }
   }
-  Entry& e = entries_[slot];
-  if (e.owner != kNoOwner && e.owner != keeper) {
-    e.owner = kNoOwner;
-    e.dirty = false;
+  const std::uint32_t owner = owner_of(rec);
+  if (owner != kNoOwner && owner != keeper) {
+    set_owner(rec, kNoOwner, false);
   }
   return victims;
 }
 
-CoherenceModel::Way& CoherenceModel::fill_line(std::uint32_t proc,
-                                               std::uint64_t line,
-                                               std::uint32_t slot,
-                                               LineState state,
-                                               std::uint64_t version) {
-  const std::size_t set = line % config_.sets;
-  Way* base = ways_.data() + (proc * config_.sets + set) * config_.ways;
-  Way* victim = base;
-  for (std::size_t w = 0; w < config_.ways; ++w) {
-    if (base[w].state == LineState::kInvalid) {
-      victim = base + w;
-      break;
-    }
-    if (base[w].lru < victim->lru) {
-      victim = base + w;
-    }
-  }
-  if (victim->state != LineState::kInvalid) {
+void CoherenceModel::fill_line(std::uint32_t proc, Way& victim,
+                               std::uint64_t line, std::uint32_t slot,
+                               LineState state, std::uint64_t version) {
+  if (victim.state != LineState::kInvalid) {
     // Capacity/conflict eviction: silent for clean copies, an
     // asynchronous writeback for dirty ones. The victim's inv-pending
     // bit stays clear -- refetching it later is a capacity miss, not a
     // coherence miss.
-    Entry& ve = entries_[victim->slot];
-    clear_bit(sharer_words(victim->slot), proc);
-    if (victim->state == LineState::kModified) {
-      ve.memory_version = victim->version;
-      ve.owner = kNoOwner;
-      ve.dirty = false;
-      writeback_scratch_.push_back(victim->line / clpp_);
+    std::uint64_t* ve = record(victim.slot);
+    clear_bit(sharer_words(ve), proc);
+    if (victim.state == LineState::kModified) {
+      ve[0] = victim.version;
+      set_owner(ve, kNoOwner, false);
+      writeback_scratch_.push_back(victim.line / clpp_);
       ++stats_[proc].writebacks;
-    } else if (ve.owner == proc) {
-      ve.owner = kNoOwner;
-      ve.dirty = false;
+    } else if (owner_of(ve) == proc) {
+      set_owner(ve, kNoOwner, false);
     }
   }
-  victim->line = line;
-  victim->version = version;
-  victim->state = state;
-  victim->slot = slot;
-  victim->lru = ++lru_clock_[proc];
-  return *victim;
+  victim.line = line;
+  victim.version = version;
+  victim.state = state;
+  victim.slot = slot;
+  victim.lru = ++lru_clock_[proc];
 }
 
+template <std::size_t W>
 void CoherenceModel::touch_line(Ns now, std::uint32_t proc, VPage page,
                                 std::uint32_t index, std::uint32_t slot,
                                 bool write, memsys::LineOutcome& out) {
   const std::uint64_t line = line_id(page, index);
   CoherenceStats& st = stats_[proc];
-  Way* way = find_way(proc, line);
-  if (way != nullptr) {
+  std::uint64_t* rec = record(slot);
+  const Probe probe = walk<W>(set_of<W>(proc, line), line);
+  if (Way* way = probe.hit; way != nullptr) {
     way->lru = ++lru_clock_[proc];
     if (write && way->state != LineState::kModified) {
       if (way->state == LineState::kExclusive) {
@@ -236,11 +279,11 @@ void CoherenceModel::touch_line(Ns now, std::uint32_t proc, VPage page,
         // and MESI digests differ while results stay identical).
         way->state = LineState::kModified;
         way->version = ++next_version_;
-        entries_[slot].dirty = true;
+        rec[1] |= kDirtyBit;
       } else {
         // S -> M upgrade: a directory round trip that invalidates
         // every other copy before the write proceeds (SWMR).
-        const std::uint32_t victims = invalidate_others(slot, line, proc);
+        const std::uint32_t victims = invalidate_others<W>(rec, line, proc);
         out.invalidation_copies += victims;
         st.invalidations_sent += victims;
         ++st.upgrades;
@@ -257,9 +300,7 @@ void CoherenceModel::touch_line(Ns now, std::uint32_t proc, VPage page,
         }
         way->state = LineState::kModified;
         way->version = ++next_version_;
-        Entry& e = entries_[slot];
-        e.owner = proc;
-        e.dirty = true;
+        set_owner(rec, proc, true);
       }
     } else if (write) {
       way->version = ++next_version_;  // write hit on M
@@ -270,30 +311,32 @@ void CoherenceModel::touch_line(Ns now, std::uint32_t proc, VPage page,
   }
 
   // Miss: classify against the line's history with this processor.
-  entries_[slot].created = true;
-  if (test_bit(inv_words(slot), proc)) {
-    clear_bit(inv_words(slot), proc);
+  rec[1] |= kCreatedBit;
+  if (test_bit(inv_words(rec), proc)) {
+    clear_bit(inv_words(rec), proc);
     ++st.coherence_miss_lines;
-  } else if (test_bit(ever_words(slot), proc)) {
+  } else if (test_bit(ever_words(rec), proc)) {
     ++st.capacity_miss_lines;
   } else {
-    set_bit(ever_words(slot), proc);
+    set_bit(ever_words(rec), proc);
     ++st.cold_miss_lines;
   }
   ++out.miss_lines;
 
+  // Nothing below touches this processor's set (every other copy and
+  // the owner's belong to other processors), so the victim stands.
   if (write) {
     // Read-for-ownership: a dirty copy is fetched by intervention (and
     // implicitly written back), then every other copy is invalidated.
-    Entry& e = entries_[slot];
-    if (e.owner != kNoOwner && e.dirty) {
-      const Way* owner_way = find_way(e.owner, line);
+    const std::uint32_t owner = owner_of(rec);
+    if (owner != kNoOwner && is_dirty(rec)) {
+      const Way* owner_way = find_way<W>(owner, line);
       REPRO_ASSERT(owner_way != nullptr);
-      e.memory_version = owner_way->version;
+      rec[0] = owner_way->version;
       ++st.dirty_fetches;
       out.extra_ns += config_.intervention_ns;
     }
-    const std::uint32_t victims = invalidate_others(slot, line, proc);
+    const std::uint32_t victims = invalidate_others<W>(rec, line, proc);
     out.invalidation_copies += victims;
     st.invalidations_sent += victims;
     if (sink_ != nullptr && victims != 0) {
@@ -307,46 +350,67 @@ void CoherenceModel::touch_line(Ns now, std::uint32_t proc, VPage page,
       sink_->emit(lane_, ev);
     }
     const std::uint64_t version = ++next_version_;
-    fill_line(proc, line, slot, LineState::kModified, version);
-    Entry& after = entries_[slot];
-    after.owner = proc;
-    after.dirty = true;
-    set_bit(sharer_words(slot), proc);
+    fill_line(proc, *probe.victim, line, slot, LineState::kModified, version);
+    set_owner(rec, proc, true);
+    set_bit(sharer_words(rec), proc);
     return;
   }
 
   // Read miss: downgrade any exclusive owner (a dirty one writes back
   // by intervention), then fill Shared -- or Exclusive under MESI when
   // no other copy remains.
-  Entry& e = entries_[slot];
-  if (e.owner != kNoOwner) {
-    Way* owner_way = find_way(e.owner, line);
+  const std::uint32_t owner = owner_of(rec);
+  if (owner != kNoOwner) {
+    Way* owner_way = find_way<W>(owner, line);
     REPRO_ASSERT(owner_way != nullptr);
-    if (e.dirty) {
-      e.memory_version = owner_way->version;
+    if (is_dirty(rec)) {
+      rec[0] = owner_way->version;
       ++st.dirty_fetches;
       out.extra_ns += config_.intervention_ns;
     }
     owner_way->state = LineState::kShared;
-    e.owner = kNoOwner;
-    e.dirty = false;
+    set_owner(rec, kNoOwner, false);
   }
   std::uint32_t copies = 0;
   for (std::uint32_t w = 0; w < wpe_; ++w) {
     copies += static_cast<std::uint32_t>(
-        __builtin_popcountll(sharer_words(slot)[w]));
+        __builtin_popcountll(sharer_words(rec)[w]));
   }
   const LineState fill_state =
       config_.policy == Policy::kMesi && copies == 0 ? LineState::kExclusive
                                                      : LineState::kShared;
-  const std::uint64_t version = e.memory_version;
-  fill_line(proc, line, slot, fill_state, version);
-  Entry& after = entries_[slot];
+  fill_line(proc, *probe.victim, line, slot, fill_state, rec[0]);
   if (fill_state == LineState::kExclusive) {
-    after.owner = proc;
-    after.dirty = false;
+    set_owner(rec, proc, false);
   }
-  set_bit(sharer_words(slot), proc);
+  set_bit(sharer_words(rec), proc);
+}
+
+template <std::size_t W>
+void CoherenceModel::touch_lines(Ns now, const memsys::LineAccess& access,
+                                 std::uint32_t base,
+                                 memsys::LineOutcome& out) {
+  const std::uint32_t proc = access.proc.value();
+  // Coalesced read runs wrap: touches past the first lap of the page
+  // are repeats of already-filled lines and classify as hits, which
+  // keeps cost linear in the line count exactly like the page model.
+  std::uint32_t m = access.line_begin;
+  for (std::uint32_t i = 0; i < access.lines; ++i) {
+    if (fine_ > 1) {
+      for (std::uint32_t f = 0; f < fine_; ++f) {
+        const std::uint32_t index = m * fine_ + f;
+        touch_line<W>(now, proc, access.page, index, base + index,
+                      access.write, out);
+      }
+    } else {
+      const std::uint32_t index = m >> coarse_shift_;
+      touch_line<W>(now, proc, access.page, index, base + index,
+                    access.write, out);
+    }
+    if (++m == lpp_) {
+      m = 0;
+    }
+  }
 }
 
 memsys::LineOutcome CoherenceModel::on_access(
@@ -359,23 +423,9 @@ memsys::LineOutcome CoherenceModel::on_access(
   memsys::LineOutcome out;
   const CoherenceStats before = stats_[proc];
   const std::uint32_t base = page_block(access.page);
-  for (std::uint32_t i = 0; i < access.lines; ++i) {
-    // Coalesced read runs wrap: touches past the first lap of the page
-    // are repeats of already-filled lines and classify as hits, which
-    // keeps cost linear in the line count exactly like the page model.
-    const std::uint32_t m = (access.line_begin + i) % lpp_;
-    if (fine_ > 1) {
-      for (std::uint32_t f = 0; f < fine_; ++f) {
-        const std::uint32_t index = m * fine_ + f;
-        touch_line(now, proc, access.page, index, base + index, access.write,
-                   out);
-      }
-    } else {
-      const std::uint32_t index = m / coarse_;
-      touch_line(now, proc, access.page, index, base + index, access.write,
-                 out);
-    }
-  }
+  with_ways([&](auto ways) {
+    touch_lines<decltype(ways)::value>(now, access, base, out);
+  });
   if (sink_ != nullptr) {
     const CoherenceStats& after = stats_[proc];
     if (out.miss_lines != 0) {
@@ -421,13 +471,12 @@ void CoherenceModel::flush_page(VPage page) {
     return;
   }
   for (std::uint32_t idx = 0; idx < clpp_; ++idx) {
-    const std::uint32_t slot = base + idx;
-    Entry& e = entries_[slot];
-    if (!e.created) {
+    std::uint64_t* rec = record(base + idx);
+    if (!is_created(rec)) {
       continue;
     }
     const std::uint64_t line = line_id(page, idx);
-    std::uint64_t* sharers = sharer_words(slot);
+    std::uint64_t* sharers = sharer_words(rec);
     for (std::uint32_t w = 0; w < wpe_; ++w) {
       std::uint64_t word = sharers[w];
       while (word != 0) {
@@ -437,20 +486,16 @@ void CoherenceModel::flush_page(VPage page) {
         Way* way = find_way(q, line);
         REPRO_ASSERT(way != nullptr);
         if (way->state == LineState::kModified) {
-          e.memory_version = way->version;  // preserve the value
+          rec[0] = way->version;  // preserve the value
         }
         way->state = LineState::kInvalid;
       }
       sharers[w] = 0;
     }
-    e.owner = kNoOwner;
-    e.dirty = false;
+    set_owner(rec, kNoOwner, false);
     // Forget the access history too: a flushed page's next touch is a
     // cold miss, matching the page-grain flush semantics tests rely on.
-    for (std::uint32_t w = 0; w < wpe_; ++w) {
-      ever_words(slot)[w] = 0;
-      inv_words(slot)[w] = 0;
-    }
+    std::fill_n(ever_words(rec), 2 * static_cast<std::size_t>(wpe_), 0);
   }
 }
 
@@ -458,8 +503,8 @@ void CoherenceModel::clear() {
   std::fill(ways_.begin(), ways_.end(), Way{});
   std::fill(lru_clock_.begin(), lru_clock_.end(), 0);
   page_base_.clear();
-  entries_.clear();
-  words_.clear();
+  next_slot_ = 0;
+  chunks_.clear();
   next_version_ = 0;
   writeback_scratch_.clear();
 }
@@ -490,12 +535,12 @@ void CoherenceModel::digest(StateHash& hash) const {
     }
   }
   for_each_entry([this, &hash](std::uint64_t line, std::uint32_t slot) {
-    const Entry& e = entries_[slot];
+    const std::uint64_t* rec = record(slot);
     hash.mix(line);
-    hash.mix(e.memory_version);
-    hash.mix(e.owner);
-    hash.mix(static_cast<std::uint64_t>(e.dirty));
-    const std::uint64_t* words = sharer_words(slot);
+    hash.mix(rec[0]);
+    hash.mix(owner_of(rec));
+    hash.mix(static_cast<std::uint64_t>(is_dirty(rec)));
+    const std::uint64_t* words = sharer_words(rec);
     for (std::uint32_t w = 0; w < 3 * wpe_; ++w) {
       hash.mix(words[w]);
     }
@@ -516,7 +561,7 @@ std::vector<std::uint32_t> CoherenceModel::sharers_of(
   if (slot == kNoSlot) {
     return procs;
   }
-  const std::uint64_t* words = sharer_words(slot);
+  const std::uint64_t* words = sharer_words(record(slot));
   for (std::uint32_t w = 0; w < wpe_; ++w) {
     std::uint64_t word = words[w];
     while (word != 0) {
@@ -535,7 +580,7 @@ std::uint64_t CoherenceModel::probe_version(ProcId proc,
     return way->version;
   }
   const std::uint32_t slot = slot_of(line);
-  return slot == kNoSlot ? 0 : entries_[slot].memory_version;
+  return slot == kNoSlot ? 0 : record(slot)[0];
 }
 
 void CoherenceModel::audit() const {
@@ -551,23 +596,23 @@ void CoherenceModel::audit() const {
       if (way.state == LineState::kInvalid) {
         continue;
       }
-      REPRO_REQUIRE_MSG(way.line % config_.sets == i / config_.ways,
+      REPRO_REQUIRE_MSG((way.line & set_mask_) == i / config_.ways,
                         "cached line in the wrong set");
       const std::uint32_t slot = slot_of(way.line);
       REPRO_REQUIRE_MSG(slot != kNoSlot, "cached line unknown to directory");
       REPRO_REQUIRE_MSG(way.slot == slot,
                         "cached way carries another line's directory slot");
-      const Entry& e = entries_[slot];
-      REPRO_REQUIRE_MSG(test_bit(sharer_words(slot), p),
+      const std::uint64_t* rec = record(slot);
+      REPRO_REQUIRE_MSG(test_bit(sharer_words(rec), p),
                         "cached line missing its sharer bit");
       if (way.state == LineState::kModified) {
-        REPRO_REQUIRE_MSG(e.owner == p && e.dirty,
+        REPRO_REQUIRE_MSG(owner_of(rec) == p && is_dirty(rec),
                           "modified copy without directory ownership");
       }
       if (way.state == LineState::kExclusive) {
         REPRO_REQUIRE_MSG(config_.policy == Policy::kMesi,
                           "exclusive state under MSI");
-        REPRO_REQUIRE_MSG(e.owner == p && !e.dirty,
+        REPRO_REQUIRE_MSG(owner_of(rec) == p && !is_dirty(rec),
                           "exclusive copy without clean ownership");
       }
     }
@@ -575,8 +620,8 @@ void CoherenceModel::audit() const {
   // Directory side: sharer bits point at real copies, and any M or E
   // copy is the line's only copy (single-writer, multiple-reader).
   for_each_entry([this](std::uint64_t line, std::uint32_t slot) {
-    const Entry& e = entries_[slot];
-    const std::uint64_t* words = sharer_words(slot);
+    const std::uint64_t* rec = record(slot);
+    const std::uint64_t* words = sharer_words(rec);
     std::uint32_t copies = 0;
     bool exclusive_copy = false;
     for (std::uint32_t w = 0; w < wpe_; ++w) {
@@ -598,17 +643,18 @@ void CoherenceModel::audit() const {
       REPRO_REQUIRE_MSG(copies == 1,
                         "SWMR violated: exclusive copy is not the only copy");
     }
-    if (e.owner != kNoOwner) {
-      REPRO_REQUIRE_MSG(test_bit(words, e.owner),
+    const std::uint32_t owner = owner_of(rec);
+    if (owner != kNoOwner) {
+      REPRO_REQUIRE_MSG(test_bit(words, owner),
                         "directory owner without a sharer bit");
-      const Way* way = find_way(e.owner, line);
+      const Way* way = find_way(owner, line);
       REPRO_REQUIRE_MSG(
           way != nullptr &&
-              way->state == (e.dirty ? LineState::kModified
-                                     : LineState::kExclusive),
+              way->state == (is_dirty(rec) ? LineState::kModified
+                                           : LineState::kExclusive),
           "directory owner state disagrees with the cached copy");
     } else {
-      REPRO_REQUIRE_MSG(!e.dirty, "dirty line without an owner");
+      REPRO_REQUIRE_MSG(!is_dirty(rec), "dirty line without an owner");
     }
   });
 }

@@ -9,7 +9,13 @@
 //    read a stale version) and the structural audit(), plus an
 //    MSI-vs-MESI differential on one stream (identical values, sharer
 //    sets and miss classification; MESI may only *reduce* upgrades)
-//    and the model's state digest pinned after the fuzz streams.
+//    and the model's state digest pinned after the fuzz streams. A
+//    geometry table repeats the oracle and audit over 180 shapes (ways
+//    1-16, sets 1-64, coherence lines finer and coarser than the
+//    machine line, one and two sharer words, both protocols), each
+//    row's final digest and statistics pinned in
+//    coherence_geometry_pins.inc; CoherenceConfig covers the geometry
+//    contract.
 //
 //  * CoherenceInvariants -- directed state-machine walks: protocol
 //    transitions, inclusion/eviction behaviour (dirty evictions write
@@ -51,6 +57,7 @@
 
 #include "repro/coherence/config.hpp"
 #include "repro/coherence/model.hpp"
+#include "repro/common/assert.hpp"
 #include "repro/common/env.hpp"
 #include "repro/harness/scheduler.hpp"
 #include "repro/memsys/config.hpp"
@@ -280,6 +287,243 @@ TEST(CoherenceFuzz, DigestAfterRandomStreamIsPinned) {
     StateHash after;
     model.digest(after);
     EXPECT_NE(after.value(), before.value());
+  }
+}
+
+/// One row of the geometry table: a private-cache shape, a coherence
+/// line against the machine's 128 B line, and a processor count (4 fit
+/// one sharer word, 128 need two).
+struct Geometry {
+  std::size_t ways;
+  std::size_t sets;
+  Bytes line_size;
+  std::uint32_t procs;
+  Policy policy;
+};
+
+/// Every combination of ways {1, 2, 4, 8, 16}, sets {1, 2, 64}, line
+/// {64, 128, 256} B, procs {4, 128} and {MSI, MESI}, in that nesting
+/// order (ways outermost); the pins below follow it.
+std::vector<Geometry> geometry_table() {
+  std::vector<Geometry> table;
+  for (const std::size_t ways : {1u, 2u, 4u, 8u, 16u}) {
+    for (const std::size_t sets : {1u, 2u, 64u}) {
+      for (const Bytes line_size : {64u, 128u, 256u}) {
+        for (const std::uint32_t procs : {4u, 128u}) {
+          for (const Policy policy : {Policy::kMsi, Policy::kMesi}) {
+            table.push_back({ways, sets, line_size, procs, policy});
+          }
+        }
+      }
+    }
+  }
+  return table;
+}
+
+constexpr std::size_t kGeometryOps = 1500;
+
+/// kGeometryOps ops over every processor: three hot pages at eight line
+/// positions (sharing, upgrades, dirty fetches, coherence misses), a
+/// quarter of the accesses scattered over 1024 far pages (their blocks
+/// fill a directory several chunks long at every line size), whole-
+/// page sweeps that wrap past the page's last line, flushes, and one
+/// clear() two thirds of the way in.
+std::vector<FuzzOp> geometry_stream(std::uint64_t seed, std::uint32_t procs,
+                                    std::uint32_t lpp) {
+  std::mt19937_64 rng(seed);
+  std::vector<FuzzOp> ops(kGeometryOps);
+  for (FuzzOp& op : ops) {
+    op.proc = static_cast<std::uint32_t>(rng() % procs);
+    op.write = rng() % 2 == 1;
+    if (rng() % 4 == 0) {
+      op.page = 3 + rng() % 1024;
+      op.line_begin = static_cast<std::uint32_t>(rng() % lpp);
+    } else {
+      op.page = rng() % 3;
+      op.line_begin = static_cast<std::uint32_t>(rng() % 8);
+    }
+    op.lines = 1 + static_cast<std::uint32_t>(rng() % 4);
+    if (rng() % 64 == 0) {
+      op.lines = lpp + static_cast<std::uint32_t>(rng() % 8);
+    }
+    op.flush = rng() % 97 == 0;
+  }
+  ops[2 * kGeometryOps / 3] = FuzzOp{};
+  ops[2 * kGeometryOps / 3].clear = true;
+  return ops;
+}
+
+/// apply() for any line ratio: machine line m touches coherence lines
+/// m*fine .. m*fine+fine-1 when the coherence line is finer, and line
+/// m/coarse when it is coarser. Adds the coherence lines touched to
+/// `touched`.
+::testing::AssertionResult apply_mapped(CoherenceModel& model,
+                                        const memsys::MachineConfig& machine,
+                                        const FuzzOp& op,
+                                        VersionOracle& oracle,
+                                        std::uint64_t& touched) {
+  if (op.clear) {
+    model.clear();
+    oracle = VersionOracle{};
+    return ::testing::AssertionSuccess();
+  }
+  if (op.flush) {
+    model.flush_page(VPage(op.page));
+    return ::testing::AssertionSuccess();
+  }
+  memsys::LineAccess access;
+  access.proc = ProcId(op.proc);
+  access.page = VPage(op.page);
+  access.line_begin = op.line_begin;
+  access.lines = op.lines;
+  access.write = op.write;
+  const memsys::LineOutcome out = model.on_access(0, access);
+  const Bytes line_size = model.config().line_size;
+  const auto fine = static_cast<std::uint32_t>(
+      std::max<Bytes>(1, machine.cache_line / line_size));
+  const auto coarse = static_cast<std::uint32_t>(
+      std::max<Bytes>(1, line_size / machine.cache_line));
+  std::vector<std::uint64_t> lines;
+  for (std::uint32_t k = 0; k < op.lines; ++k) {
+    const std::uint32_t m = (op.line_begin + k) % machine.lines_per_page();
+    for (std::uint32_t f = 0; f < fine; ++f) {
+      lines.push_back(
+          model.line_id(VPage(op.page), fine > 1 ? m * fine + f : m / coarse));
+      if (op.write) {
+        oracle.write(lines.back());
+      }
+    }
+  }
+  touched += lines.size();
+  if (out.hit_lines + out.miss_lines != lines.size()) {
+    return ::testing::AssertionFailure()
+           << out.hit_lines << " hits + " << out.miss_lines
+           << " misses for " << lines.size() << " line touches";
+  }
+  // Checked once the whole access is done: a run past the page's last
+  // line wraps and touches its first lines twice.
+  for (const std::uint64_t line : lines) {
+    const std::uint64_t seen = model.probe_version(ProcId(op.proc), line);
+    if (seen != oracle.read(line)) {
+      return ::testing::AssertionFailure()
+             << (op.write ? "write" : "read") << " by proc " << op.proc
+             << " of line " << line << " sees version " << seen
+             << ", the oracle " << oracle.read(line);
+    }
+  }
+  // The line touched last is still cached, and the directory lists the
+  // accessor (in the second sharer word past 64 processors).
+  const std::vector<std::uint32_t> sharers = model.sharers_of(lines.back());
+  if (model.state_of(ProcId(op.proc), lines.back()) == LineState::kInvalid ||
+      std::find(sharers.begin(), sharers.end(), op.proc) == sharers.end()) {
+    return ::testing::AssertionFailure()
+           << "proc " << op.proc << " lost line " << lines.back()
+           << " it touched last";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+std::uint64_t stats_hash(const CoherenceStats& s) {
+  StateHash hash;
+  for (const std::uint64_t v :
+       {s.hit_lines, s.cold_miss_lines, s.capacity_miss_lines,
+        s.coherence_miss_lines, s.upgrades, s.invalidations_sent,
+        s.invalidations_received, s.writebacks, s.dirty_fetches}) {
+    hash.mix(v);
+  }
+  return hash.value();
+}
+
+// The oracle and audit over every geometry, with the final digest() and
+// a hash of total_stats() pinned per row (recorded before the way walk
+// was specialised per way count and the directory chunked).
+TEST(CoherenceFuzz, GeometryTableMatchesOracleAndPins) {
+  struct Pin {
+    std::uint64_t digest;
+    std::uint64_t stats;
+  };
+  const Pin pins[] = {
+#include "coherence_geometry_pins.inc"
+  };
+  const std::vector<Geometry> table = geometry_table();
+  ASSERT_EQ(std::size(pins), table.size());
+  CoherenceStats all;
+  for (std::size_t row = 0; row < table.size(); ++row) {
+    const Geometry& g = table[row];
+    const std::string name = "w" + std::to_string(g.ways) + " s" +
+                             std::to_string(g.sets) + " l" +
+                             std::to_string(g.line_size) + " p" +
+                             std::to_string(g.procs) + " " +
+                             policy_name(g.policy);
+    memsys::MachineConfig machine;
+    machine.num_nodes = g.procs;
+    machine.procs_per_node = 1;
+    CoherenceConfig config;
+    config.policy = g.policy;
+    config.line_size = g.line_size;
+    config.sets = g.sets;
+    config.ways = g.ways;
+    CoherenceModel model(machine, config);
+    VersionOracle oracle;
+    std::uint64_t touched = 0;
+    const std::vector<FuzzOp> ops =
+        geometry_stream(0x6E0E0000 + row, g.procs, machine.lines_per_page());
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+      ASSERT_TRUE(apply_mapped(model, machine, ops[i], oracle, touched))
+          << name << " op " << i;
+      if (i % 250 == 249) {
+        ASSERT_NO_THROW(model.audit()) << name << " op " << i;
+      }
+    }
+    ASSERT_NO_THROW(model.audit()) << name;
+    const CoherenceStats totals = model.total_stats();
+    EXPECT_EQ(totals.hit_lines + totals.miss_lines(), touched) << name;
+    EXPECT_EQ(totals.invalidations_sent, totals.invalidations_received)
+        << name;
+    StateHash digest;
+    model.digest(digest);
+    EXPECT_TRUE(digest.value() == pins[row].digest &&
+                stats_hash(totals) == pins[row].stats)
+        << "pin row " << row << ": {0x" << std::hex << digest.value()
+        << "ull, 0x" << stats_hash(totals) << "ull},  // " << name;
+    all.coherence_miss_lines += totals.coherence_miss_lines;
+    all.capacity_miss_lines += totals.capacity_miss_lines;
+    all.upgrades += totals.upgrades;
+    all.writebacks += totals.writebacks;
+    all.dirty_fetches += totals.dirty_fetches;
+  }
+  // The streams reach every protocol path somewhere in the table.
+  EXPECT_GT(all.coherence_miss_lines, 0u);
+  EXPECT_GT(all.capacity_miss_lines, 0u);
+  EXPECT_GT(all.upgrades, 0u);
+  EXPECT_GT(all.writebacks, 0u);
+  EXPECT_GT(all.dirty_fetches, 0u);
+}
+
+TEST(CoherenceConfig, RejectsUnsupportedGeometry) {
+  // The set index is a mask and the way walk is instantiated per way
+  // count, so sets must be a power of two and ways one of five counts.
+  for (const std::size_t sets : {0u, 3u, 48u}) {
+    CoherenceConfig config;
+    config.sets = sets;
+    EXPECT_THROW(config.validate(), ContractViolation) << sets << " sets";
+  }
+  for (const std::size_t ways : {0u, 3u, 6u, 32u}) {
+    CoherenceConfig config;
+    config.ways = ways;
+    EXPECT_THROW(config.validate(), ContractViolation) << ways << " ways";
+  }
+  // The default, the identity table's perturbations (128 sets, 4 ways)
+  // and the fuzz shapes.
+  const std::pair<std::size_t, std::size_t> accepted[] = {
+      {64, 8}, {128, 4}, {128, 8}, {64, 4}, {2, 2}, {1, 2}};
+  for (const auto& [sets, ways] : accepted) {
+    CoherenceConfig config;
+    config.sets = sets;
+    config.ways = ways;
+    EXPECT_NO_THROW(config.validate()) << sets << " x " << ways;
+    EXPECT_NO_THROW({ CoherenceModel model(fuzz_machine(), config); })
+        << sets << " x " << ways;
   }
 }
 
