@@ -13,21 +13,44 @@
 // positions.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <string_view>
 
 namespace repro {
+
+/// FNV-1a 64 offset basis and prime.
+inline constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
+inline constexpr std::uint64_t kFnvPrime = 0x00000100000001b3ull;
+
+/// FNV-1a 64 over `size` bytes, continuing from `seed`: the digest of
+/// record for RTRC chunks, RSVC frames, result-cache entries and the
+/// canonical trace dump.
+[[nodiscard]] inline std::uint64_t fnv1a(const void* data, std::size_t size,
+                                         std::uint64_t seed = kFnvOffset) {
+  const auto* bytes = static_cast<const unsigned char*>(data);
+  std::uint64_t h = seed;
+  for (std::size_t i = 0; i < size; ++i) {
+    h = (h ^ bytes[i]) * kFnvPrime;
+  }
+  return h;
+}
+
+[[nodiscard]] inline std::uint64_t fnv1a(std::string_view bytes,
+                                         std::uint64_t seed = kFnvOffset) {
+  return fnv1a(bytes.data(), bytes.size(), seed);
+}
 
 class StateHash {
  public:
   /// FNV-1a offset basis; `seed` lets callers chain digests.
-  explicit StateHash(std::uint64_t seed = 0xcbf29ce484222325ull)
-      : hash_(seed) {}
+  explicit StateHash(std::uint64_t seed = kFnvOffset) : hash_(seed) {}
 
   /// Mixes one 64-bit value, byte by byte (FNV-1a), order-dependent.
   void mix(std::uint64_t value) {
     for (int i = 0; i < 8; ++i) {
       hash_ ^= (value >> (8 * i)) & 0xffu;
-      hash_ *= 0x00000100000001b3ull;
+      hash_ *= kFnvPrime;
     }
   }
 

@@ -3,15 +3,12 @@
 #include <array>
 #include <charconv>
 #include <cmath>
-#include <fstream>
-#include <iomanip>
 #include <optional>
 #include <span>
 #include <sstream>
 #include <string_view>
 
 #include "repro/common/hash.hpp"
-#include "repro/harness/atomic_file.hpp"
 #include "repro/tracefmt/reader.hpp"
 
 namespace repro::harness {
@@ -47,20 +44,6 @@ std::string join(const std::vector<Ns>& values) {
   return os.str();
 }
 
-/// "fence=<16-hex FNV-1a of body>\n" -- fixed width, so the reader can
-/// split it off the end of the file without scanning.
-std::string fence_line(std::string_view body) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const char c : body) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x00000100000001b3ull;
-  }
-  std::ostringstream os;
-  os << "fence=" << std::hex << std::setw(16) << std::setfill('0') << h
-     << "\n";
-  return os.str();
-}
-
 // --- decode_result's parsing: string_views over the body, no copies --
 
 /// The keys decode_result reads, in encode_result's order.
@@ -86,7 +69,6 @@ enum Key : std::uint8_t {
   kMetricMigrations,
   kMetricQueueP95,
   kMetricFaults,
-  kSweep,
   kNumKeys,
 };
 
@@ -112,7 +94,6 @@ constexpr std::array<std::string_view, kNumKeys> kKeyNames = {
     "metric_migrations",
     "metric_queue_p95",
     "metric_faults",
-    "sweep",
 };
 
 /// Calls `f` with each space-separated decimal u64 of `s`. False on a
@@ -197,6 +178,7 @@ bool is_decimal(std::string_view s, std::uint64_t v) {
 
 std::uint64_t config_identity(const RunConfig& config) {
   StateHash h(0x9e3779b97f4a7c15ull + kFormatVersion);
+  h.mix(kModelVersion);
   mix_string(h, config.benchmark);
   mix_string(h, config.placement);
   h.mix(config.kernel_migration ? 1 : 0);
@@ -207,7 +189,7 @@ std::uint64_t config_identity(const RunConfig& config) {
   h.mix(config.analyze ? 1 : 0);
   h.mix(config.trace ? 1 : 0);
   // A replay substitutes the workload, so replayed cells must never
-  // alias their direct twins in the checkpoint store. A replay computes
+  // alias their direct twins in the result store. A replay computes
   // what its trace holds, so the trace's content is mixed too: a
   // different trace re-dumped to the same path is a new cell.
   mix_string(h, config.replay);
@@ -279,7 +261,7 @@ std::uint64_t config_identity(const RunConfig& config) {
   h.mix_double(w.size_scale);
 
   // Hash the plan run_benchmark will actually use: REPRO_FAULT_*
-  // overrides must invalidate checkpoints written without them.
+  // overrides must miss results stored without them.
   const fault::FaultPlan f = fault::FaultPlan::from_env(config.fault);
   h.mix(f.seed);
   h.mix_double(f.counter_rate);
@@ -294,23 +276,6 @@ std::uint64_t config_identity(const RunConfig& config) {
   h.mix(f.active_from_iteration);
   h.mix(f.active_until_iteration);
   return h.value();
-}
-
-std::uint64_t sweep_identity(const std::vector<RunConfig>& configs) {
-  StateHash h(0x5feeb1de + kFormatVersion);
-  h.mix(configs.size());
-  for (const RunConfig& config : configs) {
-    h.mix(config_identity(config));
-  }
-  // 0 is the "no sweep identity" sentinel of load_checkpoint.
-  return h.value() == 0 ? 1 : h.value();
-}
-
-std::string checkpoint_path(const std::string& dir, const RunConfig& config) {
-  std::ostringstream os;
-  os << dir << "/CELL_" << config.benchmark << "_" << config.label() << "_"
-     << std::hex << config_identity(config) << ".ckpt";
-  return os.str();
 }
 
 std::string encode_result(std::uint64_t identity, const RunResult& result) {
@@ -385,7 +350,7 @@ std::string encode_result(std::uint64_t identity, const RunResult& result) {
 }
 
 bool decode_result(const std::string& text, std::uint64_t expected_identity,
-                   RunResult* out, std::uint64_t* sweep_out) {
+                   RunResult* out) {
   // One pass splits the body into key=value lines; each known key keeps
   // a view of its last value (unknown keys are ignored).
   std::array<std::optional<std::string_view>, kNumKeys> values;
@@ -409,8 +374,8 @@ bool decode_result(const std::string& text, std::uint64_t expected_identity,
       }
     }
   }
-  for (std::size_t k = 0; k < kNumKeys; ++k) {
-    if (k != kSweep && !values[k].has_value()) {
+  for (const std::optional<std::string_view>& v : values) {
+    if (!v.has_value()) {
       return false;
     }
   }
@@ -418,16 +383,6 @@ bool decode_result(const std::string& text, std::uint64_t expected_identity,
   if (!is_decimal(value(kVersion), kFormatVersion) ||
       !is_decimal(value(kIdentity), expected_identity)) {
     return false;
-  }
-  if (sweep_out != nullptr) {
-    *sweep_out = 0;
-    std::uint64_t sweep = 0;
-    if (values[kSweep].has_value()) {
-      if (!parse_fixed(*values[kSweep], {&sweep, 1})) {
-        return false;
-      }
-      *sweep_out = sweep;
-    }
   }
 
   RunResult r;
@@ -525,59 +480,6 @@ bool decode_result(const std::string& text, std::uint64_t expected_identity,
     return false;
   }
 
-  *out = std::move(r);
-  return true;
-}
-
-void save_checkpoint(const std::string& dir, const RunConfig& config,
-                     const RunResult& result, std::uint64_t sweep) {
-  std::string body = encode_result(config_identity(config), result);
-  body += "sweep=" + std::to_string(sweep) + "\n";
-  // Fence line last: atomic_write_file already prevents torn files on
-  // this host, but checkpoints also travel (scp, shared filesystems,
-  // object stores) where truncation is possible again. The key=value
-  // body alone cannot detect every tear -- dropping just the final
-  // newline, or a digit of the sweep id, still parses -- so the digest
-  // fence makes "truncated anywhere" equal "rejected".
-  body += fence_line(body);
-  atomic_write_file(checkpoint_path(dir, config), body);
-}
-
-bool load_checkpoint(const std::string& dir, const RunConfig& config,
-                     RunResult* out, std::uint64_t expected_sweep) {
-  const std::string path = checkpoint_path(dir, config);
-  std::ifstream in(path);
-  if (!in.good()) {
-    return false;
-  }
-  std::ostringstream content;
-  content << in.rdbuf();
-  std::string body = content.str();
-  // Split off and verify the trailing fence line; a file without an
-  // intact fence over everything before it is torn, not a checkpoint.
-  const std::string fence = fence_line("");
-  const std::size_t fence_bytes = fence.size();  // fixed-width digest
-  if (body.size() < fence_bytes) {
-    return false;
-  }
-  const std::string tail = body.substr(body.size() - fence_bytes);
-  body.resize(body.size() - fence_bytes);
-  if (tail != fence_line(body)) {
-    return false;
-  }
-  RunResult r;
-  std::uint64_t file_sweep = 0;
-  if (!decode_result(body, config_identity(config), &r, &file_sweep)) {
-    return false;
-  }
-  if (expected_sweep != 0 && file_sweep != expected_sweep) {
-    throw CheckpointMismatchError(
-        "checkpoint " + path + " was written by a different sweep (identity " +
-        std::to_string(file_sweep) + ", this sweep is " +
-        std::to_string(expected_sweep) +
-        "): refusing to mix cells across sweeps -- delete the checkpoint "
-        "directory or point --checkpoint-dir at a fresh one");
-  }
   *out = std::move(r);
   return true;
 }

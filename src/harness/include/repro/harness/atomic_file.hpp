@@ -1,6 +1,6 @@
 // Crash-safe file writes for experiment outputs.
 //
-// Every BENCH_*.json, trace dump and sweep checkpoint is written
+// Every BENCH_*.json, trace dump and result-cache snapshot is written
 // tmp + fsync + rename: a killed or OOM'd sweep leaves either the old
 // complete file or the new complete file, never a truncated one for
 // tools/perf_compare.py to choke on.

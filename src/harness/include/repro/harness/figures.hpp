@@ -35,7 +35,8 @@ struct FigureOptions {
   /// Per-cell wall-clock watchdog in milliseconds (--cell-timeout);
   /// 0 disables it. See SweepOptions.
   std::uint32_t cell_timeout_ms = 0;
-  /// Checkpoint/resume directory (--checkpoint-dir); empty = off.
+  /// Checkpoint/resume directory (--checkpoint-dir), a ResultCache
+  /// directory; empty = off. See SweepOptions::checkpoint_dir.
   std::string checkpoint_dir;
   memsys::MachineConfig machine;
 

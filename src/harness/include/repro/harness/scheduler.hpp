@@ -16,7 +16,8 @@
 // raised as one SweepError that lists *every* failed cell
 // (run_experiments). A wall-clock watchdog and checkpoint/resume make
 // long sweeps survivable: a killed sweep rerun with the same checkpoint
-// directory skips completed cells.
+// directory (a ResultCache, see result_cache.hpp) skips completed
+// cells, and so does any other sweep that shares cells with it.
 #pragma once
 
 #include <cstddef>
@@ -94,9 +95,11 @@ struct SweepOptions {
   /// RunConfig::cell_timeout_ms is 0 (a per-cell value wins). 0 = no
   /// default watchdog.
   std::uint32_t cell_timeout_ms = 0;
-  /// Directory for per-cell checkpoint files (see checkpoint.hpp).
-  /// Empty = no checkpointing. Completed cells found here are loaded
-  /// instead of re-simulated; successful cells are saved here.
+  /// ResultCache directory (result_cache.hpp); the sweep daemon's
+  /// --cache-dir reads and writes the same format. Empty = no
+  /// checkpointing. Cells found here under their config_identity are
+  /// decoded instead of re-simulated; each successful cell is added
+  /// as it finishes. One process at a time per directory.
   std::string checkpoint_dir;
 };
 
@@ -105,7 +108,7 @@ struct SweepStats {
   std::size_t cells_total = 0;
   std::size_t cells_ok = 0;
   std::size_t cells_failed = 0;
-  /// Cells satisfied from a checkpoint instead of simulation.
+  /// Cells decoded from the checkpoint directory instead of simulated.
   std::size_t cells_resumed = 0;
   /// Cells aborted by the wall-clock watchdog.
   std::size_t watchdog_fires = 0;

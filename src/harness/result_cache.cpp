@@ -1,4 +1,4 @@
-#include "repro/service/result_cache.hpp"
+#include "repro/harness/result_cache.hpp"
 
 #include <fcntl.h>
 #include <sys/stat.h>
@@ -12,11 +12,11 @@
 #include <sstream>
 
 #include "repro/common/assert.hpp"
+#include "repro/common/hash.hpp"
 #include "repro/common/log.hpp"
 #include "repro/harness/atomic_file.hpp"
-#include "repro/service/protocol.hpp"
 
-namespace repro::service {
+namespace repro::harness {
 
 namespace {
 
@@ -64,7 +64,7 @@ EntryScan scan_entry(const std::string& text, std::size_t pos) {
     return scan;
   }
   const std::string payload = text.substr(payload_at, bytes);
-  if (hex16(frame_digest(payload)) != digest_hex) {
+  if (hex16(fnv1a(payload)) != digest_hex) {
     return scan;
   }
   scan.ok = true;
@@ -90,7 +90,7 @@ std::string encode_journal_entry(std::uint64_t identity,
                                  const std::string& payload) {
   std::ostringstream os;
   os << "RCJE " << identity << ' ' << payload.size() << ' '
-     << hex16(frame_digest(payload)) << '\n'
+     << hex16(fnv1a(payload)) << '\n'
      << payload << '\n';
   return os.str();
 }
@@ -162,6 +162,11 @@ void ResultCache::recover() {
       stats_.dropped_torn_bytes = journal.size() - pos;
       REPRO_LOG_WARN("result cache: dropping ", stats_.dropped_torn_bytes,
                      " bytes of torn journal tail");
+      // Cut the tail off the file too: an entry appended behind it
+      // would be lost at the next recovery, which stops here again.
+      std::error_code ec;
+      std::filesystem::resize_file(journal_path(), pos, ec);
+      REPRO_REQUIRE_MSG(!ec, "cannot cut the torn result cache journal tail");
       break;
     }
     // Replay over a snapshot is idempotent: same identity implies the
@@ -253,7 +258,7 @@ void ResultCache::write_snapshot() {
   for (auto it = entries_.rbegin(); it != entries_.rend(); ++it) {
     os << encode_journal_entry(it->first, it->second);
   }
-  harness::atomic_write_file(snapshot_path(), os.str());
+  atomic_write_file(snapshot_path(), os.str());
   ++stats_.snapshots;
   appends_since_snapshot_ = 0;
   // Truncate the journal only after the snapshot is durably in place;
@@ -261,7 +266,7 @@ void ResultCache::write_snapshot() {
   // idempotent.
   ::close(journal_fd_);
   journal_fd_ = -1;
-  harness::atomic_write_file(journal_path(), "");
+  atomic_write_file(journal_path(), "");
   open_journal();
 }
 
@@ -271,4 +276,4 @@ void ResultCache::flush_snapshot() {
   }
 }
 
-}  // namespace repro::service
+}  // namespace repro::harness

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
+#include <mutex>
+#include <optional>
 #include <sstream>
 #include <thread>
 
@@ -9,6 +12,7 @@
 #include "repro/common/env.hpp"
 #include "repro/common/log.hpp"
 #include "repro/harness/checkpoint.hpp"
+#include "repro/harness/result_cache.hpp"
 
 namespace repro::harness {
 
@@ -23,39 +27,18 @@ struct CellVerdict {
   std::string message;
 };
 
-/// Runs one cell to a verdict: checkpoint load, then one simulation.
-/// Never throws on simulation failure -- every exception becomes part
-/// of the verdict so the remaining cells always run.
-CellVerdict run_cell(const RunConfig& input, const SweepOptions& options,
-                     std::uint64_t sweep_id) {
+/// Runs one cell to a verdict: one simulation. Never throws on
+/// simulation failure -- every exception becomes part of the verdict
+/// so the remaining cells always run.
+CellVerdict run_cell(const RunConfig& input, const SweepOptions& options) {
   CellVerdict v;
   RunConfig config = input;
   if (config.cell_timeout_ms == 0) {
     config.cell_timeout_ms = options.cell_timeout_ms;
   }
-  if (!options.checkpoint_dir.empty()) {
-    try {
-      if (load_checkpoint(options.checkpoint_dir, config, &v.result,
-                          sweep_id)) {
-        v.ok = true;
-        v.resumed = true;
-        return v;
-      }
-    } catch (const CheckpointMismatchError& e) {
-      // A readable cell from a *different* sweep: refuse loudly, never
-      // recompute over it -- the operator pointed two sweeps at one
-      // checkpoint directory and must untangle that first.
-      v.cls = FailureClass::kFault;
-      v.message = e.what();
-      return v;
-    }
-  }
   try {
     v.result = run_benchmark(config);
     v.ok = true;
-    if (!options.checkpoint_dir.empty()) {
-      save_checkpoint(options.checkpoint_dir, config, v.result, sweep_id);
-    }
   } catch (const CellTimeoutError& e) {
     v.timeout = true;
     v.cls = FailureClass::kTimeout;
@@ -152,12 +135,57 @@ SweepOutcome run_sweep(const std::vector<RunConfig>& configs,
       effective_cell_timeout_ms(options.cell_timeout_ms);
   const std::size_t workers =
       std::min(effective_jobs(effective.jobs), configs.size());
-  const std::uint64_t sweep_id = sweep_identity(configs);
 
+  // Resume: a cell already in the checkpoint directory's cache is
+  // decoded here instead of run. A hit that does not decode runs.
   std::vector<CellVerdict> verdicts(configs.size());
+  std::optional<ResultCache> cache;
+  std::mutex cache_mutex;  // guards `cache` while the workers run
+  std::vector<std::uint64_t> ids;
+  if (!options.checkpoint_dir.empty()) {
+    // No eviction: a checkpoint directory never forgets a cell. No
+    // identity is inserted twice, so the journal holds nothing a
+    // snapshot would shed.
+    cache.emplace(CacheConfig{.dir = options.checkpoint_dir,
+                              .capacity = SIZE_MAX,
+                              .snapshot_every = 0});
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+      ids.push_back(config_identity(configs[i]));
+      const std::optional<std::string> hit = cache->lookup(ids[i]);
+      CellVerdict& v = verdicts[i];
+      v.resumed = hit && decode_result(*hit, ids[i], &v.result);
+      v.ok = v.resumed;
+    }
+  }
+
+  // Runs a missing cell and stores its result before the worker takes
+  // the next one, so a killed sweep loses only the cells in flight. A
+  // cell and its no_fast_forward twin share an identity but not their
+  // provenance bytes, which insert() refuses: the first stored stays.
+  const auto run = [&](std::size_t i) {
+    CellVerdict& v = verdicts[i];
+    if (v.resumed) {
+      return;
+    }
+    v = run_cell(configs[i], effective);
+    if (!cache || !v.ok) {
+      return;
+    }
+    const std::string payload = encode_result(ids[i], v.result);
+    try {
+      const std::lock_guard<std::mutex> lock(cache_mutex);
+      if (!cache->contains(ids[i])) {
+        cache->insert(ids[i], payload);
+      }
+    } catch (const std::exception& e) {
+      v.ok = false;
+      v.message = std::string("checkpoint store: ") + e.what();
+    }
+  };
+
   if (workers == 1) {
     for (std::size_t i = 0; i < configs.size(); ++i) {
-      verdicts[i] = run_cell(configs[i], effective, sweep_id);
+      run(i);
     }
   } else {
     // Work-stealing by atomic counter: cells vary widely in cost (BT
@@ -176,7 +204,7 @@ SweepOutcome run_sweep(const std::vector<RunConfig>& configs,
           if (i >= configs.size()) {
             return;
           }
-          verdicts[i] = run_cell(configs[i], effective, sweep_id);
+          run(i);
         }
       });
     }

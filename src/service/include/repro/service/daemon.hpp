@@ -36,7 +36,7 @@
 #include <string>
 
 #include "repro/fault/service.hpp"
-#include "repro/service/result_cache.hpp"
+#include "repro/harness/result_cache.hpp"
 
 namespace repro::service {
 
@@ -52,7 +52,7 @@ struct DaemonConfig {
   /// Re-dispatch backoff: base * 2^(attempt-1) ms.
   std::uint32_t backoff_base_ms = 10;
   bool straggler_duplication = true;
-  CacheConfig cache;
+  harness::CacheConfig cache;
   /// Worker-side chaos (injected in the children, observed here).
   fault::ServiceFaultPlan faults;
 };
@@ -100,7 +100,7 @@ class SweepDaemon {
   /// Counters; read after run() returns (or from the run() thread).
   [[nodiscard]] const ServiceStats& stats() const { return stats_; }
 
-  [[nodiscard]] const ResultCache& cache() const { return cache_; }
+  [[nodiscard]] const harness::ResultCache& cache() const { return cache_; }
 
  private:
   struct Impl;
@@ -108,7 +108,7 @@ class SweepDaemon {
 
   DaemonConfig config_;
   ServiceStats stats_;
-  ResultCache cache_;
+  harness::ResultCache cache_;
   int wake_read_ = -1;
   int wake_write_ = -1;
 };

@@ -68,7 +68,7 @@ struct Frame {
   std::string payload;
 };
 
-/// FNV-1a 64 over payload bytes (same constants as tracefmt).
+/// FNV-1a 64 over payload bytes (repro::fnv1a).
 [[nodiscard]] std::uint64_t frame_digest(std::string_view payload);
 
 /// Writes one complete frame to `fd` (blocking, EINTR-safe, never

@@ -7,14 +7,11 @@
 #include <cerrno>
 #include <cstring>
 
+#include "repro/common/hash.hpp"
+
 namespace repro::service {
 
 namespace {
-
-// FNV-1a 64, same constants as repro/tracefmt/format.hpp. Re-derived
-// here so the protocol library does not pull the trace container in.
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
-constexpr std::uint64_t kFnvPrime = 0x00000100000001b3ull;
 
 /// How long a single frame write may wait for the peer to drain its
 /// socket buffer before the peer is declared dead. Local peers that
@@ -104,12 +101,7 @@ void check_digest(const FrameHeader& header, std::string_view payload) {
 }  // namespace
 
 std::uint64_t frame_digest(std::string_view payload) {
-  std::uint64_t h = kFnvOffset;
-  for (const char c : payload) {
-    h ^= static_cast<unsigned char>(c);
-    h *= kFnvPrime;
-  }
-  return h;
+  return fnv1a(payload);
 }
 
 void write_frame(int fd, FrameType type, std::string_view payload) {

@@ -6,6 +6,9 @@
 #include <cstdio>
 #include <cstring>
 #include <ostream>
+#include <string_view>
+
+#include "repro/common/hash.hpp"
 
 namespace repro::trace {
 
@@ -87,17 +90,6 @@ void render_canonical(const TraceSink& sink, Put&& put) {
   }
 }
 
-constexpr std::uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ull;
-
-/// Continues a 64-bit FNV-1a hash over `bytes`.
-std::uint64_t fnv1a64_update(std::uint64_t hash, std::string_view bytes) {
-  for (const char c : bytes) {
-    hash ^= static_cast<std::uint8_t>(c);
-    hash *= 0x00000100000001b3ull;
-  }
-  return hash;
-}
-
 }  // namespace
 
 void write_canonical(std::ostream& os, const TraceSink& sink) {
@@ -114,14 +106,10 @@ std::string canonical_dump(const TraceSink& sink) {
   return dump;
 }
 
-std::uint64_t fnv1a64(std::string_view bytes) {
-  return fnv1a64_update(kFnvOffsetBasis, bytes);
-}
-
 std::string digest(const TraceSink& sink) {
-  std::uint64_t hash = kFnvOffsetBasis;
+  std::uint64_t hash = kFnvOffset;
   render_canonical(sink, [&hash](std::string_view piece) {
-    hash = fnv1a64_update(hash, piece);
+    hash = fnv1a(piece, hash);
   });
   char hex[17];
   std::snprintf(hex, sizeof hex, "%016llx",

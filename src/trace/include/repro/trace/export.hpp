@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
-#include <string_view>
 
 #include "repro/trace/sink.hpp"
 
@@ -25,11 +24,9 @@ namespace repro::trace {
 void write_canonical(std::ostream& os, const TraceSink& sink);
 [[nodiscard]] std::string canonical_dump(const TraceSink& sink);
 
-/// 64-bit FNV-1a over a byte string.
-[[nodiscard]] std::uint64_t fnv1a64(std::string_view bytes);
-
-/// Digest of the canonical dump as a 16-hex-digit string; the value
-/// stored by the golden-trace regression suite.
+/// Digest of the canonical dump (repro::fnv1a of its bytes) as a
+/// 16-hex-digit string; the value stored by the golden-trace
+/// regression suite.
 [[nodiscard]] std::string digest(const TraceSink& sink);
 
 /// Writes the trace in Chrome trace-event JSON ("traceEvents" array):

@@ -30,6 +30,8 @@
 #include <string>
 #include <vector>
 
+#include "repro/common/hash.hpp"
+
 namespace repro::tracefmt {
 
 /// Any structural problem with a trace file: bad magic, unsupported
@@ -194,23 +196,6 @@ struct Record {
   std::vector<std::uint32_t> binding;  // kRegion; empty = identity
   ProgramData program;           // kProgram
 };
-
-// ---------------------------------------------------------------------------
-// FNV-1a 64 over raw bytes (same constants as common/hash.hpp, applied
-// per byte -- the digest of record these files carry on disk).
-
-inline constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-inline constexpr std::uint64_t kFnvPrime = 0x00000100000001b3ULL;
-
-[[nodiscard]] inline std::uint64_t fnv1a(const std::uint8_t* data,
-                                         std::size_t size,
-                                         std::uint64_t seed = kFnvOffset) {
-  std::uint64_t h = seed;
-  for (std::size_t i = 0; i < size; ++i) {
-    h = (h ^ data[i]) * kFnvPrime;
-  }
-  return h;
-}
 
 // ---------------------------------------------------------------------------
 // LEB128 varints + zigzag. Append-style encoders, bounds-checked

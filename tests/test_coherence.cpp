@@ -42,6 +42,9 @@
 // Regenerate both golden files after an intentional change with:
 //
 //   REPRO_UPDATE_GOLDEN=1 ./build/tests/test_coherence
+//
+// then bump harness::kModelVersion and re-pin
+// GoldenTrace.ModelVersionPinsTheGoldenFiles (test_golden_trace.cpp).
 #include <gtest/gtest.h>
 
 #include <algorithm>

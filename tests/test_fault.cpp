@@ -18,6 +18,7 @@
 #include "repro/harness/atomic_file.hpp"
 #include "repro/harness/checkpoint.hpp"
 #include "repro/harness/json.hpp"
+#include "repro/harness/result_cache.hpp"
 #include "repro/harness/scheduler.hpp"
 #include "repro/trace/sink.hpp"
 
@@ -390,6 +391,16 @@ TEST(Watchdog, SweepDefaultTimeoutAppliesToCellsWithoutOne) {
 
 // --- checkpoint / resume ---------------------------------------------------
 
+/// run_sweep with `dir` as its checkpoint directory.
+SweepOutcome sweep_into(const std::string& dir,
+                        const std::vector<RunConfig>& configs,
+                        std::size_t jobs = 1) {
+  SweepOptions options;
+  options.jobs = jobs;
+  options.checkpoint_dir = dir;
+  return run_sweep(configs, options);
+}
+
 TEST(Checkpoint, RoundTripReproducesJsonRow) {
   const std::string dir = temp_dir("roundtrip");
   RunConfig config = small_config("rr", /*upmlib=*/true);
@@ -397,53 +408,135 @@ TEST(Checkpoint, RoundTripReproducesJsonRow) {
   config.fault = uniform_plan(0.02);
   config.upm.hysteresis_passes = 2;
   const RunResult original = run_benchmark(config);
-  save_checkpoint(dir, config, original);
-  RunResult loaded;
-  ASSERT_TRUE(load_checkpoint(dir, config, &loaded));
-  EXPECT_EQ(results_to_json({original}), results_to_json({loaded}));
+  ASSERT_TRUE(sweep_into(dir, {config}).ok());
+  const SweepOutcome resumed = sweep_into(dir, {config});
+  ASSERT_TRUE(resumed.ok());
+  EXPECT_EQ(resumed.stats.cells_resumed, 1u);
+  EXPECT_EQ(results_to_json({original}), results_to_json(resumed.results));
 }
 
 TEST(Checkpoint, IdentityMismatchRefusesStaleResult) {
   const std::string dir = temp_dir("identity");
-  RunConfig config = small_config("ft", false);
-  const RunResult result = run_benchmark(config);
-  save_checkpoint(dir, config, result);
-  RunResult loaded;
-  ASSERT_TRUE(load_checkpoint(dir, config, &loaded));
+  const RunConfig config = small_config("ft", false);
+  ASSERT_TRUE(sweep_into(dir, {config}).ok());
+  const auto resumes = [&dir](const RunConfig& changed) {
+    const SweepOutcome outcome = sweep_into(dir, {changed});
+    EXPECT_TRUE(outcome.ok());
+    return outcome.stats.cells_resumed == 1;
+  };
+  EXPECT_TRUE(resumes(config));
 
   RunConfig changed = config;
   changed.iterations = 4;
-  EXPECT_FALSE(load_checkpoint(dir, changed, &loaded));
+  EXPECT_FALSE(resumes(changed));
   changed = config;
   changed.fault = uniform_plan(0.5);
-  EXPECT_FALSE(load_checkpoint(dir, changed, &loaded));
+  EXPECT_FALSE(resumes(changed));
   changed = config;
   changed.upm.hysteresis_passes = 2;
-  EXPECT_FALSE(load_checkpoint(dir, changed, &loaded));
+  EXPECT_FALSE(resumes(changed));
   // Host-side supervision knobs do NOT change the identity.
   changed = config;
   changed.cell_timeout_ms = 12345;
-  EXPECT_TRUE(load_checkpoint(dir, changed, &loaded));
+  EXPECT_TRUE(resumes(changed));
 }
 
 TEST(Checkpoint, SweepResumesCompletedCells) {
+  // Four cells on four workers: the workers insert into one cache
+  // concurrently.
   const std::string dir = temp_dir("resume");
   std::vector<RunConfig> configs;
   for (const std::string placement : {"ft", "rr"}) {
-    RunConfig config = small_config(placement, /*upmlib=*/true);
-    config.trace = true;
-    configs.push_back(std::move(config));
+    for (const bool upmlib : {false, true}) {
+      RunConfig config = small_config(placement, upmlib);
+      config.trace = true;
+      configs.push_back(std::move(config));
+    }
   }
-  SweepOptions options;
-  options.jobs = 2;
-  options.checkpoint_dir = dir;
-  const SweepOutcome first = run_sweep(configs, options);
+  const SweepOutcome first = sweep_into(dir, configs, /*jobs=*/4);
   ASSERT_TRUE(first.ok());
   EXPECT_EQ(first.stats.cells_resumed, 0u);
-  const SweepOutcome second = run_sweep(configs, options);
+  const SweepOutcome second = sweep_into(dir, configs, /*jobs=*/4);
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(second.stats.cells_resumed, configs.size());
   EXPECT_EQ(results_to_json(first.results), results_to_json(second.results));
+}
+
+TEST(Checkpoint, SweepResumesTheCellsItSharesWithAnotherSweep) {
+  // Every cell is keyed by its own identity, so two sweeps may share a
+  // directory: sweep B resumes the one cell it shares with sweep A and
+  // simulates the other.
+  const std::string dir = temp_dir("sweep_share");
+  ASSERT_TRUE(sweep_into(dir, {small_config("ft", false),
+                               small_config("rr", false)})
+                  .ok());
+  const std::vector<RunConfig> sweep_b = {small_config("ft", false),
+                                          small_config("wc", false)};
+  const SweepOutcome outcome = sweep_into(dir, sweep_b);
+  ASSERT_TRUE(outcome.ok());
+  EXPECT_EQ(outcome.stats.cells_resumed, 1u);
+  EXPECT_EQ(results_to_json(outcome.results),
+            results_to_json(run_experiments(sweep_b, 1)));
+}
+
+/// `r` without the fast-forward provenance: the fields a cell computes.
+std::string simulated_fields(RunResult r) {
+  r.iterations_simulated = 0;
+  r.iterations_replayed = 0;
+  return encode_result(0, r);
+}
+
+TEST(Checkpoint, SweepTwinWithNoFastForwardSharesOneEntry) {
+  // A cell and its no_fast_forward twin share an identity, but their
+  // provenance bytes differ: only the first one finished is stored.
+  RunConfig config = small_config("ft", false);
+  config.iterations = 12;
+  RunConfig twin = config;
+  twin.no_fast_forward = true;
+  ASSERT_EQ(config_identity(config), config_identity(twin));
+  for (const std::size_t jobs : {1u, 2u}) {
+    const std::string dir = temp_dir("twin_" + std::to_string(jobs));
+    const SweepOutcome first = sweep_into(dir, {config, twin}, jobs);
+    ASSERT_TRUE(first.ok()) << SweepError::format(first.failures);
+    ASSERT_GT(first.results[0].iterations_replayed, 0u);
+    EXPECT_EQ(first.results[1].iterations_replayed, 0u);
+    EXPECT_EQ(simulated_fields(first.results[0]),
+              simulated_fields(first.results[1]));
+    const SweepOutcome again = sweep_into(dir, {config, twin}, jobs);
+    ASSERT_TRUE(again.ok());
+    EXPECT_EQ(again.stats.cells_resumed, 2u);
+    EXPECT_EQ(simulated_fields(again.results[1]),
+              simulated_fields(first.results[1]));
+  }
+}
+
+TEST(Checkpoint, SweepResumesIntactCellsAfterATornJournal) {
+  // A sweep killed while appending its second cell leaves a torn
+  // journal tail: the rerun resumes the first cell, simulates the
+  // second, and stores it where a later run finds it.
+  const std::string dir = temp_dir("torn_journal");
+  const std::vector<RunConfig> configs = {small_config("ft", false),
+                                          small_config("rr", false)};
+  const SweepOutcome first = sweep_into(dir, configs);
+  ASSERT_TRUE(first.ok());
+  const std::string journal = dir + "/journal.log";
+  const std::uintmax_t second_entry_at =
+      encode_journal_entry(config_identity(configs[0]),
+                           encode_result(config_identity(configs[0]),
+                                         first.results[0]))
+          .size();
+  const std::uintmax_t size = std::filesystem::file_size(journal);
+  ASSERT_GT(size, second_entry_at);
+  std::filesystem::resize_file(journal, (second_entry_at + size) / 2);
+
+  const SweepOutcome rerun = sweep_into(dir, configs);
+  ASSERT_TRUE(rerun.ok());
+  EXPECT_EQ(rerun.stats.cells_resumed, 1u);
+  EXPECT_EQ(results_to_json(rerun.results), results_to_json(first.results));
+  EXPECT_EQ(std::filesystem::file_size(journal), size);
+  const SweepOutcome third = sweep_into(dir, configs);
+  ASSERT_TRUE(third.ok());
+  EXPECT_EQ(third.stats.cells_resumed, 2u);
 }
 
 TEST(FailureClasses, NamesAndExitCodesAreStable) {
@@ -765,11 +858,6 @@ void expect_round_trip(const RunConfig& config, std::size_t iterations) {
   ASSERT_TRUE(decode_result(body, id, &decoded));
   EXPECT_EQ(encode_result(id, decoded), body);
   EXPECT_EQ(results_to_json({decoded}), results_to_json({original}));
-  std::uint64_t sweep = 1;
-  ASSERT_TRUE(decode_result(body + "sweep=42\n", id, &decoded, &sweep));
-  EXPECT_EQ(sweep, 42u);
-  ASSERT_TRUE(decode_result(body, id, &decoded, &sweep));
-  EXPECT_EQ(sweep, 0u);
 }
 
 TEST(Checkpoint, DecodeRoundTripsPaperLengthAndShortResults) {
@@ -881,11 +969,9 @@ TEST(Checkpoint, DecodeRejectsMalformedBodies) {
     EXPECT_FALSE(decode_result(text, id, &untouched)) << what;
     EXPECT_EQ(untouched.label, "untouched") << what;
   }
-  // A bad sweep id matters only to a caller that asks for it.
-  const std::string bad_sweep = body + "sweep=1 2\n";
-  std::uint64_t sweep = 0;
-  EXPECT_FALSE(decode_result(bad_sweep, id, &decoded, &sweep));
-  EXPECT_TRUE(decode_result(bad_sweep, id, &decoded));
+  // Unknown keys are ignored, even the retired checkpoint-file `sweep`
+  // line with a value that is no number.
+  EXPECT_TRUE(decode_result(body + "sweep=1 2\n", id, &decoded));
 }
 
 TEST(Checkpoint, ReplayCellsAreKeyedByTraceContent) {
@@ -913,96 +999,8 @@ TEST(Checkpoint, ReplayCellsAreKeyedByTraceContent) {
 
   // An unreadable trace still has an identity; the cell fails when run.
   config.replay = dir + "/missing.rtrc";
-  EXPECT_NO_THROW((void)sweep_identity({config}));
+  EXPECT_NO_THROW((void)config_identity(config));
   EXPECT_FALSE(run_sweep({config}, options).ok());
-}
-
-TEST(Checkpoint, SweepIdentityGuardRefusesForeignCells) {
-  const std::string dir = temp_dir("sweep_guard");
-  RunConfig config = small_config("ft", false);
-  const std::vector<RunConfig> sweep_a = {config, small_config("rr", false)};
-  const std::vector<RunConfig> sweep_b = {config};
-  const std::uint64_t id_a = sweep_identity(sweep_a);
-  const std::uint64_t id_b = sweep_identity(sweep_b);
-  ASSERT_NE(id_a, id_b);
-  ASSERT_NE(id_a, 0u);
-
-  const RunResult result = run_benchmark(config);
-  save_checkpoint(dir, config, result, id_a);
-  RunResult loaded;
-  // Same sweep: resumes. No expectation (0): resumes.
-  EXPECT_TRUE(load_checkpoint(dir, config, &loaded, id_a));
-  EXPECT_TRUE(load_checkpoint(dir, config, &loaded));
-  // A *different* sweep must refuse loudly, not silently recompute or
-  // silently resume a stale cell.
-  EXPECT_THROW((void)load_checkpoint(dir, config, &loaded, id_b),
-               CheckpointMismatchError);
-}
-
-TEST(Checkpoint, SweepRefusesCheckpointDirOfDifferentSweep) {
-  const std::string dir = temp_dir("sweep_refuse");
-  std::vector<RunConfig> sweep_a = {small_config("ft", false),
-                                    small_config("rr", false)};
-  SweepOptions options;
-  options.jobs = 1;
-  options.checkpoint_dir = dir;
-  ASSERT_TRUE(run_sweep(sweep_a, options).ok());
-  // Same first cell, different sweep: its saved checkpoint belongs to
-  // sweep A and must not resume under sweep B.
-  const std::vector<RunConfig> sweep_b = {sweep_a[0],
-                                          small_config("wc", false)};
-  const SweepOutcome outcome = run_sweep(sweep_b, options);
-  ASSERT_FALSE(outcome.ok());
-  EXPECT_EQ(outcome.failures[0].index, 0u);
-  EXPECT_NE(outcome.failures[0].message.find("sweep"), std::string::npos);
-}
-
-TEST(Checkpoint, TruncationAtEveryByteIsRejectedNeverMisread) {
-  const std::string dir = temp_dir("torn_checkpoint");
-  RunConfig config = small_config("ft", false);
-  config.trace = true;
-  const RunResult result = run_benchmark(config);
-  save_checkpoint(dir, config, result);
-  const std::string path = checkpoint_path(dir, config);
-  std::string content;
-  {
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream os;
-    os << in.rdbuf();
-    content = os.str();
-  }
-  ASSERT_FALSE(content.empty());
-  RunResult loaded;
-  ASSERT_TRUE(load_checkpoint(dir, config, &loaded));
-  for (std::size_t cut = 0; cut < content.size(); ++cut) {
-    {
-      std::ofstream out(path, std::ios::binary | std::ios::trunc);
-      out << content.substr(0, cut);
-    }
-    EXPECT_FALSE(load_checkpoint(dir, config, &loaded))
-        << "checkpoint truncated at byte " << cut << " was accepted";
-  }
-}
-
-TEST(Checkpoint, TruncatedFileIsRejected) {
-  const std::string dir = temp_dir("truncated");
-  RunConfig config = small_config("ft", false);
-  const RunResult result = run_benchmark(config);
-  save_checkpoint(dir, config, result);
-  const std::string path = checkpoint_path(dir, config);
-  std::string content;
-  {
-    std::ifstream in(path);
-    std::ostringstream os;
-    os << in.rdbuf();
-    content = os.str();
-  }
-  {
-    std::ofstream out(path, std::ios::trunc);
-    out << content.substr(0, content.size() / 2);
-  }
-  RunResult loaded;
-  EXPECT_FALSE(load_checkpoint(dir, config, &loaded));
 }
 
 // --- atomic writes ---------------------------------------------------------

@@ -16,9 +16,13 @@
 //
 //   REPRO_UPDATE_GOLDEN=1 ./build/tests/test_golden_trace
 //
-// and review the diff of both files like any other code change.
+// and review the diff of both files like any other code change. A
+// re-recorded golden also bumps harness::kModelVersion and re-pins
+// ModelVersionPinsTheGoldenFiles below.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -26,6 +30,8 @@
 #include <vector>
 
 #include "repro/common/env.hpp"
+#include "repro/common/hash.hpp"
+#include "repro/harness/checkpoint.hpp"
 #include "repro/harness/scheduler.hpp"
 #include "repro/trace/metrics.hpp"
 
@@ -316,6 +322,42 @@ TEST(GoldenTrace, EngineCellsMatchCheckedInGoldens) {
     return;
   }
   expect_goldens(kEngineGoldenFile, results);
+}
+
+/// The model version the golden files were recorded under, and their
+/// hash: FNV-1a over each tests/golden/*.txt file's name, size and
+/// bytes, in name order.
+constexpr std::uint64_t kPinnedModelVersion = 1;
+constexpr std::uint64_t kPinnedGoldens = 0x6ec67a19c6a171c3;
+
+// Cached results are keyed by kModelVersion, so a golden re-recorded
+// without a bump would let results of the old model resume under the
+// new one. REPRO_UPDATE_GOLDEN does not re-pin this on purpose.
+TEST(GoldenTrace, ModelVersionPinsTheGoldenFiles) {
+  std::vector<std::filesystem::path> files;
+  for (const auto& entry : std::filesystem::directory_iterator(GOLDEN_DIR)) {
+    if (entry.path().extension() == ".txt") {
+      files.push_back(entry.path());
+    }
+  }
+  std::sort(files.begin(), files.end());
+  ASSERT_FALSE(files.empty());
+  std::uint64_t hash = kFnvOffset;
+  for (const std::filesystem::path& path : files) {
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    hash = fnv1a(path.filename().string() + "\n" +
+                     std::to_string(bytes.str().size()) + "\n",
+                 hash);
+    hash = fnv1a(bytes.str(), hash);
+  }
+  EXPECT_EQ(kModelVersion, kPinnedModelVersion)
+      << "harness::kModelVersion moved: re-pin kPinnedModelVersion and "
+         "kPinnedGoldens";
+  EXPECT_EQ(hash, kPinnedGoldens)
+      << "tests/golden/*.txt changed (hash 0x" << std::hex << hash
+      << "): bump harness::kModelVersion and re-pin";
 }
 
 }  // namespace

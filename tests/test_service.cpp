@@ -27,16 +27,20 @@
 #include "repro/common/assert.hpp"
 #include "repro/fault/service.hpp"
 #include "repro/harness/checkpoint.hpp"
+#include "repro/harness/result_cache.hpp"
 #include "repro/harness/scheduler.hpp"
 #include "repro/service/cellspec.hpp"
 #include "repro/service/client.hpp"
 #include "repro/service/daemon.hpp"
 #include "repro/service/protocol.hpp"
-#include "repro/service/result_cache.hpp"
 #include "repro/service/worker.hpp"
 
 namespace repro::service {
 namespace {
+
+using harness::CacheConfig;
+using harness::encode_journal_entry;
+using harness::ResultCache;
 
 std::string temp_dir(const std::string& name) {
   const std::filesystem::path dir =
@@ -503,6 +507,11 @@ TEST(ResultCache, JournalTornTailFuzzEveryByteBoundary) {
     } else {
       EXPECT_GT(cache.stats().dropped_torn_bytes, 0u);
     }
+    // The torn tail is cut off the file, so the next append follows
+    // the last intact entry.
+    EXPECT_EQ(std::filesystem::file_size(dir + "/journal.log"),
+              expected == 0 ? 0u : boundaries[expected - 1])
+        << "journal truncated at byte " << cut;
   }
 }
 
@@ -600,6 +609,38 @@ TEST(SweepService, ColdThenWarmMatchesDirectRunSweep) {
   EXPECT_EQ(stats.cache_hits, request.cells.size());
   EXPECT_EQ(stats.cells_completed, request.cells.size());
   EXPECT_EQ(stats.cells_failed, 0u);
+}
+
+TEST(SweepService, DaemonServesASweepCheckpointDir) {
+  // One store: a directory run_sweep resumes from is a cache directory
+  // the daemon serves, byte for byte.
+  const std::string dir = temp_dir("sweep_dir");
+  const SweepRequest request = six_cell_grid();
+  std::vector<harness::RunConfig> configs;
+  for (const CellSpec& spec : request.cells) {
+    configs.push_back(spec.to_config());
+  }
+  harness::SweepOptions options;
+  options.jobs = 2;
+  options.checkpoint_dir = dir + "/store";
+  const harness::SweepOutcome swept = harness::run_sweep(configs, options);
+  ASSERT_TRUE(swept.ok());
+
+  DaemonConfig config;
+  config.socket_path = dir + "/sweepd.sock";
+  config.workers = 1;
+  config.cache.dir = dir + "/store";
+  DaemonFixture fixture(std::move(config));
+  SweepClient client(dir + "/sweepd.sock");
+  const SweepReply reply = client.submit(request);
+  ASSERT_TRUE(reply.ok()) << reply.error;
+  EXPECT_EQ(reply.cache_hits, request.cells.size());
+  ASSERT_EQ(reply.cells.size(), swept.results.size());
+  for (std::size_t i = 0; i < reply.cells.size(); ++i) {
+    EXPECT_TRUE(reply.cells[i].cached);
+    EXPECT_EQ(reply.cells[i].result.trace_digest,
+              swept.results[i].trace_digest);
+  }
 }
 
 TEST(SweepService, BusyShedBeyondMaxPendingRequests) {

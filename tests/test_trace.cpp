@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "repro/common/hash.hpp"
 #include "repro/harness/run.hpp"
 #include "repro/trace/event.hpp"
 #include "repro/trace/export.hpp"
@@ -174,8 +175,8 @@ TEST(CanonicalDump, RoundTripsThroughWriteCanonical) {
 
 TEST(Digest, MatchesFnv1aReferenceValues) {
   // FNV-1a 64 reference vectors (offset basis, and the published "a").
-  EXPECT_EQ(fnv1a64(""), 0xcbf29ce484222325ull);
-  EXPECT_EQ(fnv1a64("a"), 0xaf63dc4c8601ec8cull);
+  EXPECT_EQ(fnv1a(""), 0xcbf29ce484222325ull);
+  EXPECT_EQ(fnv1a("a"), 0xaf63dc4c8601ec8cull);
 }
 
 TEST(Digest, SixteenHexDigitsStableAndSensitive) {
@@ -231,13 +232,13 @@ TEST(Digest, EqualsFnv1aOfCanonicalDump) {
   ASSERT_NE(dump.find("a=18446744073709551615"), std::string::npos);
   char expected[17];
   std::snprintf(expected, sizeof expected, "%016llx",
-                static_cast<unsigned long long>(fnv1a64(dump)));
+                static_cast<unsigned long long>(fnv1a(dump)));
   EXPECT_EQ(digest(sink), expected);
 
   TraceSink empty;
   std::snprintf(expected, sizeof expected, "%016llx",
                 static_cast<unsigned long long>(
-                    fnv1a64(canonical_dump(empty))));
+                    fnv1a(canonical_dump(empty))));
   EXPECT_EQ(digest(empty), expected);
 }
 

@@ -314,7 +314,7 @@ void assemble_trace(const std::string& path, const RawTrace& raw) {
     header.payload_bytes = c.payload.size();
     header.record_count = c.records;
     header.op_count = c.ops;
-    header.payload_digest = tracefmt::fnv1a(c.payload.data(), c.payload.size());
+    header.payload_digest = repro::fnv1a(c.payload.data(), c.payload.size());
     rows.push_back(tracefmt::ChunkInfo{out.size(), header.payload_bytes,
                                        c.records, c.ops,
                                        header.payload_digest});
