@@ -261,8 +261,8 @@ void BM_CoherenceColdSweep(benchmark::State& state) {
 BENCHMARK(BM_CoherenceColdSweep)->Unit(benchmark::kMillisecond);
 
 void BM_TraceDigest(benchmark::State& state) {
-  // Host cost per event of a traced cell's digest (canonical sort,
-  // line formatting and FNV-1a): 8 lanes x 4096 events, every kind,
+  // Host cost per event of a traced cell's digest (the canonical merge
+  // walk and the packed word hash): 8 lanes x 4096 events, every kind,
   // equal-time ties across lanes, payloads of one to thirteen digits.
   trace::TraceSink sink;
   constexpr std::uint16_t kLanes = 8;

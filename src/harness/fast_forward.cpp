@@ -405,8 +405,9 @@ std::uint32_t FastForward::replay(std::uint32_t next_step,
   }
   omp::Runtime& rt = machine_->runtime();
 
-  // Re-stamp the cached block's trace events. Copy the source ranges
-  // first: appending grows the very vectors they live in.
+  // Re-stamp the cached block's trace events. Each lane is reserved to
+  // its final size first, so the appends never reallocate and the
+  // cached block is read in place.
   if (sink_ != nullptr) {
     const auto lanes = static_cast<std::uint16_t>(sink_->num_lanes());
     for (std::uint16_t l = 0; l < lanes; ++l) {
@@ -414,9 +415,8 @@ std::uint32_t FastForward::replay(std::uint32_t next_step,
       const std::size_t prev_begin = s[0].lane_sizes[l];
       const std::size_t cur_begin = s[p].lane_sizes[l];
       const std::size_t len = s[n].lane_sizes[l] - cur_begin;
-      std::vector<trace::TraceEvent> cached(
-          events.begin() + static_cast<std::ptrdiff_t>(cur_begin),
-          events.begin() + static_cast<std::ptrdiff_t>(cur_begin + len));
+      sink_->reserve_lane(l, events.size() + blocks * len);
+      const trace::TraceEvent* cached = events.data() + cur_begin;
       // Per-event payload deltas between the two probed blocks
       // (modular arithmetic, so decreasing payloads extrapolate too).
       std::vector<std::pair<std::uint64_t, std::uint64_t>> deltas;
@@ -438,15 +438,16 @@ std::uint32_t FastForward::replay(std::uint32_t next_step,
     }
   }
 
-  // Shifted copies of the cached block's region records.
+  // Shifted copies of the cached block's region records, reserved the
+  // same way.
   {
     const auto& records = rt.records();
-    const std::vector<omp::RegionRecord> cached(
-        records.begin() + static_cast<std::ptrdiff_t>(s[p].record_count),
-        records.begin() + static_cast<std::ptrdiff_t>(s[n].record_count));
+    const std::size_t len = s[n].record_count - s[p].record_count;
+    rt.reserve_records(records.size() + blocks * len);
+    const omp::RegionRecord* cached = records.data() + s[p].record_count;
     for (std::uint32_t c = 1; c <= blocks; ++c) {
-      for (const omp::RegionRecord& r : cached) {
-        omp::RegionRecord out = r;
+      for (std::size_t j = 0; j < len; ++j) {
+        omp::RegionRecord out = cached[j];
         out.start += static_cast<Ns>(c) * block_ns;
         out.end += static_cast<Ns>(c) * block_ns;
         rt.append_record(std::move(out));

@@ -31,8 +31,9 @@ namespace repro::harness {
 /// cached result computed by an older model misses once and is
 /// recomputed. GoldenTrace.ModelVersionPinsTheGoldenFiles pins a hash
 /// of tests/golden/*.txt to this value, so re-recording a golden file
-/// without a bump fails.
-inline constexpr std::uint64_t kModelVersion = 1;
+/// without a bump fails. 2: trace digest v2 (a stored result carries
+/// its trace digest).
+inline constexpr std::uint64_t kModelVersion = 2;
 
 /// Hash of kModelVersion and of every RunConfig field that can
 /// influence the simulation's result (placement, engines, iterations,

@@ -169,6 +169,10 @@ class Runtime {
     records_.push_back(std::move(record));
   }
 
+  /// Reserves room for `records` records in total, so appends up to
+  /// that size never reallocate.
+  void reserve_records(std::size_t records) { records_.reserve(records); }
+
   /// Digest of the runtime state future executions depend on: the
   /// clock is excluded (the fast-forward gate compares *relative*
   /// per-iteration behaviour), the thread binding is what matters.

@@ -1,8 +1,8 @@
-// Framed messages for the sweep service (RSVC protocol, version 1).
+// Framed messages for the sweep service (RSVC protocol, version 2).
 //
 // Every message between client <-> daemon and daemon <-> worker is one
 // frame: a fixed 32-byte header (magic, version, type, payload length,
-// FNV-1a digest of the payload) followed by the payload bytes. The
+// word-hash digest of the payload) followed by the payload bytes. The
 // framing reuses the RTRC container's idioms (src/tracefmt): little-
 // endian fixed headers, digest-fenced payloads, strict readers that
 // throw on anything torn or garbled rather than resynchronising. A
@@ -31,7 +31,8 @@ class ProtocolError : public std::runtime_error {
 };
 
 inline constexpr std::uint32_t kFrameMagic = 0x43565352;  // "RSVC"
-inline constexpr std::uint32_t kProtocolVersion = 1;
+/// 2: the payload digest is repro::word_hash (1: FNV-1a 64).
+inline constexpr std::uint32_t kProtocolVersion = 2;
 /// Upper bound on one payload; a header announcing more is garbage,
 /// not a request for a 16 EiB allocation.
 inline constexpr std::uint64_t kMaxFramePayload = 16ull << 20U;
@@ -59,7 +60,7 @@ struct FrameHeader {
   std::uint32_t type = 0;
   std::uint32_t reserved = 0;
   std::uint64_t payload_bytes = 0;
-  std::uint64_t payload_digest = 0;  // FNV-1a 64 over the payload
+  std::uint64_t payload_digest = 0;  // frame_digest of the payload
 };
 static_assert(sizeof(FrameHeader) == 32);
 
@@ -68,7 +69,8 @@ struct Frame {
   std::string payload;
 };
 
-/// FNV-1a 64 over payload bytes (repro::fnv1a).
+/// Digest of the payload bytes (repro::word_hash: eight bytes per
+/// step, where FNV-1a took one).
 [[nodiscard]] std::uint64_t frame_digest(std::string_view payload);
 
 /// Writes one complete frame to `fd` (blocking, EINTR-safe, never

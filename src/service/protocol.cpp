@@ -101,7 +101,7 @@ void check_digest(const FrameHeader& header, std::string_view payload) {
 }  // namespace
 
 std::uint64_t frame_digest(std::string_view payload) {
-  return fnv1a(payload);
+  return word_hash(payload);
 }
 
 void write_frame(int fd, FrameType type, std::string_view payload) {

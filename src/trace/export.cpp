@@ -58,9 +58,8 @@ class LineBuffer {
 
 /// Feeds the canonical dump to `put` (called with std::string_view
 /// pieces, in order): header, lane table, phase table, then one line
-/// per event in canonical order. The single formatter behind both the
-/// written dump and its digest, so the digest hashes exactly the
-/// dump's bytes without building the dump.
+/// per event in canonical order. The single formatter behind the
+/// written dump and canonical_dump().
 template <typename Put>
 void render_canonical(const TraceSink& sink, Put&& put) {
   put("# repro-trace v1\n");
@@ -79,7 +78,7 @@ void render_canonical(const TraceSink& sink, Put&& put) {
     put(sink.phase_name(p));
     put("\n");
   }
-  for (const TraceEvent& e : sink.canonical_events()) {
+  sink.for_each_canonical([&line, &put](const TraceEvent& e) {
     line.clear();
     line << e.time << ' ' << event_kind_name(e.kind) << " lane=" << e.lane
          << " seq=" << e.seq << " it=" << e.iteration << " ph=" << e.phase
@@ -87,7 +86,12 @@ void render_canonical(const TraceSink& sink, Put&& put) {
          << " page=" << e.page << " a=" << e.a << " b=" << e.b
          << " cost=" << e.cost << '\n';
     put(line.view());
-  }
+  });
+}
+
+/// Two 32-bit fields in one word, `low` in the low half.
+std::uint64_t pack(std::uint32_t low, std::uint32_t high) {
+  return low | static_cast<std::uint64_t>(high) << 32;
 }
 
 }  // namespace
@@ -107,13 +111,33 @@ std::string canonical_dump(const TraceSink& sink) {
 }
 
 std::string digest(const TraceSink& sink) {
-  std::uint64_t hash = kFnvOffset;
-  render_canonical(sink, [&hash](std::string_view piece) {
-    hash = fnv1a(piece, hash);
+  WordHash hash;
+  hash.add(kDigestVersion);
+  hash.add(sink.num_lanes());
+  for (std::uint16_t l = 0; l < sink.num_lanes(); ++l) {
+    hash.add_bytes(sink.lane_name(l));
+  }
+  hash.add(sink.num_phases() - 1);
+  for (std::uint32_t p = 1; p < sink.num_phases(); ++p) {
+    hash.add_bytes(sink.phase_name(p));
+  }
+  sink.for_each_canonical([&hash](const TraceEvent& e) {
+    hash.add(e.time);
+    hash.add(e.page);
+    hash.add(e.a);
+    hash.add(e.b);
+    hash.add(e.cost);
+    hash.add(pack(static_cast<std::uint32_t>(e.node),
+                  static_cast<std::uint32_t>(e.src)));
+    hash.add(pack(static_cast<std::uint32_t>(e.dst),
+                  static_cast<std::uint32_t>(e.kind) |
+                      static_cast<std::uint32_t>(e.lane) << 16));
+    hash.add(pack(e.seq, e.iteration));
+    hash.add(e.phase);
   });
   char hex[17];
   std::snprintf(hex, sizeof hex, "%016llx",
-                static_cast<unsigned long long>(hash));
+                static_cast<unsigned long long>(hash.finish()));
   return hex;
 }
 
@@ -127,7 +151,7 @@ void write_chrome_trace(std::ostream& os, const TraceSink& sink) {
     }
     first = false;
   };
-  for (const TraceEvent& e : sink.canonical_events()) {
+  sink.for_each_canonical([&](const TraceEvent& e) {
     switch (e.kind) {
       case EventKind::kRegionBegin:
       case EventKind::kRegionEnd: {
@@ -177,7 +201,7 @@ void write_chrome_trace(std::ostream& os, const TraceSink& sink) {
         break;
       }
     }
-  }
+  });
   os << "\n]}\n";
 }
 

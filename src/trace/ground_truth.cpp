@@ -12,7 +12,7 @@ PlacementGroundTruth extract_ground_truth(const TraceSink& sink) {
   std::map<std::uint64_t, std::pair<std::int32_t, std::int32_t>> homes;
   std::map<std::uint32_t, Ns> iteration_begin;
 
-  for (const TraceEvent& ev : sink.canonical_events()) {
+  sink.for_each_canonical([&](const TraceEvent& ev) {
     switch (ev.kind) {
       case EventKind::kPageMigration: {
         MigrationRecord rec;
@@ -73,7 +73,7 @@ PlacementGroundTruth extract_ground_truth(const TraceSink& sink) {
       default:
         break;
     }
-  }
+  });
 
   truth.migrated_pages.reserve(homes.size());
   for (const auto& [page, src_dst] : homes) {
@@ -111,9 +111,9 @@ CoherenceGroundTruth extract_coherence_ground_truth(const TraceSink& sink) {
   CoherenceGroundTruth truth;
   // (page, line) -> record; std::map gives the ascending output order.
   std::map<std::pair<std::uint64_t, std::uint32_t>, LinePingPong> by_line;
-  for (const TraceEvent& ev : sink.canonical_events()) {
+  sink.for_each_canonical([&](const TraceEvent& ev) {
     if (ev.kind != EventKind::kLineInvalidate) {
-      continue;
+      return;
     }
     const auto line = static_cast<std::uint32_t>(ev.a);
     LinePingPong& rec = by_line[{ev.page, line}];
@@ -127,7 +127,7 @@ CoherenceGroundTruth extract_coherence_ground_truth(const TraceSink& sink) {
       rec.writers.push_back(writer);
     }
     ++truth.total_invalidations;
-  }
+  });
   truth.lines.reserve(by_line.size());
   for (auto& [key, rec] : by_line) {
     std::sort(rec.writers.begin(), rec.writers.end());

@@ -1,7 +1,5 @@
 #include "repro/trace/sink.hpp"
 
-#include <algorithm>
-
 #include "repro/common/assert.hpp"
 
 namespace repro::trace {
@@ -84,6 +82,8 @@ const std::string& TraceSink::phase_name(std::uint32_t phase) const {
 void TraceSink::emit(std::uint16_t lane, TraceEvent event) {
   REPRO_REQUIRE(lane < lanes_.size());
   Lane& l = lanes_[lane];
+  REPRO_REQUIRE_MSG(l.events.empty() || l.events.back().time <= event.time,
+                    "trace event earlier than its lane's last event");
   event.lane = lane;
   event.seq = static_cast<std::uint32_t>(l.events.size());
   event.iteration = iteration_;
@@ -94,9 +94,17 @@ void TraceSink::emit(std::uint16_t lane, TraceEvent event) {
 void TraceSink::append_replayed(std::uint16_t lane, TraceEvent event) {
   REPRO_REQUIRE(lane < lanes_.size());
   Lane& l = lanes_[lane];
+  REPRO_REQUIRE_MSG(l.events.empty() || l.events.back().time <= event.time,
+                    "replayed trace event earlier than its lane's last "
+                    "event");
   event.lane = lane;
   event.seq = static_cast<std::uint32_t>(l.events.size());
   l.events.push_back(event);
+}
+
+void TraceSink::reserve_lane(std::uint16_t lane, std::size_t events) {
+  REPRO_REQUIRE(lane < lanes_.size());
+  lanes_[lane].events.reserve(events);
 }
 
 std::size_t TraceSink::size() const {
@@ -111,29 +119,6 @@ const std::vector<TraceEvent>& TraceSink::lane_events(
     std::uint16_t lane) const {
   REPRO_REQUIRE(lane < lanes_.size());
   return lanes_[lane].events;
-}
-
-std::vector<TraceEvent> TraceSink::canonical_events() const {
-  std::vector<TraceEvent> all;
-  all.reserve(size());
-  for (const Lane& l : lanes_) {
-    all.insert(all.end(), l.events.begin(), l.events.end());
-  }
-  // The canonical total order. (lane, seq) breaks simulated-time ties
-  // deterministically: lane ids come from the fixed registration order
-  // of the machine assembly and seq is the per-lane append index, so
-  // the result never depends on host scheduling or the --jobs count.
-  std::sort(all.begin(), all.end(),
-            [](const TraceEvent& x, const TraceEvent& y) {
-              if (x.time != y.time) {
-                return x.time < y.time;
-              }
-              if (x.lane != y.lane) {
-                return x.lane < y.lane;
-              }
-              return x.seq < y.seq;
-            });
-  return all;
 }
 
 void TraceSink::clear() {

@@ -901,8 +901,8 @@ TEST(CoherenceGolden, GridStableAcrossJobsAndMatchesCheckedInGoldens) {
 
   if (Env::global().get_bool("REPRO_UPDATE_GOLDEN", false)) {
     write_goldens(kCoherenceGoldenFile,
-                  "# Golden coherence-grid digests (FNV-1a 64 of the "
-                  "canonical dump)\n"
+                  "# Golden coherence-grid trace digests (v2, the word "
+                  "hash of the canonical events)\n"
                   "# for FS x {ft, rr} x {base, upmlib} x {msi, mesi},\n"
                   "# iterations=4.\n"
                   "#\n"
@@ -945,8 +945,8 @@ TEST(CoherenceGolden, CgCapacityPathMatchesCheckedInGoldens) {
 
   if (Env::global().get_bool("REPRO_UPDATE_GOLDEN", false)) {
     write_goldens(kCoherenceCgGoldenFile,
-                  "# Golden coherence digests (FNV-1a 64 of the canonical "
-                  "dump)\n"
+                  "# Golden coherence trace digests (v2, the word hash of "
+                  "the canonical events)\n"
                   "# for CG ft x {msi, mesi}, scale 0.25, iterations=3.\n"
                   "#\n"
                   "# Regenerate: REPRO_UPDATE_GOLDEN=1 ./build/tests/"

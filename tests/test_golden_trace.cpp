@@ -245,8 +245,8 @@ TEST(GoldenTrace, DigestsStableAcrossJobsAndMatchCheckedInGoldens) {
 
   if (Env::global().get_bool("REPRO_UPDATE_GOLDEN", false)) {
     write_goldens(kGoldenFile,
-                  "# Golden canonical-trace digests (FNV-1a 64 of the "
-                  "canonical dump)\n"
+                  "# Golden trace digests (v2, the word hash of the "
+                  "canonical events)\n"
                   "# for the tiny regression matrix: every benchmark x "
                   "{ft, rr, wc}\n"
                   "# x {base, upmlib}, iterations=3, size_scale=0.25.\n"
@@ -277,8 +277,8 @@ TEST(GoldenTrace, DaemonCellsMatchCheckedInGoldens) {
 
   if (Env::global().get_bool("REPRO_UPDATE_GOLDEN", false)) {
     write_goldens(kDaemonGoldenFile,
-                  "# Golden canonical-trace digests (FNV-1a 64 of the "
-                  "canonical dump)\n"
+                  "# Golden trace digests (v2, the word hash of the "
+                  "canonical events)\n"
                   "# for the kernel-daemon cells: {CG, MG} x {rr, wc} "
                   "x IRIXmig,\n"
                   "# iterations=3, size_scale=0.25.\n"
@@ -307,8 +307,8 @@ TEST(GoldenTrace, EngineCellsMatchCheckedInGoldens) {
 
   if (Env::global().get_bool("REPRO_UPDATE_GOLDEN", false)) {
     write_goldens(kEngineGoldenFile,
-                  "# Golden canonical-trace digests (FNV-1a 64 of the "
-                  "canonical dump)\n"
+                  "# Golden trace digests (v2, the word hash of the "
+                  "canonical events)\n"
                   "# for the engine cells: {BT, SP} x {ft, rr}-recrep and "
                   "{CG, BT, SP} ft-IRIXmig,\n"
                   "# iterations=16, size_scale=0.25.\n"
@@ -327,8 +327,8 @@ TEST(GoldenTrace, EngineCellsMatchCheckedInGoldens) {
 /// The model version the golden files were recorded under, and their
 /// hash: FNV-1a over each tests/golden/*.txt file's name, size and
 /// bytes, in name order.
-constexpr std::uint64_t kPinnedModelVersion = 1;
-constexpr std::uint64_t kPinnedGoldens = 0x6ec67a19c6a171c3;
+constexpr std::uint64_t kPinnedModelVersion = 2;
+constexpr std::uint64_t kPinnedGoldens = 0x2fff27255bc03d79;
 
 // Cached results are keyed by kModelVersion, so a golden re-recorded
 // without a bump would let results of the old model resume under the

@@ -464,6 +464,38 @@ TEST(ResultCache, SnapshotTruncatesJournalAndStillRecovers) {
   EXPECT_EQ(reopened.lookup(3).value_or(""), "three");
 }
 
+TEST(ResultCache, EvictedEntriesStayInTheDirectory) {
+  // Capacity bounds memory, not the store: snapshots taken after
+  // evictions (periodic, at recovery of a larger directory, and the
+  // drain's flush) must keep every acknowledged entry.
+  const std::string dir = temp_dir("spill");
+  CacheConfig small;
+  small.dir = dir;
+  small.capacity = 2;
+  small.snapshot_every = 3;
+  {
+    ResultCache cache(small);
+    for (std::uint64_t id = 1; id <= 7; ++id) {
+      cache.insert(id, "payload " + std::to_string(id));
+    }
+    cache.insert(2, "payload 2");  // a re-insert of an evicted entry
+    EXPECT_EQ(cache.size(), 2u);
+    EXPECT_GE(cache.stats().snapshots, 2u);
+  }
+  {
+    ResultCache reopened(small);  // recovery itself evicts 5 of 7
+    EXPECT_EQ(reopened.size(), 2u);
+    reopened.flush_snapshot();
+  }
+  CacheConfig large = small;
+  large.capacity = 100;
+  ResultCache all(large);
+  EXPECT_EQ(all.stats().recovered_entries, 7u);
+  for (std::uint64_t id = 1; id <= 7; ++id) {
+    EXPECT_EQ(all.lookup(id).value_or(""), "payload " + std::to_string(id));
+  }
+}
+
 TEST(ResultCache, JournalTornTailFuzzEveryByteBoundary) {
   // Three acknowledged entries, then the journal is truncated at every
   // byte boundary. Recovery must keep exactly the entries that are
@@ -641,6 +673,35 @@ TEST(SweepService, DaemonServesASweepCheckpointDir) {
     EXPECT_EQ(reply.cells[i].result.trace_digest,
               swept.results[i].trace_digest);
   }
+}
+
+TEST(SweepService, SmallDaemonDrainKeepsEveryCellOfASweepDir) {
+  // A daemon whose capacity is below a sweep directory's cell count
+  // snapshots that directory when it drains; the sweep must still
+  // resume every cell from it afterwards.
+  const std::string dir = temp_dir("small_daemon");
+  const SweepRequest request = six_cell_grid();
+  std::vector<harness::RunConfig> configs;
+  for (const CellSpec& spec : request.cells) {
+    configs.push_back(spec.to_config());
+  }
+  harness::SweepOptions options;
+  options.jobs = 2;
+  options.checkpoint_dir = dir + "/store";
+  ASSERT_TRUE(harness::run_sweep(configs, options).ok());
+
+  DaemonConfig config;
+  config.socket_path = dir + "/sweepd.sock";
+  config.workers = 1;
+  config.cache.dir = dir + "/store";
+  config.cache.capacity = 2;
+  {
+    DaemonFixture fixture(std::move(config));
+    fixture.stop();  // graceful drain: snapshot, then exit
+  }
+  const harness::SweepOutcome resumed = harness::run_sweep(configs, options);
+  ASSERT_TRUE(resumed.ok());
+  EXPECT_EQ(resumed.stats.cells_resumed, configs.size());
 }
 
 TEST(SweepService, BusyShedBeyondMaxPendingRequests) {

@@ -182,10 +182,10 @@ TEST(TaskRuntime, RunTasksExecutesThroughTheEngineAndTracesTheProtocol) {
 
   std::size_t spawns = 0;
   std::size_t steals = 0;
-  for (const trace::TraceEvent& ev : sink.canonical_events()) {
+  sink.for_each_canonical([&](const trace::TraceEvent& ev) {
     spawns += ev.kind == trace::EventKind::kTaskSpawn ? 1 : 0;
     steals += ev.kind == trace::EventKind::kTaskSteal ? 1 : 0;
-  }
+  });
   EXPECT_EQ(spawns, tasks.size());
   EXPECT_GT(steals, 0u);
 }

@@ -8,10 +8,12 @@
 #include <cstdio>
 #include <map>
 #include <memory>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "repro/common/assert.hpp"
 #include "repro/common/hash.hpp"
 #include "repro/harness/run.hpp"
 #include "repro/trace/event.hpp"
@@ -27,6 +29,14 @@ TraceEvent at(Ns time, EventKind kind) {
   ev.time = time;
   ev.kind = kind;
   return ev;
+}
+
+/// The canonical walk collected into a vector.
+std::vector<TraceEvent> canonical_events(const TraceSink& sink) {
+  std::vector<TraceEvent> events;
+  sink.for_each_canonical(
+      [&events](const TraceEvent& e) { events.push_back(e); });
+  return events;
 }
 
 TEST(TraceSink, LaneRegistrationAssignsSequentialIds) {
@@ -79,14 +89,15 @@ TEST(TraceSink, CanonicalOrderSortsByTimeThenLaneThenSeq) {
   TraceSink sink;
   const std::uint16_t l0 = sink.register_lane("first");
   const std::uint16_t l1 = sink.register_lane("second");
-  // Emitted "out of order" on purpose: lane 1 gets its events first
-  // (as a later-scheduled host thread would), and times interleave.
+  // Emitted across lanes "out of order" on purpose: lane 1 gets its
+  // events first (as a later-scheduled host thread would), and times
+  // interleave across the lanes.
+  sink.emit(l1, at(10, EventKind::kBarrierWait));
   sink.emit(l1, at(50, EventKind::kRegionBegin));
   sink.emit(l1, at(50, EventKind::kRegionEnd));
-  sink.emit(l1, at(10, EventKind::kBarrierWait));
-  sink.emit(l0, at(50, EventKind::kPageMigration));
   sink.emit(l0, at(5, EventKind::kQueueSample));
-  const std::vector<TraceEvent> events = sink.canonical_events();
+  sink.emit(l0, at(50, EventKind::kPageMigration));
+  const std::vector<TraceEvent> events = canonical_events(sink);
   ASSERT_EQ(events.size(), 5u);
   // (5, l0), (10, l1), then the time-50 tie broken by lane, then by
   // per-lane seq within lane 1.
@@ -121,6 +132,74 @@ TEST(TraceSink, HostEmissionOrderDoesNotChangeCanonicalOrder) {
   const auto stolen = build(true);
   EXPECT_EQ(canonical_dump(*serial), canonical_dump(*stolen));
   EXPECT_EQ(digest(*serial), digest(*stolen));
+}
+
+TEST(TraceSink, CanonicalWalkEqualsSortOnRandomLaneStreams) {
+  // Random streams, each lane in time order, appended in a random host
+  // interleaving: the merge walk must equal a stable (time, lane) sort
+  // of the lanes laid end to end, i.e. the (time, lane, seq) order.
+  // Small time steps make cross-lane ties common; lane counts 0..8
+  // cover no lanes, a single lane and registered lanes left empty.
+  std::mt19937_64 rng(2024);
+  for (int trial = 0; trial < 300; ++trial) {
+    TraceSink sink;
+    const auto lanes = static_cast<std::uint16_t>(trial % 9);
+    std::vector<std::size_t> remaining(lanes);
+    std::vector<Ns> clock(lanes, 0);
+    for (std::uint16_t l = 0; l < lanes; ++l) {
+      sink.register_lane("lane" + std::to_string(l));
+      remaining[l] = rng() % 4 == 0 ? 0 : rng() % 40;  // some stay empty
+    }
+    std::uint64_t tag = 0;
+    for (bool more = true; more;) {
+      more = false;
+      for (std::uint16_t l = 0; l < lanes; ++l) {
+        if (remaining[l] == 0 || rng() % 2 == 0) {
+          more = more || remaining[l] != 0;
+          continue;
+        }
+        clock[l] += rng() % 3;  // 0: a same-lane tie
+        TraceEvent ev = at(clock[l], EventKind::kPageMigration);
+        ev.page = tag++;
+        sink.emit(l, ev);
+        more = more || --remaining[l] != 0;
+      }
+    }
+    std::vector<TraceEvent> sorted;
+    for (std::uint16_t l = 0; l < lanes; ++l) {
+      const std::vector<TraceEvent>& events = sink.lane_events(l);
+      sorted.insert(sorted.end(), events.begin(), events.end());
+    }
+    std::stable_sort(sorted.begin(), sorted.end(),
+                     [](const TraceEvent& x, const TraceEvent& y) {
+                       return x.time != y.time ? x.time < y.time
+                                               : x.lane < y.lane;
+                     });
+    const std::vector<TraceEvent> walked = canonical_events(sink);
+    ASSERT_EQ(walked.size(), sorted.size()) << "trial " << trial;
+    for (std::size_t i = 0; i < walked.size(); ++i) {
+      ASSERT_EQ(walked[i].page, sorted[i].page)
+          << "trial " << trial << " event " << i;
+    }
+  }
+}
+
+TEST(TraceSink, AppendingAnEarlierTimeToALaneThrows) {
+  TraceSink sink;
+  const std::uint16_t l0 = sink.register_lane("a");
+  const std::uint16_t l1 = sink.register_lane("b");
+  sink.emit(l0, at(10, EventKind::kRegionBegin));
+  sink.emit(l0, at(10, EventKind::kRegionEnd));  // equal time is fine
+  sink.emit(l1, at(5, EventKind::kRegionBegin));  // other lanes are free
+  EXPECT_THROW(sink.emit(l0, at(9, EventKind::kRegionBegin)),
+               ContractViolation);
+  EXPECT_THROW(sink.append_replayed(l0, at(9, EventKind::kRegionBegin)),
+               ContractViolation);
+  EXPECT_EQ(sink.lane_events(l0).size(), 2u);
+  sink.append_replayed(l1, at(5, EventKind::kRegionEnd));
+  sink.clear();  // an emptied lane starts over
+  sink.emit(l0, at(1, EventKind::kRegionBegin));
+  EXPECT_EQ(sink.size(), 1u);
 }
 
 TEST(TraceSink, ClearDropsEventsButKeepsLanesAndPhases) {
@@ -196,14 +275,92 @@ TEST(Digest, SixteenHexDigitsStableAndSensitive) {
   EXPECT_NE(digest(other), d1);
 }
 
-TEST(Digest, EqualsFnv1aOfCanonicalDump) {
-  // The digest must hash exactly the bytes of the canonical dump. The
-  // sink covers every event kind on three lanes, equal-time ties
-  // across lanes (and within one lane), negative node ids, all-ones
-  // 64-bit payloads and several phases and iterations.
+/// Re-encodes a canonical dump from its text alone into the digest's
+/// word stream (export.hpp's v2 layout), and hashes it.
+std::string digest_of_dump_text(const std::string& dump) {
+  std::istringstream in(dump);
+  std::string line;
+  std::getline(in, line);
+  EXPECT_EQ(line, "# repro-trace v1");
+  std::vector<std::string> lanes;
+  std::vector<std::string> phases;
+  std::vector<std::uint64_t> words;
+  const auto field = [](std::istringstream& ls, const char* key) {
+    std::string token;
+    ls >> token;
+    EXPECT_EQ(token.substr(0, token.find('=')), key);
+    return token.substr(token.find('=') + 1);
+  };
+  const auto pack = [](std::int64_t low, std::uint64_t high) {
+    return static_cast<std::uint32_t>(low) | high << 32;
+  };
+  while (std::getline(in, line)) {
+    std::istringstream ls(line);
+    std::string head;
+    ls >> head;
+    if (head == "lane" || head == "phase") {
+      std::size_t id = 0;
+      ls >> id;
+      (head == "lane" ? lanes : phases).push_back(line.substr(
+          line.find(' ', head.size() + 1) + 1));
+      continue;
+    }
+    std::string kind_name;
+    ls >> kind_name;
+    std::uint64_t kind = kNumEventKinds;
+    for (std::size_t k = 0; k < kNumEventKinds; ++k) {
+      if (kind_name == event_kind_name(static_cast<EventKind>(k))) {
+        kind = k;
+      }
+    }
+    EXPECT_LT(kind, kNumEventKinds) << line;
+    const std::uint64_t lane = std::stoull(field(ls, "lane"));
+    const std::uint64_t seq = std::stoull(field(ls, "seq"));
+    const std::uint64_t it = std::stoull(field(ls, "it"));
+    const std::uint64_t ph = std::stoull(field(ls, "ph"));
+    const std::int64_t node = std::stoll(field(ls, "node"));
+    const std::int64_t src = std::stoll(field(ls, "src"));
+    const std::int64_t dst = std::stoll(field(ls, "dst"));
+    const std::uint64_t page = std::stoull(field(ls, "page"));
+    const std::uint64_t a = std::stoull(field(ls, "a"));
+    const std::uint64_t b = std::stoull(field(ls, "b"));
+    const std::uint64_t cost = std::stoull(field(ls, "cost"));
+    for (const std::uint64_t w : std::initializer_list<std::uint64_t>{
+             std::stoull(head), page, a, b, cost,
+          pack(node, static_cast<std::uint32_t>(src)),
+          pack(dst, kind | lane << 16), pack(static_cast<std::int64_t>(seq), it),
+          ph}) {
+      words.push_back(w);
+    }
+  }
+  WordHash hash;
+  hash.add(2);
+  hash.add(lanes.size());
+  for (const std::string& name : lanes) {
+    hash.add_bytes(name);
+  }
+  hash.add(phases.size());
+  for (const std::string& name : phases) {
+    hash.add_bytes(name);
+  }
+  for (const std::uint64_t w : words) {
+    hash.add(w);
+  }
+  char hex[17];
+  std::snprintf(hex, sizeof hex, "%016llx",
+                static_cast<unsigned long long>(hash.finish()));
+  return hex;
+}
+
+TEST(Digest, EqualsWordHashOfTheDumpReencodedFromItsText) {
+  // The dump and the digest carry the same fields: re-encoding the
+  // dump's text must give the digest. The sink covers every event kind
+  // on three lanes, equal-time ties across lanes (and within one lane),
+  // negative node ids, all-ones 64-bit payloads, several phases and
+  // iterations, and lane names longer than one word.
   TraceSink sink;
   const std::uint16_t lanes[] = {sink.register_lane("runtime"),
-                                 sink.register_lane("kernel"),
+                                 sink.register_lane("kernel-migrations"),
                                  sink.register_lane("upmlib")};
   const std::uint32_t phases[] = {0, sink.intern_phase("x_solve"),
                                   sink.intern_phase("y_solve"),
@@ -230,16 +387,30 @@ TEST(Digest, EqualsFnv1aOfCanonicalDump) {
   const std::string dump = canonical_dump(sink);
   ASSERT_NE(dump.find("node=-3"), std::string::npos);
   ASSERT_NE(dump.find("a=18446744073709551615"), std::string::npos);
-  char expected[17];
-  std::snprintf(expected, sizeof expected, "%016llx",
-                static_cast<unsigned long long>(fnv1a(dump)));
-  EXPECT_EQ(digest(sink), expected);
+  EXPECT_EQ(digest(sink), digest_of_dump_text(dump));
 
   TraceSink empty;
-  std::snprintf(expected, sizeof expected, "%016llx",
-                static_cast<unsigned long long>(
-                    fnv1a(canonical_dump(empty))));
-  EXPECT_EQ(digest(empty), expected);
+  EXPECT_EQ(digest(empty), digest_of_dump_text(canonical_dump(empty)));
+}
+
+TEST(Digest, WordHashReferenceValues) {
+  // Pinned: any change re-records every golden digest.
+  EXPECT_EQ(WordHash{}.finish(), 0xb992b056e7d8a844ull);
+  EXPECT_EQ(word_hash(""), 0x56114e985901af76ull);
+  EXPECT_EQ(word_hash("a"), 0x5d0baf05a27351a9ull);
+  WordHash words;
+  for (const std::uint64_t w :
+       std::initializer_list<std::uint64_t>{0, 1, UINT64_MAX}) {
+    words.add(w);
+  }
+  EXPECT_EQ(words.finish(), 0xf6317333b8893a6bull);
+  // add_bytes: the length word, then little-endian words, zero-padded.
+  WordHash manual;
+  manual.add(9);
+  manual.add(0x6867666564636261ull);  // "abcdefgh"
+  manual.add(0x69);                   // "i"
+  EXPECT_EQ(word_hash("abcdefghi"), manual.finish());
+  EXPECT_NE(word_hash("a"), word_hash(std::string_view("a\0", 2)));
 }
 
 TEST(ChromeTrace, EmitsRegionBarrierCounterAndInstantEvents) {
@@ -409,7 +580,7 @@ ReferenceMetrics reference_metrics(const TraceSink& sink) {
   std::map<std::uint32_t, IterationMetrics> buckets;
   std::map<std::uint32_t, std::vector<Ns>> samples;
   std::vector<Ns> all_samples;
-  for (const TraceEvent& e : sink.canonical_events()) {
+  for (const TraceEvent& e : canonical_events(sink)) {
     IterationMetrics& m = buckets[e.iteration];
     m.iteration = e.iteration;
     switch (e.kind) {

@@ -4,6 +4,7 @@
 Usage:
     tools/trace_info.py TRACE.rtrc            # header, meta, tables
     tools/trace_info.py TRACE.rtrc --verify   # + recompute every digest
+    tools/trace_info.py --digest DUMP.trace   # canonical dump -> digest
 
 Prints the file header, decoded metadata, the footer's chunk table,
 the region-name table and the program table (each distinct compiled
@@ -17,8 +18,14 @@ footer and the chunk headers) exits nonzero.  CI runs --verify on the
 traces its replay smoke and fast-forward steps dump, so a silent
 encoder change that still replays cleanly is caught here.
 
+With --digest the file is a canonical trace dump (a `--trace=DIR`
+run's .trace file, DESIGN.md section 10) instead: it is parsed, packed
+into the digest's words and hashed, and the 16-hex-digit trace digest
+the run reports for it is printed (canonical_dump_digest below).
+
 Pure standard library; layout constants mirror
-src/tracefmt/include/repro/tracefmt/format.hpp (RTRC version 2).
+src/tracefmt/include/repro/tracefmt/format.hpp (RTRC version 2), and
+the digest mirrors repro::WordHash and trace::digest (digest v2).
 """
 
 import argparse
@@ -49,6 +56,97 @@ def fnv1a(data: bytes) -> int:
     for b in data:
         h = ((h ^ b) * FNV_PRIME) & MASK64
     return h
+
+
+# repro::WordHash (src/common/include/repro/common/hash.hpp): XXH64's
+# per-word step and final avalanche over 64-bit words.
+XXH_P1 = 0x9E3779B185EBCA87
+XXH_P2 = 0xC2B2AE3D27D4EB4F
+XXH_P3 = 0x165667B19E3779F9
+XXH_P4 = 0x85EBCA77C2B2AE63
+XXH_P5 = 0x27D4EB2F165667C5
+
+
+def _rotl(x: int, r: int) -> int:
+    return ((x << r) | (x >> (64 - r))) & MASK64
+
+
+def _step(h: int, word: int) -> int:
+    h ^= (_rotl((word * XXH_P2) & MASK64, 31) * XXH_P1) & MASK64
+    return (_rotl(h, 27) * XXH_P1 + XXH_P4) & MASK64
+
+
+class WordHash:
+    def __init__(self):
+        self.hash = XXH_P5
+        self.words = 0
+
+    def add(self, word: int) -> None:
+        self.hash = _step(self.hash, word & MASK64)
+        self.words += 1
+
+    def add_bytes(self, data: bytes) -> None:
+        self.add(len(data))
+        for at in range(0, len(data), 8):
+            self.add(int.from_bytes(data[at:at + 8], "little"))
+
+    def finish(self) -> int:
+        h = _step(self.hash, self.words)
+        h = ((h ^ (h >> 33)) * XXH_P2) & MASK64
+        h = ((h ^ (h >> 29)) * XXH_P3) & MASK64
+        return h ^ (h >> 32)
+
+
+# trace::EventKind, in enum order (src/trace/include/repro/trace/event.hpp).
+EVENT_KINDS = [
+    "region_begin", "region_end", "barrier_wait", "page_migration",
+    "page_replication", "replica_collapse", "page_freeze", "upm_call",
+    "daemon_scan", "queue_sample", "iteration_begin", "iteration_end",
+    "fault_injection", "task_spawn", "task_steal", "line_fill",
+    "line_invalidate", "line_upgrade", "line_writeback",
+]
+TRACE_DIGEST_VERSION = 2
+
+
+def canonical_dump_digest(text: str) -> str:
+    """The trace digest of a canonical dump, from its text alone.
+
+    Packs the dump the way trace::digest packs the sink (export.hpp):
+    the version word, the lane and phase tables (count, then each
+    name's length and bytes), then nine words per event line.
+    """
+    lines = text.split("\n")
+    if lines[0] != "# repro-trace v1":
+        raise ValueError("not a canonical trace dump (bad header)")
+    lanes, phases, events = [], [], []
+    kinds = {name: i for i, name in enumerate(EVENT_KINDS)}
+    for line in lines[1:]:
+        if not line:
+            continue
+        head, _, rest = line.partition(" ")
+        if head in ("lane", "phase"):
+            name = rest.partition(" ")[2]
+            (lanes if head == "lane" else phases).append(name.encode())
+            continue
+        kind, *pairs = rest.split(" ")
+        f = {k: int(v) for k, v in (p.split("=", 1) for p in pairs)}
+        u32 = 0xFFFFFFFF
+        events.append((
+            int(head), f["page"], f["a"], f["b"], f["cost"],
+            (f["node"] & u32) | (f["src"] & u32) << 32,
+            (f["dst"] & u32) | kinds[kind] << 32 | f["lane"] << 48,
+            f["seq"] | f["it"] << 32,
+            f["ph"]))
+    h = WordHash()
+    h.add(TRACE_DIGEST_VERSION)
+    for table in (lanes, phases):
+        h.add(len(table))
+        for name in table:
+            h.add_bytes(name)
+    for words in events:
+        for word in words:
+            h.add(word)
+    return f"{h.finish():016x}"
 
 
 class Cursor:
@@ -222,11 +320,22 @@ def fail(message: str) -> None:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("trace", help="RTRC trace file")
+    parser.add_argument("trace", help="RTRC trace file (a canonical dump "
+                                      "with --digest)")
     parser.add_argument("--verify", action="store_true",
                         help="recompute and check every digest; exit "
                              "nonzero on any mismatch")
+    parser.add_argument("--digest", action="store_true",
+                        help="print the trace digest of a canonical dump")
     args = parser.parse_args()
+
+    if args.digest:
+        with open(args.trace, encoding="utf-8") as f:
+            try:
+                print(canonical_dump_digest(f.read()))
+            except (ValueError, KeyError) as e:
+                fail(f"{args.trace}: {e}")
+        return
 
     with open(args.trace, "rb") as f:
         data = f.read()
