@@ -260,6 +260,35 @@ void BM_CoherenceColdSweep(benchmark::State& state) {
 }
 BENCHMARK(BM_CoherenceColdSweep)->Unit(benchmark::kMillisecond);
 
+void BM_CoherenceProbe(benchmark::State& state) {
+  // The coherence share of one fast-forward probe: the behavioural
+  // digest of a default MESI model warmed by one BM_CoherenceColdSweep
+  // lap (every way of the 16 x 64 x 8 caches valid, 5,760 directory
+  // blocks). The digest walks the ways, not the directory.
+  const memsys::MachineConfig machine;
+  coherence::CoherenceConfig config;
+  config.policy = coherence::Policy::kMesi;
+  coherence::CoherenceModel model(machine, config);
+  constexpr std::uint64_t kPagesPerProc = 360;
+  const std::uint32_t procs = static_cast<std::uint32_t>(machine.num_procs());
+  memsys::LineAccess access;
+  access.lines = machine.lines_per_page();
+  for (std::uint64_t k = 0; k < kPagesPerProc; ++k) {
+    for (std::uint32_t proc = 0; proc < procs; ++proc) {
+      access.proc = ProcId(proc);
+      access.page = VPage(1 + proc * kPagesPerProc + k);
+      access.write = k % 4 == 0;
+      benchmark::DoNotOptimize(model.on_access(0, access));
+    }
+  }
+  for (auto _ : state) {
+    StateHash hash;
+    model.digest(hash);
+    benchmark::DoNotOptimize(hash.value());
+  }
+}
+BENCHMARK(BM_CoherenceProbe)->Unit(benchmark::kMicrosecond);
+
 void BM_TraceDigest(benchmark::State& state) {
   // Host cost per event of a traced cell's digest (the canonical merge
   // walk and the packed word hash): 8 lanes x 4096 events, every kind,

@@ -68,6 +68,15 @@ struct CoherenceStats {
   }
   /// Coherence misses as a fraction of all line touches; 0 when idle.
   [[nodiscard]] double coherence_miss_rate() const;
+
+  /// Field-wise `end - start`: what the span between two reads added.
+  [[nodiscard]] static CoherenceStats delta(const CoherenceStats& start,
+                                            const CoherenceStats& end);
+  /// Adds `times` copies of `delta` (a fast-forward replay of `times`
+  /// blocks that each added `delta`).
+  void advance(const CoherenceStats& delta, std::uint64_t times);
+  friend bool operator==(const CoherenceStats&,
+                         const CoherenceStats&) = default;
 };
 
 class CoherenceModel final : public memsys::LineModel {
@@ -90,7 +99,29 @@ class CoherenceModel final : public memsys::LineModel {
   void flush_page(VPage page) override;
   void clear() override;
   void reset_stats() override;
+  /// Behavioural digest, the fast-forward's: everything the protocol's
+  /// future reads and nothing it does not. Per processor and set, in
+  /// way order, each valid way's line, state and LRU rank (how many
+  /// valid ways of the set hold an older stamp) and one marker word per
+  /// invalid way -- the victim choice reads nothing else; the directory
+  /// allocation (next_slot_: blocks are only ever added, so equal
+  /// values within a run mean the same page-to-block map); and the
+  /// running hash of the ever-filled and inv-pending bits. Versions and
+  /// absolute LRU stamps are left out (the protocol compares stamps
+  /// only with each other and never reads a version), and so are the
+  /// sharer, owner and dirty words, which follow from the ways (audit()
+  /// checks that they do). Hashed a word per step, then mixed into
+  /// `hash` once.
   void digest(StateHash& hash) const override;
+  /// Exact-state digest: every way's version and stamp, the LRU
+  /// clocks, the version counter and every directory record. It never
+  /// repeats within a run; the pinned fuzz digests use it.
+  void exact_state_digest(StateHash& hash) const;
+  /// Adds `blocks` copies of each processor's per-block statistics
+  /// delta (`delta` has one entry per processor): a fast-forward replay
+  /// of `blocks` steady-state blocks.
+  void advance_stats_replayed(std::span<const CoherenceStats> delta,
+                              std::uint64_t blocks);
 
   /// Routes coherence events into `lane` (null sink to detach).
   void set_trace(trace::TraceSink* sink, std::uint16_t lane);
@@ -118,8 +149,9 @@ class CoherenceModel final : public memsys::LineModel {
 
   /// Structural invariant audit; throws ContractViolation on any
   /// violation. Checks SWMR (an M or E copy is the only copy), cache /
-  /// directory sharer-set agreement, owner consistency, and that E
-  /// states never appear under MSI.
+  /// directory sharer-set agreement, owner consistency, that E states
+  /// never appear under MSI, and that the running hash of the
+  /// ever-filled and inv-pending bits matches the records.
   void audit() const;
 
  private:
@@ -205,6 +237,7 @@ class CoherenceModel final : public memsys::LineModel {
   /// Returns the victim count.
   template <std::size_t W>
   [[nodiscard]] std::uint32_t invalidate_others(std::uint64_t* rec,
+                                                std::uint32_t slot,
                                                 std::uint64_t line,
                                                 std::uint32_t keeper);
   /// Puts `line` (directory slot `slot`) into `proc`'s way `victim`,
@@ -231,12 +264,17 @@ class CoherenceModel final : public memsys::LineModel {
     return chunks_[slot >> kChunkShift].get() +
            static_cast<std::size_t>(slot & kChunkMask) * record_words_;
   }
-  [[nodiscard]] std::uint64_t* ever_words(std::uint64_t* rec) const {
+  template <typename Word>
+  [[nodiscard]] Word* ever_words(Word* rec) const {
     return rec + 2 + wpe_;
   }
-  [[nodiscard]] std::uint64_t* inv_words(std::uint64_t* rec) const {
+  template <typename Word>
+  [[nodiscard]] Word* inv_words(Word* rec) const {
     return rec + 2 + 2 * static_cast<std::size_t>(wpe_);
   }
+  /// XOR of the bit-hash terms of every bit set in `slot`'s ever-filled
+  /// and inv-pending bitmaps (what the record adds to bit_hash_).
+  [[nodiscard]] std::uint64_t record_bit_terms(std::uint32_t slot) const;
 
   CoherenceConfig config_;
   std::uint32_t num_procs_ = 0;
@@ -257,6 +295,9 @@ class CoherenceModel final : public memsys::LineModel {
   std::vector<std::unique_ptr<std::uint64_t[]>> chunks_;
   std::vector<CoherenceStats> stats_;
   std::uint64_t next_version_ = 0;
+  /// XOR of bit_term() over every set ever-filled and inv-pending bit,
+  /// kept as the bits change (the behavioural digest's directory part).
+  std::uint64_t bit_hash_ = 0;
   std::vector<std::uint64_t> writeback_scratch_;
 
   trace::TraceSink* sink_ = nullptr;

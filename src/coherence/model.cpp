@@ -45,6 +45,29 @@ void clear_bit(std::uint64_t* words, std::uint32_t proc) {
   words[proc / 64] &= ~(std::uint64_t{1} << (proc % 64));
 }
 
+// The two history bitmaps a bit-hash term names.
+constexpr std::uint64_t kEverBitmap = 0;
+constexpr std::uint64_t kInvBitmap = 1;
+
+/// The bit hash's term for `proc`'s bit in `slot`'s `bitmap`.
+std::uint64_t bit_term(std::uint32_t slot, std::uint32_t proc,
+                       std::uint64_t bitmap) {
+  return avalanche64(std::uint64_t{slot} << 32 | std::uint64_t{proc} << 1 |
+                     bitmap);
+}
+
+/// XOR of bit_term over the set bits of word `w` of `slot`'s `bitmap`.
+std::uint64_t word_terms(std::uint32_t slot, std::uint32_t w,
+                         std::uint64_t word, std::uint64_t bitmap) {
+  std::uint64_t terms = 0;
+  while (word != 0) {
+    const auto bit = static_cast<std::uint32_t>(__builtin_ctzll(word));
+    word &= word - 1;
+    terms ^= bit_term(slot, 64 * w + bit, bitmap);
+  }
+  return terms;
+}
+
 }  // namespace
 
 double CoherenceStats::coherence_miss_rate() const {
@@ -52,6 +75,36 @@ double CoherenceStats::coherence_miss_rate() const {
   return total == 0 ? 0.0
                     : static_cast<double>(coherence_miss_lines) /
                           static_cast<double>(total);
+}
+
+CoherenceStats CoherenceStats::delta(const CoherenceStats& start,
+                                     const CoherenceStats& end) {
+  CoherenceStats d;
+  d.hit_lines = end.hit_lines - start.hit_lines;
+  d.cold_miss_lines = end.cold_miss_lines - start.cold_miss_lines;
+  d.capacity_miss_lines = end.capacity_miss_lines - start.capacity_miss_lines;
+  d.coherence_miss_lines =
+      end.coherence_miss_lines - start.coherence_miss_lines;
+  d.upgrades = end.upgrades - start.upgrades;
+  d.invalidations_sent = end.invalidations_sent - start.invalidations_sent;
+  d.invalidations_received =
+      end.invalidations_received - start.invalidations_received;
+  d.writebacks = end.writebacks - start.writebacks;
+  d.dirty_fetches = end.dirty_fetches - start.dirty_fetches;
+  return d;
+}
+
+void CoherenceStats::advance(const CoherenceStats& delta,
+                             std::uint64_t times) {
+  hit_lines += delta.hit_lines * times;
+  cold_miss_lines += delta.cold_miss_lines * times;
+  capacity_miss_lines += delta.capacity_miss_lines * times;
+  coherence_miss_lines += delta.coherence_miss_lines * times;
+  upgrades += delta.upgrades * times;
+  invalidations_sent += delta.invalidations_sent * times;
+  invalidations_received += delta.invalidations_received * times;
+  writebacks += delta.writebacks * times;
+  dirty_fetches += delta.dirty_fetches * times;
 }
 
 CoherenceModel::CoherenceModel(const memsys::MachineConfig& machine,
@@ -101,17 +154,17 @@ const CoherenceStats& CoherenceModel::stats(ProcId proc) const {
 CoherenceStats CoherenceModel::total_stats() const {
   CoherenceStats total;
   for (const CoherenceStats& st : stats_) {
-    total.hit_lines += st.hit_lines;
-    total.cold_miss_lines += st.cold_miss_lines;
-    total.capacity_miss_lines += st.capacity_miss_lines;
-    total.coherence_miss_lines += st.coherence_miss_lines;
-    total.upgrades += st.upgrades;
-    total.invalidations_sent += st.invalidations_sent;
-    total.invalidations_received += st.invalidations_received;
-    total.writebacks += st.writebacks;
-    total.dirty_fetches += st.dirty_fetches;
+    total.advance(st, 1);
   }
   return total;
+}
+
+void CoherenceModel::advance_stats_replayed(
+    std::span<const CoherenceStats> delta, std::uint64_t blocks) {
+  REPRO_REQUIRE(delta.size() == stats_.size());
+  for (std::size_t p = 0; p < stats_.size(); ++p) {
+    stats_[p].advance(delta[p], blocks);
+  }
 }
 
 template <typename Fn>
@@ -203,8 +256,19 @@ void CoherenceModel::for_each_entry(Fn&& fn) const {
   }
 }
 
+std::uint64_t CoherenceModel::record_bit_terms(std::uint32_t slot) const {
+  const std::uint64_t* rec = record(slot);
+  std::uint64_t terms = 0;
+  for (std::uint32_t w = 0; w < wpe_; ++w) {
+    terms ^= word_terms(slot, w, ever_words(rec)[w], kEverBitmap) ^
+             word_terms(slot, w, inv_words(rec)[w], kInvBitmap);
+  }
+  return terms;
+}
+
 template <std::size_t W>
 std::uint32_t CoherenceModel::invalidate_others(std::uint64_t* rec,
+                                                std::uint32_t slot,
                                                 std::uint64_t line,
                                                 std::uint32_t keeper) {
   std::uint64_t* sharers = sharer_words(rec);
@@ -224,7 +288,10 @@ std::uint32_t CoherenceModel::invalidate_others(std::uint64_t* rec,
       REPRO_ASSERT(way != nullptr);
       way->state = LineState::kInvalid;
       clear_bit(sharers, q);
-      set_bit(inv, q);
+      if (!test_bit(inv, q)) {
+        set_bit(inv, q);
+        bit_hash_ ^= bit_term(slot, q, kInvBitmap);
+      }
       ++stats_[q].invalidations_received;
       ++victims;
     }
@@ -283,7 +350,8 @@ void CoherenceModel::touch_line(Ns now, std::uint32_t proc, VPage page,
       } else {
         // S -> M upgrade: a directory round trip that invalidates
         // every other copy before the write proceeds (SWMR).
-        const std::uint32_t victims = invalidate_others<W>(rec, line, proc);
+        const std::uint32_t victims =
+            invalidate_others<W>(rec, slot, line, proc);
         out.invalidation_copies += victims;
         st.invalidations_sent += victims;
         ++st.upgrades;
@@ -314,11 +382,13 @@ void CoherenceModel::touch_line(Ns now, std::uint32_t proc, VPage page,
   rec[1] |= kCreatedBit;
   if (test_bit(inv_words(rec), proc)) {
     clear_bit(inv_words(rec), proc);
+    bit_hash_ ^= bit_term(slot, proc, kInvBitmap);
     ++st.coherence_miss_lines;
   } else if (test_bit(ever_words(rec), proc)) {
     ++st.capacity_miss_lines;
   } else {
     set_bit(ever_words(rec), proc);
+    bit_hash_ ^= bit_term(slot, proc, kEverBitmap);
     ++st.cold_miss_lines;
   }
   ++out.miss_lines;
@@ -336,7 +406,8 @@ void CoherenceModel::touch_line(Ns now, std::uint32_t proc, VPage page,
       ++st.dirty_fetches;
       out.extra_ns += config_.intervention_ns;
     }
-    const std::uint32_t victims = invalidate_others<W>(rec, line, proc);
+    const std::uint32_t victims =
+        invalidate_others<W>(rec, slot, line, proc);
     out.invalidation_copies += victims;
     st.invalidations_sent += victims;
     if (sink_ != nullptr && victims != 0) {
@@ -495,6 +566,7 @@ void CoherenceModel::flush_page(VPage page) {
     set_owner(rec, kNoOwner, false);
     // Forget the access history too: a flushed page's next touch is a
     // cold miss, matching the page-grain flush semantics tests rely on.
+    bit_hash_ ^= record_bit_terms(base + idx);
     std::fill_n(ever_words(rec), 2 * static_cast<std::size_t>(wpe_), 0);
   }
 }
@@ -506,6 +578,7 @@ void CoherenceModel::clear() {
   next_slot_ = 0;
   chunks_.clear();
   next_version_ = 0;
+  bit_hash_ = 0;
   writeback_scratch_.clear();
 }
 
@@ -516,6 +589,43 @@ void CoherenceModel::reset_stats() {
 }
 
 void CoherenceModel::digest(StateHash& hash) const {
+  WordHash words;
+  words.add(static_cast<std::uint64_t>(config_.policy));
+  with_ways([&](auto ways) {
+    constexpr std::size_t W = decltype(ways)::value;
+    for (const Way* set = ways_.data(); set != ways_.data() + ways_.size();
+         set += W) {
+      // A valid way's rank: the valid ways of its set with an older
+      // stamp. An invalid way's stamp reads as the largest, so it never
+      // counts; each pair of ways is compared once.
+      std::uint64_t stamps[W];
+      std::uint64_t ranks[W] = {};
+      for (std::size_t w = 0; w < W; ++w) {
+        stamps[w] = set[w].state == LineState::kInvalid ? ~std::uint64_t{0}
+                                                        : set[w].lru;
+      }
+      for (std::size_t w = 1; w < W; ++w) {
+        for (std::size_t v = 0; v < w; ++v) {
+          const bool older = stamps[v] < stamps[w];
+          ranks[w] += static_cast<std::uint64_t>(older);
+          ranks[v] += static_cast<std::uint64_t>(!older);
+        }
+      }
+      for (std::size_t w = 0; w < W; ++w) {
+        // The line above the rank (< 16) and the state (2 bits, 0 only
+        // for an invalid way, whose word is 0). page_base_ is indexed
+        // by page, so line ids stay far below 2^56.
+        const auto state = static_cast<std::uint64_t>(set[w].state);
+        words.add(state == 0 ? 0 : set[w].line << 8 | ranks[w] << 2 | state);
+      }
+    }
+  });
+  words.add(next_slot_);
+  words.add(bit_hash_);
+  hash.mix(words.finish());
+}
+
+void CoherenceModel::exact_state_digest(StateHash& hash) const {
   hash.mix(static_cast<std::uint64_t>(config_.policy));
   hash.mix(next_version_);
   for (std::uint32_t p = 0; p < num_procs_; ++p) {
@@ -657,6 +767,14 @@ void CoherenceModel::audit() const {
       REPRO_REQUIRE_MSG(!is_dirty(rec), "dirty line without an owner");
     }
   });
+  // The running bit hash is the XOR of every set history bit's term.
+  std::uint64_t bits = 0;
+  for_each_entry([this, &bits](std::uint64_t, std::uint32_t slot) {
+    bits ^= record_bit_terms(slot);
+  });
+  REPRO_REQUIRE_MSG(bits == bit_hash_,
+                    "ever-filled / inv-pending bit hash disagrees with the "
+                    "directory records");
 }
 
 }  // namespace repro::coherence

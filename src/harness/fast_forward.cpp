@@ -121,6 +121,13 @@ FastForward::Snapshot FastForward::capture() {
     s.proc_stats.push_back(
         machine_->memory().stats(ProcId(static_cast<std::uint32_t>(p))));
   }
+  if (const coherence::CoherenceModel* coh = machine_->coherence_model()) {
+    s.coherence.reserve(procs);
+    for (std::size_t p = 0; p < procs; ++p) {
+      s.coherence.push_back(
+          coh->stats(ProcId(static_cast<std::uint32_t>(p))));
+    }
+  }
   s.kernel = machine_->kernel().stats();
   s.kernel_misses = machine_->kernel().misses();
   if (machine_->kernel().daemon() != nullptr) {
@@ -276,13 +283,21 @@ FastForward::Rule FastForward::check(std::uint32_t period,
   if (continuation && s[n].daemon.interrupts != s[0].daemon.interrupts) {
     return Rule::kDaemonInterrupt;
   }
-  // Identical per-processor statistics deltas, sub-iteration by
-  // sub-iteration.
+  // Identical per-processor statistics deltas (memory system and line
+  // model), sub-iteration by sub-iteration.
   for (std::size_t i = 0; i < p; ++i) {
     for (std::size_t q = 0; q < s[0].proc_stats.size(); ++q) {
       if (!same_proc_delta(s[i].proc_stats[q], s[i + 1].proc_stats[q],
                            s[i + p].proc_stats[q],
                            s[i + p + 1].proc_stats[q])) {
+        return Rule::kStats;
+      }
+    }
+    for (std::size_t q = 0; q < s[0].coherence.size(); ++q) {
+      using coherence::CoherenceStats;
+      if (CoherenceStats::delta(s[i].coherence[q], s[i + 1].coherence[q]) !=
+          CoherenceStats::delta(s[i + p].coherence[q],
+                                s[i + p + 1].coherence[q])) {
         return Rule::kStats;
       }
     }
@@ -469,6 +484,20 @@ std::uint32_t FastForward::replay(std::uint32_t next_step,
     delta[q].tlb_misses = b.tlb_misses - a.tlb_misses;
   }
   machine_->memory().apply_stats_delta(delta, blocks);
+  // The line model keeps no simulated time, and its behavioural state
+  // is the same after any number of blocks: only its statistics move.
+  // Its stamps and versions keep counting from where they stand, which
+  // is all a simulated tail needs (the protocol orders stamps among
+  // themselves and never reads a version).
+  if (coherence::CoherenceModel* coh = machine_->coherence_model()) {
+    std::vector<coherence::CoherenceStats> line_delta;
+    line_delta.reserve(s[p].coherence.size());
+    for (std::size_t q = 0; q < s[p].coherence.size(); ++q) {
+      line_delta.push_back(coherence::CoherenceStats::delta(
+          s[p].coherence[q], s[n].coherence[q]));
+    }
+    coh->advance_stats_replayed(line_delta, blocks);
+  }
   for (std::size_t q = 0; q < s[p].queues.size(); ++q) {
     machine_->memory().advance_queue_replayed(
         NodeId(static_cast<std::uint32_t>(q)), blocks,

@@ -49,6 +49,14 @@
 // interrupt, which is then simulated (DESIGN.md "Daemon
 // continuation").
 //
+// A line-grain coherence model joins through its behavioural digest
+// (coherence::CoherenceModel::digest: ways with their LRU ranks, not
+// their stamps or versions, plus a running hash of the history bits),
+// so its state repeats when its behaviour does. Its per-processor
+// statistics are snapshotted, gated and replayed like the memory
+// system's; nothing else of it moves on replay, because its future
+// depends only on what the digest covers.
+//
 // Opt-out: RunConfig::no_fast_forward, --no-fast-forward on the bench
 // drivers, or REPRO_FAST_FORWARD=0 in the environment.
 #pragma once
@@ -58,6 +66,7 @@
 #include <string>
 #include <vector>
 
+#include "repro/coherence/model.hpp"
 #include "repro/common/units.hpp"
 #include "repro/memsys/memory_system.hpp"
 #include "repro/omp/machine.hpp"
@@ -144,6 +153,8 @@ class FastForward {
     /// migrate_memory() ran during the iteration ending here.
     bool migration_pass = false;
     std::vector<memsys::ProcStats> proc_stats;  // by processor
+    /// By processor; empty without a line-grain coherence model.
+    std::vector<coherence::CoherenceStats> coherence;
     os::KernelStats kernel;
     std::uint64_t kernel_misses = 0;
     os::DaemonStats daemon;

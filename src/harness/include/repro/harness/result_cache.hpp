@@ -23,9 +23,13 @@
 // directory, because a snapshot compacts the old snapshot and the
 // journal (each identity once, at its last insertion) and never
 // reads memory, so a small daemon serving a large sweep directory
-// never shrinks it. A snapshot therefore reads and writes
-// the whole directory: its time and peak memory grow with the
-// directory, not with `capacity`. Recovery reads the snapshot,
+// never shrinks it. A snapshot therefore reads and writes the whole
+// directory: its time and peak memory grow with the directory, not
+// with `capacity`. The cache keeps the file position of every durable
+// entry beside the resident set, so a lookup of an evicted entry
+// reads that one entry back (verifying its digest as recovery does),
+// makes it resident and counts a hit; a lookup of an identity the
+// directory does not hold does no I/O. Recovery reads the snapshot,
 // replays the journal in order, and drops a torn tail (incomplete
 // header, short payload, digest mismatch) at the first bad byte --
 // everything before the tear is kept, nothing after it is trusted,
@@ -73,6 +77,9 @@ struct CacheStats {
   std::uint64_t recovered_entries = 0;
   /// Bytes of torn journal tail discarded at recovery.
   std::uint64_t dropped_torn_bytes = 0;
+  /// Hits served by reading an evicted entry back from the directory
+  /// (counted in `hits` too).
+  std::uint64_t read_backs = 0;
 };
 
 class ResultCache {
@@ -86,7 +93,8 @@ class ResultCache {
   ResultCache& operator=(const ResultCache&) = delete;
 
   /// The payload for `identity`, refreshing its recency; nullopt on
-  /// miss.
+  /// miss. An entry evicted from memory is read back from the
+  /// directory and made resident again.
   [[nodiscard]] std::optional<std::string> lookup(std::uint64_t identity);
 
   /// Journals (fsync) then inserts, evicting LRU entries beyond
@@ -98,9 +106,12 @@ class ResultCache {
   /// Snapshots now and truncates the journal (graceful-drain hook).
   void flush_snapshot();
 
+  /// Resident entries.
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
+  /// Whether a lookup of `identity` would hit: resident, or durable in
+  /// the directory.
   [[nodiscard]] bool contains(std::uint64_t identity) const {
-    return index_.count(identity) != 0;
+    return index_.count(identity) != 0 || durable_.count(identity) != 0;
   }
   [[nodiscard]] const CacheStats& stats() const { return stats_; }
 
@@ -115,12 +126,28 @@ class ResultCache {
   void append_journal(std::uint64_t identity, const std::string& payload);
   void write_snapshot();
   void open_journal();
+  /// Reads `identity`'s durable entry back from the directory; nullopt
+  /// when the directory does not hold it (no I/O) or its bytes no
+  /// longer verify (the position is then forgotten).
+  [[nodiscard]] std::optional<std::string> read_back(std::uint64_t identity);
+
+  /// Where a durable entry's bytes sit: its file, the offset of its
+  /// RCJE header and the entry's length, header to closing newline.
+  struct Location {
+    bool in_snapshot = false;
+    std::uint64_t offset = 0;
+    std::uint64_t size = 0;
+  };
 
   CacheConfig config_;
   CacheStats stats_;
   /// Front = most recently used.
   std::list<std::pair<std::uint64_t, std::string>> entries_;
   std::unordered_map<std::uint64_t, decltype(entries_)::iterator> index_;
+  /// Every entry the directory holds, at its last occurrence.
+  std::unordered_map<std::uint64_t, Location> durable_;
+  /// Bytes in the journal file (the next entry's offset).
+  std::uint64_t journal_size_ = 0;
   int journal_fd_ = -1;
   std::uint32_t appends_since_snapshot_ = 0;
 };

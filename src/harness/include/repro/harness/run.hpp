@@ -98,9 +98,10 @@ struct RunConfig {
   /// byte-identical to builds without repro::coherence), "msi" or
   /// "mesi". When set, the memory system classifies hits and misses
   /// through per-processor private caches and a line-grain sharer
-  /// directory (see repro::coherence), the label gains a "-msi"/"-mesi"
-  /// suffix, and the steady-state fast-forward is declined (the
-  /// cache/directory digest is not periodic in general).
+  /// directory (see repro::coherence) and the label gains a
+  /// "-msi"/"-mesi" suffix. The steady-state fast-forward gates on the
+  /// model's behavioural digest and replays its statistics like the
+  /// memory system's.
   std::string coherence;
   /// Geometry/cost overrides for the coherence model; ignored unless
   /// `coherence` is non-empty (the policy field is overwritten from the

@@ -120,6 +120,22 @@ std::string read_whole_file(const std::string& path) {
   return os.str();
 }
 
+/// `size` bytes of `path` from `offset`; shorter if the file is.
+std::string read_file_range(const std::string& path, std::uint64_t offset,
+                            std::uint64_t size) {
+  std::ifstream in(path, std::ios::binary);
+  std::string bytes(size, '\0');
+  in.seekg(static_cast<std::streamoff>(offset));
+  in.read(bytes.data(), static_cast<std::streamsize>(size));
+  bytes.resize(static_cast<std::size_t>(in.gcount()));
+  return bytes;
+}
+
+/// Offset of `entry`'s header in the text it was parsed from.
+std::uint64_t offset_in(std::string_view text, const Entry& entry) {
+  return static_cast<std::uint64_t>(entry.bytes.data() - text.data());
+}
+
 }  // namespace
 
 std::string encode_journal_entry(std::uint64_t identity,
@@ -160,7 +176,9 @@ void ResultCache::recover() {
   // Snapshot first (atomic_write_file guarantees it is whole, but the
   // per-entry digests are still verified -- cheap insurance against
   // editors and cosmic rays)...
-  const auto restore = [this](const Entry& entry) {
+  const auto restore = [this](const Entry& entry, bool in_snapshot,
+                              std::uint64_t offset) {
+    durable_[entry.identity] = {in_snapshot, offset, entry.bytes.size()};
     if (insert_in_memory(entry.identity, std::string(entry.payload))) {
       ++stats_.recovered_entries;
     }
@@ -171,7 +189,7 @@ void ResultCache::recover() {
       std::size_t read = 0;
       scan_entries(snapshot, body->first, body->second,
                    [&](const Entry& entry) {
-                     restore(entry);
+                     restore(entry, true, offset_in(snapshot, entry));
                      ++read;
                    });
       if (read < body->second) {
@@ -188,8 +206,12 @@ void ResultCache::recover() {
   // Replay over a snapshot is idempotent: same identity implies the
   // byte-identical payload.
   const std::string journal = read_whole_file(journal_path());
-  const std::size_t intact = scan_entries(
-      journal, 0, std::numeric_limits<std::size_t>::max(), restore);
+  const std::size_t intact =
+      scan_entries(journal, 0, std::numeric_limits<std::size_t>::max(),
+                   [&](const Entry& entry) {
+                     restore(entry, false, offset_in(journal, entry));
+                   });
+  journal_size_ = intact;
   if (intact < journal.size()) {
     stats_.dropped_torn_bytes = journal.size() - intact;
     REPRO_LOG_WARN("result cache: dropping ", stats_.dropped_torn_bytes,
@@ -232,12 +254,39 @@ void ResultCache::open_journal() {
 std::optional<std::string> ResultCache::lookup(std::uint64_t identity) {
   const auto it = index_.find(identity);
   if (it == index_.end()) {
-    ++stats_.misses;
-    return std::nullopt;
+    std::optional<std::string> payload = read_back(identity);
+    if (!payload) {
+      ++stats_.misses;
+      return std::nullopt;
+    }
+    ++stats_.hits;
+    ++stats_.read_backs;
+    insert_in_memory(identity, *payload);
+    return payload;
   }
   ++stats_.hits;
   entries_.splice(entries_.begin(), entries_, it->second);
   return it->second->second;
+}
+
+std::optional<std::string> ResultCache::read_back(std::uint64_t identity) {
+  const auto it = durable_.find(identity);
+  if (it == durable_.end()) {
+    return std::nullopt;
+  }
+  const Location& at = it->second;
+  const std::string bytes = read_file_range(
+      at.in_snapshot ? snapshot_path() : journal_path(), at.offset, at.size);
+  const std::optional<Entry> entry = scan_entry(bytes, 0);
+  if (!entry || entry->identity != identity ||
+      entry->bytes.size() != bytes.size()) {
+    REPRO_LOG_WARN("result cache: entry ", identity,
+                   " no longer reads back from the directory; it will be "
+                   "recomputed");
+    durable_.erase(it);
+    return std::nullopt;
+  }
+  return std::string(entry->payload);
 }
 
 void ResultCache::insert(std::uint64_t identity, const std::string& payload) {
@@ -272,6 +321,8 @@ void ResultCache::append_journal(std::uint64_t identity,
   // is obliged to find this entry.
   REPRO_REQUIRE_MSG(::fsync(journal_fd_) == 0,
                     "result cache journal fsync failed");
+  durable_[identity] = {false, journal_size_, entry.size()};
+  journal_size_ += entry.size();
 }
 
 void ResultCache::write_snapshot() {
@@ -294,12 +345,16 @@ void ResultCache::write_snapshot() {
   }
   std::string out = "RCSS v1 " + std::to_string(last.size()) + '\n';
   out.reserve(out.size() + snapshot.size() + journal.size());
+  std::unordered_map<std::uint64_t, Location> durable;
+  durable.reserve(last.size());
   for (std::size_t i = 0; i < all.size(); ++i) {
     if (last[all[i].identity] == i) {
+      durable[all[i].identity] = {true, out.size(), all[i].bytes.size()};
       out += all[i].bytes;
     }
   }
   atomic_write_file(snapshot_path(), out);
+  durable_ = std::move(durable);
   ++stats_.snapshots;
   appends_since_snapshot_ = 0;
   // Truncate the journal only after the snapshot is durably in place;
@@ -308,6 +363,7 @@ void ResultCache::write_snapshot() {
   ::close(journal_fd_);
   journal_fd_ = -1;
   atomic_write_file(journal_path(), "");
+  journal_size_ = 0;
   open_journal();
 }
 

@@ -241,19 +241,15 @@ RunResult run_benchmark(const RunConfig& config) {
 
   // Steady-state fast-forward: on unless opted out, and off under the
   // analyzer (it inspects every *executed* region, so synthesized
-  // iterations would change its input) or the coherence model (cache
-  // and directory state is not periodic in general, so a replayed
-  // block would misreport the line-grain counters). A trace replay
-  // fast-forwards when its workload can seek past the synthesized
-  // iterations: an indexed trace.
+  // iterations would change its input). A trace replay fast-forwards
+  // when its workload can seek past the synthesized iterations: an
+  // indexed trace.
   std::string no_fast_forward;  // why, when the watcher is off
   if (config.no_fast_forward ||
       !Env::global().get_bool("REPRO_FAST_FORWARD", true)) {
     no_fast_forward = "opted out";
   } else if (analyze) {
     no_fast_forward = "the analyzer inspects every executed region";
-  } else if (coh != nullptr) {
-    no_fast_forward = "coherence state is not periodic in general";
   } else {
     no_fast_forward = workload->fast_forward_blocker();
   }

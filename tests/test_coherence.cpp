@@ -8,8 +8,10 @@
 //    visible the moment it completes; SWMR means no observer can ever
 //    read a stale version) and the structural audit(), plus an
 //    MSI-vs-MESI differential on one stream (identical values, sharer
-//    sets and miss classification; MESI may only *reduce* upgrades)
-//    and the model's state digest pinned after the fuzz streams. A
+//    sets and miss classification; MESI may only *reduce* upgrades),
+//    the model's exact-state digest pinned after the fuzz streams, and
+//    its behavioural (fast-forward) digest held to LRU ranks, way
+//    states and history bits rather than stamps and versions. A
 //    geometry table repeats the oracle and audit over 180 shapes (ways
 //    1-16, sets 1-64, coherence lines finer and coarser than the
 //    machine line, one and two sharer words, both protocols), each
@@ -250,12 +252,13 @@ TEST(CoherenceFuzz, RandomStreamMatchesFlatMemoryOracle) {
   }
 }
 
-// No simulated run reaches CoherenceModel::digest (coherence cells
-// never fast-forward), so it is pinned here: the state after each fuzz
-// input, per protocol. digest() mixes directory entries in ascending
-// global line id whatever the directory's layout, and these constants
-// come from a different layout (a hash keyed by line id, walked in
-// sorted-key order). One more access must move the digest.
+// The exact-state digest (every version, stamp and directory record;
+// the fast-forward gates on the behavioural digest() instead) is pinned
+// here: the state after each fuzz input, per protocol.
+// exact_state_digest() mixes directory entries in ascending global line
+// id whatever the directory's layout, and these constants come from a
+// different layout (a hash keyed by line id, walked in sorted-key
+// order). One more access must move the digest.
 TEST(CoherenceFuzz, DigestAfterRandomStreamIsPinned) {
   struct Pin {
     Policy policy;
@@ -277,7 +280,7 @@ TEST(CoherenceFuzz, DigestAfterRandomStreamIsPinned) {
       apply(model, op, nullptr);
     }
     StateHash before;
-    model.digest(before);
+    model.exact_state_digest(before);
     EXPECT_EQ(before.value(), pin.digest)
         << std::hex << "0x" << before.value() << " for "
         << policy_name(pin.policy) << (pin.layout ? " layout" : " fuzz");
@@ -288,9 +291,71 @@ TEST(CoherenceFuzz, DigestAfterRandomStreamIsPinned) {
     read.line_begin = 7;
     apply(model, read, nullptr);
     StateHash after;
-    model.digest(after);
+    model.exact_state_digest(after);
     EXPECT_NE(after.value(), before.value());
   }
+}
+
+// The fast-forward's behavioural digest: equal for states that differ
+// only in LRU stamps and versions, different wherever the protocol's
+// future differs -- a way's state, the LRU order, the history bits.
+TEST(CoherenceFuzz, BehaviouralDigestCoversBehaviourNotStamps) {
+  const auto digest_of = [](const CoherenceModel& model) {
+    StateHash hash;
+    model.digest(hash);
+    return hash.value();
+  };
+  const auto exact_of = [](const CoherenceModel& model) {
+    StateHash hash;
+    model.exact_state_digest(hash);
+    return hash.value();
+  };
+  const auto touch = [](CoherenceModel& model, std::uint32_t proc,
+                        std::uint64_t page, std::uint32_t line, bool write) {
+    FuzzOp op;
+    op.proc = proc;
+    op.page = page;
+    op.line_begin = line;
+    op.write = write;
+    apply(model, op, nullptr);
+  };
+
+  // Lines 0 and 2 fill both ways of proc 0's set 0. Writing the most
+  // recent one again moves its stamp and version, not its rank.
+  CoherenceModel model(fuzz_machine(), fuzz_config(Policy::kMsi));
+  touch(model, 0, 0, 0, true);
+  touch(model, 0, 0, 2, true);
+  const std::uint64_t digest = digest_of(model);
+  const std::uint64_t exact = exact_of(model);
+  touch(model, 0, 0, 2, true);
+  EXPECT_EQ(digest_of(model), digest);
+  EXPECT_NE(exact_of(model), exact);
+  // Touching the older line reorders the set: the next victim changes.
+  touch(model, 0, 0, 0, false);
+  EXPECT_NE(digest_of(model), digest);
+
+  // One way's state alone: a read fill (Shared) against a write fill
+  // (Modified) of the same line by the same processor.
+  CoherenceModel reader(fuzz_machine(), fuzz_config(Policy::kMsi));
+  CoherenceModel writer(fuzz_machine(), fuzz_config(Policy::kMsi));
+  touch(reader, 1, 0, 5, false);
+  touch(writer, 1, 0, 5, true);
+  EXPECT_NE(digest_of(reader), digest_of(writer));
+
+  // The history bits alone: page 1's line 0 (set 0) is evicted by two
+  // later fills of set 0, so no way holds it, but its ever-filled bit
+  // still makes the next miss a capacity miss. Flushing page 1 touches
+  // no way and forgets that bit.
+  CoherenceModel evicted(fuzz_machine(), fuzz_config(Policy::kMsi));
+  touch(evicted, 2, 1, 0, false);
+  touch(evicted, 2, 0, 0, false);
+  touch(evicted, 2, 0, 2, false);
+  ASSERT_EQ(evicted.state_of(ProcId(2), evicted.line_id(VPage(1), 0)),
+            LineState::kInvalid);
+  const std::uint64_t before_flush = digest_of(evicted);
+  evicted.flush_page(VPage(1));
+  EXPECT_NE(digest_of(evicted), before_flush);
+  ASSERT_NO_THROW(evicted.audit());
 }
 
 /// One row of the geometry table: a private-cache shape, a coherence
@@ -437,9 +502,10 @@ std::uint64_t stats_hash(const CoherenceStats& s) {
   return hash.value();
 }
 
-// The oracle and audit over every geometry, with the final digest() and
-// a hash of total_stats() pinned per row (recorded before the way walk
-// was specialised per way count and the directory chunked).
+// The oracle and audit over every geometry, with the final
+// exact_state_digest() and a hash of total_stats() pinned per row
+// (recorded before the way walk was specialised per way count and the
+// directory chunked).
 TEST(CoherenceFuzz, GeometryTableMatchesOracleAndPins) {
   struct Pin {
     std::uint64_t digest;
@@ -484,7 +550,7 @@ TEST(CoherenceFuzz, GeometryTableMatchesOracleAndPins) {
     EXPECT_EQ(totals.invalidations_sent, totals.invalidations_received)
         << name;
     StateHash digest;
-    model.digest(digest);
+    model.exact_state_digest(digest);
     EXPECT_TRUE(digest.value() == pins[row].digest &&
                 stats_hash(totals) == pins[row].stats)
         << "pin row " << row << ": {0x" << std::hex << digest.value()
@@ -935,6 +1001,10 @@ TEST(CoherenceGolden, CgCapacityPathMatchesCheckedInGoldens) {
     EXPECT_GT(totals.capacity_miss_lines, totals.cold_miss_lines)
         << key_of(r);
     EXPECT_GT(totals.writebacks, 0u) << key_of(r);
+    // The goldens were recorded with every iteration simulated; the
+    // cells now settle after two and replay the third, so the goldens
+    // pin the coherence replay path too.
+    EXPECT_GT(r.iterations_replayed, 0u) << key_of(r);
   }
   // CG never writes a line it holds Shared, so MESI's only difference
   // from MSI (silent E->M upgrades) has nothing to act on: the cells

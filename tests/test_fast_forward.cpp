@@ -6,18 +6,27 @@
 // or synthesized by replay -- also where a migration engine acts in
 // every iteration: record--replay cells replay their equal per-block
 // migrations, and kernel-daemon cells continue the daemon over a logged
-// miss stream once the machine settles. The suite also pins when the
-// fast-forward must NOT engage: a daemon cell whose machine never
-// repeats simulates every iteration.
+// miss stream once the machine settles -- and in line-grain coherence
+// cells, which gate on the model's behavioural digest and replay its
+// statistics. The suite also pins when the fast-forward must NOT
+// engage: a daemon cell whose machine never repeats, and the
+// false-sharing cells whose line state repeats only past kMaxPeriod,
+// simulate every iteration.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "repro/common/env.hpp"
+#include "repro/common/log.hpp"
+#include "repro/harness/fast_forward.hpp"
 #include "repro/harness/json.hpp"
 #include "repro/harness/run.hpp"
+#include "repro/nas/workload.hpp"
+#include "repro/omp/machine.hpp"
 #include "repro/trace/export.hpp"
 
 namespace repro::harness {
@@ -68,6 +77,7 @@ void expect_identical(const RunConfig& config) {
   EXPECT_EQ(replayed.kernel_stats, simulated.kernel_stats);
   EXPECT_EQ(replayed.daemon_stats, simulated.daemon_stats);
   EXPECT_EQ(replayed.upm_stats, simulated.upm_stats);
+  EXPECT_EQ(replayed.coherence_totals, simulated.coherence_totals);
   EXPECT_EQ(replayed.trace_digest, simulated.trace_digest);
   EXPECT_EQ(canonical_dump(replayed), canonical_dump(simulated));
 
@@ -201,6 +211,176 @@ TEST(FastForwardGate, OptOutFlagSimulatesEverything) {
   const RunResult result = run_benchmark(config);
   EXPECT_EQ(result.iterations_replayed, 0u);
   EXPECT_EQ(result.iterations_simulated, config.iterations);
+}
+
+/// A traced line-grain coherence cell at quarter size.
+RunConfig coherence_cell(const std::string& benchmark,
+                         const std::string& placement,
+                         const std::string& policy, nas::UpmMode mode) {
+  RunConfig config = cell(benchmark, placement, mode);
+  config.coherence = policy;
+  config.iterations = 6;
+  return config;
+}
+
+/// run_benchmark with the INFO log captured: the result and the cell's
+/// fast-forward line ("steady state after ..." or "no fast-forward:
+/// <rule>").
+std::pair<RunResult, std::string> run_logged(const RunConfig& config) {
+  std::string log;
+  RunResult result;
+  {
+    const ScopedEnv level("REPRO_LOG", "info");
+    refresh_log_level();
+    ::testing::internal::CaptureStderr();
+    result = run_benchmark(config);
+    log = ::testing::internal::GetCapturedStderr();
+  }
+  refresh_log_level();
+  return {std::move(result), log};
+}
+
+TEST(FastForwardCoherence, CgCellsReplayAndMatch) {
+  // Read-mostly capacity misses: the line state repeats after the first
+  // timed iteration, so the cells replay like page-grain ones.
+  for (const std::string placement : {"ft", "rr"}) {
+    for (const std::string policy : {"msi", "mesi"}) {
+      const RunConfig config =
+          coherence_cell("CG", placement, policy, nas::UpmMode::kOff);
+      SCOPED_TRACE(config.label());
+      const RunResult result = run_benchmark(config);
+      EXPECT_TRUE(result.coherence_enabled);
+      EXPECT_GT(result.iterations_replayed, 0u);
+      EXPECT_GT(result.coherence_totals.capacity_miss_lines, 0u);
+      expect_identical(config);
+    }
+  }
+}
+
+TEST(FastForwardCoherence, UpmlibCellMatches) {
+  const RunConfig config =
+      coherence_cell("CG", "ft", "msi", nas::UpmMode::kDistribution);
+  EXPECT_GT(run_benchmark(config).iterations_replayed, 0u);
+  expect_identical(config);
+}
+
+TEST(FastForwardCoherence, SweepGridDeclinesOnTheDigestAndMatches) {
+  // coherence_sweep's grid at its own size and iteration count. The
+  // false-sharing line state repeats with a period past kMaxPeriod (8
+  // for FS ft-msi), so every cell declines on the digest rule and
+  // simulates all its iterations.
+  for (const std::string benchmark : {"FS", "FSP"}) {
+    for (const std::string placement : {"ft", "rr"}) {
+      for (const std::string policy : {"msi", "mesi"}) {
+        for (const nas::UpmMode mode :
+             {nas::UpmMode::kOff, nas::UpmMode::kDistribution}) {
+          RunConfig config = coherence_cell(benchmark, placement, policy, mode);
+          config.workload.size_scale = 1.0;
+          SCOPED_TRACE(benchmark + " " + config.label());
+          const auto [result, log] = run_logged(config);
+          EXPECT_EQ(result.iterations_replayed, 0u);
+          EXPECT_NE(log.find(config.label() + ": no fast-forward: digest\n"),
+                    std::string::npos)
+              << log;
+          expect_identical(config);
+        }
+      }
+    }
+  }
+}
+
+/// The outcome of CG rand-msi at quarter size driven iteration by
+/// iteration, with or without a FastForward watcher.
+struct TailRun {
+  Ns total = 0;
+  std::uint32_t period = 0;
+  std::uint32_t replayed = 0;
+  coherence::CoherenceStats coherence;
+  memsys::ProcStats memory;
+  std::uint64_t digest = 0;        // the model's behavioural digest
+  std::uint64_t exact_digest = 0;  // its exact-state digest
+};
+
+TailRun run_coherence_tail(std::uint32_t iterations, bool fast_forward) {
+  const RunConfig config =
+      coherence_cell("CG", "rand", "msi", nas::UpmMode::kOff);
+  auto machine = omp::Machine::create(config.machine);
+  machine->set_placement(config.placement, config.seed);
+  coherence::CoherenceModel& model =
+      machine->enable_coherence(coherence::CoherenceConfig{});
+  auto workload = nas::make_workload(config.benchmark, config.workload);
+  workload->setup(*machine);
+  workload->cold_start(*machine);
+  machine->memory().reset_stats();
+  machine->runtime().clear_records();
+
+  TailRun run;
+  std::unique_ptr<FastForward> ff;
+  if (fast_forward) {
+    ff = std::make_unique<FastForward>(*machine, nullptr, nullptr);
+  }
+  const nas::IterationContext ctx;
+  std::vector<Ns> times;
+  const Ns t0 = machine->runtime().now();
+  for (std::uint32_t step = 1; step <= iterations; ++step) {
+    if (ff != nullptr) {
+      ff->probe();
+      if (ff->ready()) {
+        run.period = ff->period();
+        run.replayed = ff->replay(step, iterations, times);
+        workload->skip_iterations(step, run.replayed);
+        model.audit();
+        step += run.replayed;
+        if (step > iterations) {
+          break;
+        }
+      }
+    }
+    workload->iteration(*machine, ctx, step);
+  }
+  model.audit();
+  run.total = machine->runtime().now() - t0;
+  run.coherence = model.total_stats();
+  run.memory = machine->memory().total_stats();
+  StateHash digest;
+  model.digest(digest);
+  run.digest = digest.value();
+  StateHash exact;
+  model.exact_state_digest(exact);
+  run.exact_digest = exact.value();
+  return run;
+}
+
+TEST(FastForwardCoherence, ReplayLeavesASimulatedTailThatAudits) {
+  // CG rand-msi settles into a period-2 cycle after four iterations, so
+  // at 13 the replay covers four blocks and leaves one iteration to
+  // simulate from the replayed state: its stamps and versions were not
+  // shifted, only the statistics advanced.
+  constexpr std::uint32_t kIterations = 13;
+  const TailRun replayed = run_coherence_tail(kIterations, true);
+  const TailRun simulated = run_coherence_tail(kIterations, false);
+  EXPECT_EQ(replayed.period, 2u);
+  EXPECT_GT(replayed.replayed, 0u);
+  EXPECT_EQ(replayed.replayed % replayed.period, 0u);
+  EXPECT_EQ((kIterations - 4) % replayed.period, 1u);
+  EXPECT_EQ(replayed.total, simulated.total);
+  EXPECT_EQ(replayed.coherence, simulated.coherence);
+  EXPECT_EQ(replayed.memory.hit_lines, simulated.memory.hit_lines);
+  EXPECT_EQ(replayed.memory.remote_miss_lines,
+            simulated.memory.remote_miss_lines);
+  EXPECT_EQ(replayed.memory.queue_wait, simulated.memory.queue_wait);
+  // Equal behaviour, unequal stamps and versions.
+  EXPECT_EQ(replayed.digest, simulated.digest);
+  EXPECT_NE(replayed.exact_digest, simulated.exact_digest);
+
+  // The same cell through run_benchmark, traced.
+  RunConfig config = coherence_cell("CG", "rand", "msi", nas::UpmMode::kOff);
+  config.iterations = kIterations;
+  const auto [result, log] = run_logged(config);
+  EXPECT_NE(log.find("steady state after 5 iterations, replayed 8"),
+            std::string::npos)
+      << log;
+  expect_identical(config);
 }
 
 TEST(FastForwardGate, ReplayedSplitIsReportedInJson) {

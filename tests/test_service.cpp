@@ -496,6 +496,63 @@ TEST(ResultCache, EvictedEntriesStayInTheDirectory) {
   }
 }
 
+TEST(ResultCache, EvictedEntryReadsBackFromTheDirectory) {
+  // Capacity bounds memory, not what a lookup answers: an evicted entry
+  // is read back from the journal or the snapshot, byte for byte, made
+  // resident again and counted a hit. A true miss stays a miss.
+  const std::string dir = temp_dir("read_back");
+  CacheConfig config;
+  config.dir = dir;
+  config.capacity = 1;
+  config.snapshot_every = 0;
+  const std::string first("first\npayload with a NUL \0 inside", 34);
+  {
+    ResultCache cache(config);
+    cache.insert(1, first);
+    cache.insert(2, "second");
+    cache.insert(3, "third");
+    EXPECT_EQ(cache.size(), 1u);
+    EXPECT_TRUE(cache.contains(1));
+    EXPECT_EQ(cache.lookup(1).value_or("<missing>"), first);  // journal
+    EXPECT_EQ(cache.stats().hits, 1u);
+    EXPECT_EQ(cache.stats().read_backs, 1u);
+    EXPECT_EQ(cache.size(), 1u);
+    EXPECT_FALSE(cache.lookup(4).has_value());
+    EXPECT_FALSE(cache.contains(4));
+    EXPECT_EQ(cache.stats().misses, 1u);
+    cache.flush_snapshot();
+    EXPECT_EQ(cache.lookup(2).value_or("<missing>"), "second");  // snapshot
+    EXPECT_EQ(cache.stats().read_backs, 2u);
+  }
+  ResultCache reopened(config);
+  EXPECT_EQ(reopened.size(), 1u);
+  EXPECT_EQ(reopened.lookup(1).value_or("<missing>"), first);
+  EXPECT_EQ(reopened.stats().read_backs, 1u);
+  EXPECT_EQ(reopened.stats().misses, 0u);
+}
+
+TEST(ResultCache, ReadBackVerifiesTheEntryDigest) {
+  // An evicted entry whose bytes changed in the directory since they
+  // were written is a miss (the cell is recomputed), never a wrong hit.
+  const std::string dir = temp_dir("read_back_digest");
+  CacheConfig config;
+  config.dir = dir;
+  config.capacity = 1;
+  config.snapshot_every = 0;
+  ResultCache cache(config);
+  cache.insert(1, "payload one");
+  cache.insert(2, "payload two");
+  std::string journal = read_file(cache.journal_path());
+  const std::size_t at = journal.find("payload one");
+  ASSERT_NE(at, std::string::npos);
+  journal[at] = 'P';
+  write_file(cache.journal_path(), journal);
+  EXPECT_FALSE(cache.lookup(1).has_value());
+  EXPECT_EQ(cache.stats().read_backs, 0u);
+  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_FALSE(cache.contains(1));
+}
+
 TEST(ResultCache, JournalTornTailFuzzEveryByteBoundary) {
   // Three acknowledged entries, then the journal is truncated at every
   // byte boundary. Recovery must keep exactly the entries that are
@@ -702,6 +759,34 @@ TEST(SweepService, SmallDaemonDrainKeepsEveryCellOfASweepDir) {
   const harness::SweepOutcome resumed = harness::run_sweep(configs, options);
   ASSERT_TRUE(resumed.ok());
   EXPECT_EQ(resumed.stats.cells_resumed, configs.size());
+}
+
+TEST(SweepService, SmallDaemonAnswersEvictedCellsFromItsDirectory) {
+  // A capacity-2 daemon serving the six-cell grid twice: the second
+  // request is answered from the directory in full, the four cells
+  // evicted from memory included.
+  const std::string dir = temp_dir("small_daemon_hits");
+  DaemonConfig config;
+  config.socket_path = dir + "/sweepd.sock";
+  config.workers = 1;
+  config.cache.dir = dir + "/cache";
+  config.cache.capacity = 2;
+  const SweepRequest request = six_cell_grid();
+  DaemonFixture fixture(std::move(config));
+  SweepClient client(dir + "/sweepd.sock");
+  const SweepReply cold = client.submit(request);
+  ASSERT_TRUE(cold.ok()) << cold.error;
+  const SweepReply warm = client.submit(request);
+  ASSERT_TRUE(warm.ok()) << warm.error;
+  EXPECT_EQ(warm.cache_hits, request.cells.size());
+  ASSERT_EQ(warm.cells.size(), cold.cells.size());
+  for (std::size_t i = 0; i < warm.cells.size(); ++i) {
+    EXPECT_TRUE(warm.cells[i].cached) << "cell " << i;
+    EXPECT_EQ(warm.cells[i].result.trace_digest,
+              cold.cells[i].result.trace_digest);
+  }
+  fixture.stop();
+  EXPECT_EQ(fixture.daemon().stats().cells_completed, request.cells.size());
 }
 
 TEST(SweepService, BusyShedBeyondMaxPendingRequests) {
