@@ -14,8 +14,10 @@
 // google-benchmark shape for tools/perf_compare.py) are *simulated*
 // milliseconds per timed iteration -- deterministic across hosts, so
 // the +/-25% advisory band actually flags model changes, not host
-// noise. Peak host RSS is printed at the end: past 64 processors the
-// kAuto table backend switches to the sparse structures, which is what
+// noise. Peak host RSS is printed at the end. Every machine size runs
+// the same page structures: the page table and directory are one per
+// machine and O(pages), and each processor's page-cache index
+// allocates fixed chunks only for the pages it caches, which is what
 // keeps the 512-node cells inside a laptop's memory.
 //
 // Usage: scale_sweep [--fast] [--benchmark=CG|MG] [--iterations=N]
@@ -275,9 +277,7 @@ int main(int argc, char** argv) {
                                                    : results[i].trace_digest});
   }
   table.print(std::cout);
-  std::cout << "\npeak RSS: " << fmt_double(peak_rss_mib(), 1)
-            << " MiB (sparse backends engage automatically past 64 "
-               "processors)\n";
+  std::cout << "\npeak RSS: " << fmt_double(peak_rss_mib(), 1) << " MiB\n";
 
   if (!json_dir.empty()) {
     write_json(json_dir, cells, results, static_cast<std::uint32_t>(iterations));

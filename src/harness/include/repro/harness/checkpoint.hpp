@@ -43,9 +43,8 @@ inline constexpr std::uint64_t kModelVersion = 2;
 /// Host-side knobs are excluded: they change how a run is supervised
 /// or what side files it leaves, not what it computes --
 /// cell_timeout_ms, trace_dir, trace_out (a dry dump written before
-/// the run), no_fast_forward (moves only the iterations_simulated /
-/// iterations_replayed provenance) and machine.table_backend (dense
-/// and sparse tables give equal results). So are fields run_benchmark
+/// the run) and no_fast_forward (moves only the iterations_simulated /
+/// iterations_replayed provenance). So are fields run_benchmark
 /// rejects when set.
 [[nodiscard]] std::uint64_t config_identity(const RunConfig& config);
 

@@ -7,11 +7,10 @@
 
 namespace repro::memsys {
 
-Directory::Directory(std::size_t num_procs, bool sparse)
+Directory::Directory(std::size_t num_procs)
     : num_procs_(num_procs),
       words_per_entry_((num_procs + 63) / 64),
-      stride_(words_per_entry_ + 1),
-      sparse_(sparse) {
+      stride_(words_per_entry_ + 1) {
   REPRO_REQUIRE(num_procs >= 1 && num_procs <= 65536);
   if (words_per_entry_ > 1) {
     scratch_high_.resize(words_per_entry_ - 1);
@@ -36,46 +35,18 @@ bool Directory::live(const std::uint64_t* e) const {
 }
 
 std::uint32_t Directory::find_slot(VPage page) const {
-  if (sparse_) {
-    const std::uint32_t* slot = index_.find(page.value());
-    return slot == nullptr ? kNoSlot : *slot;
-  }
   return page.value() * stride_ < entries_.size()
              ? static_cast<std::uint32_t>(page.value())
              : kNoSlot;
 }
 
 std::uint32_t Directory::ensure_slot(VPage page) {
-  if (!sparse_) {
-    if (page.value() * stride_ >= entries_.size()) {
-      entries_.resize(std::max<std::size_t>((page.value() + 1) * stride_,
-                                            entries_.size() * 2),
-                      0);
-    }
-    return static_cast<std::uint32_t>(page.value());
+  if (page.value() * stride_ >= entries_.size()) {
+    entries_.resize(std::max<std::size_t>((page.value() + 1) * stride_,
+                                          entries_.size() * 2),
+                    0);
   }
-  if (const std::uint32_t* slot = index_.find(page.value())) {
-    return *slot;
-  }
-  std::uint32_t slot;
-  if (!free_slots_.empty()) {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-  } else {
-    slot = static_cast<std::uint32_t>(entries_.size() / stride_);
-    entries_.resize(entries_.size() + stride_, 0);
-  }
-  index_[page.value()] = slot;
-  return slot;
-}
-
-void Directory::release_slot(VPage page, std::uint32_t slot) {
-  // Dense slots stay in place (the array is the index); sparse slots
-  // are recycled so the pool tracks the live-entry high-water mark.
-  if (sparse_) {
-    index_.erase(page.value());
-    free_slots_.push_back(slot);
-  }
+  return static_cast<std::uint32_t>(page.value());
 }
 
 Directory::AccessOutcome Directory::on_read(ProcId proc, VPage page) {
@@ -131,7 +102,6 @@ void Directory::on_evict(ProcId proc, VPage page) {
     // The last sharer left, so no owner either.
     owner = 0;
     --tracked_;
-    release_slot(page, slot);
   } else if (owner == proc.value() + 1ULL) {
     owner = 0;
   }
@@ -145,28 +115,13 @@ std::uint64_t Directory::digest() const {
   // The owner word holds the digest's owner value (id + 1, 0 = none).
   StateHash hash;
   hash.mix(tracked_);
-  const auto mix_entry = [&](std::uint64_t page, const std::uint64_t* e) {
-    hash.mix(page);
-    for (std::size_t i = 0; i < stride_; ++i) {
-      hash.mix(e[i]);
-    }
-  };
-  if (sparse_) {
-    std::vector<std::pair<std::uint64_t, std::uint32_t>> live_pages;
-    live_pages.reserve(tracked_);
-    index_.for_each([&](std::uint64_t page, std::uint32_t slot) {
-      live_pages.emplace_back(page, slot);
-    });
-    std::sort(live_pages.begin(), live_pages.end());
-    for (const auto& [page, slot] : live_pages) {
-      mix_entry(page, entry(slot));
-    }
-  } else {
-    const std::size_t slots = entries_.size() / stride_;
-    for (std::size_t p = 0; p < slots; ++p) {
-      const std::uint64_t* e = entry(static_cast<std::uint32_t>(p));
-      if (live(e)) {
-        mix_entry(p, e);
+  const std::size_t slots = entries_.size() / stride_;
+  for (std::size_t p = 0; p < slots; ++p) {
+    const std::uint64_t* e = entry(static_cast<std::uint32_t>(p));
+    if (live(e)) {
+      hash.mix(p);
+      for (std::size_t i = 0; i < stride_; ++i) {
+        hash.mix(e[i]);
       }
     }
   }

@@ -16,20 +16,11 @@
 
 namespace repro::memsys {
 
-/// Backing store for the page-grain bookkeeping structures (page table,
-/// directory, page caches, reference-counter rows). Dense arrays are
-/// O(pages) / O(pages x nodes) regardless of how many pages are live;
-/// the sparse open-addressed backends track only live entries. kAuto
-/// picks dense at the paper's scale (<= 64 procs) and sparse beyond,
-/// where the dense footprint would dominate the simulation.
-enum class TableBackend : std::uint8_t { kAuto, kDense, kSparse };
-
 struct MachineConfig {
   // --- structure -------------------------------------------------------
   std::size_t num_nodes = 16;
   std::size_t procs_per_node = 1;
   std::string topology = "fat-hypercube";
-  TableBackend table_backend = TableBackend::kAuto;
 
   // --- memory geometry --------------------------------------------------
   Bytes page_size = 16 * kKiB;
@@ -103,11 +94,6 @@ struct MachineConfig {
   }
   [[nodiscard]] std::uint32_t counter_max() const {
     return (1u << counter_bits) - 1u;
-  }
-  /// Whether the page structures should use their sparse backends.
-  [[nodiscard]] bool sparse_tables() const {
-    return table_backend == TableBackend::kSparse ||
-           (table_backend == TableBackend::kAuto && num_procs() > 64);
   }
 
   /// Validates internal consistency; throws ContractViolation otherwise.

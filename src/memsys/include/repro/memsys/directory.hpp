@@ -9,19 +9,16 @@
 //
 // Sharer sets are multi-word bitmaps (ceil(num_procs / 64) words per
 // entry), so machines beyond 64 processors are representable. Entries
-// live either in a dense array over the virtual page space (indexed
-// load per access; the default at the paper's scale) or in a sparse
-// open-addressed index keyed by page (one hash probe per access; picked
-// for the 128/512-node scale sweeps, where the dense array's
-// O(pages x nodes) footprint is the problem being avoided). Digests are
-// backend-independent: both enumerate live entries in page order.
+// live in one dense array over the virtual page space (an indexed load
+// per access). The machine has one directory, so its footprint is
+// O(pages x words), about 72 bytes per page at 512 processors. Digests
+// enumerate live entries in page order.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
-#include "repro/common/flat_map.hpp"
 #include "repro/common/hash.hpp"
 #include "repro/common/strong_id.hpp"
 
@@ -29,7 +26,7 @@ namespace repro::memsys {
 
 class Directory {
  public:
-  explicit Directory(std::size_t num_procs, bool sparse = false);
+  explicit Directory(std::size_t num_procs);
 
   struct AccessOutcome {
     /// Processors 0..63 whose cached copy must be invalidated (excludes
@@ -63,7 +60,7 @@ class Directory {
   [[nodiscard]] std::size_t tracked_pages() const { return tracked_; }
 
   /// Digest of every live entry (page, sharer set, exclusive owner),
-  /// in page order; identical across backends.
+  /// in page order.
   [[nodiscard]] std::uint64_t digest() const;
 
  private:
@@ -84,23 +81,17 @@ class Directory {
   [[nodiscard]] std::uint32_t find_slot(VPage page) const;
   /// Slot of `page`, allocating an empty entry when absent.
   std::uint32_t ensure_slot(VPage page);
-  /// Releases a slot whose sharer set emptied (sparse reclamation).
-  void release_slot(VPage page, std::uint32_t slot);
 
   std::size_t num_procs_;
   std::size_t words_per_entry_;
   /// Words per slot: the sharer words plus one owner word.
   std::size_t stride_;
-  bool sparse_;
 
   /// One array of slots, `stride_` words each: sharer bitmap words
   /// (ceil(num_procs / 64)), then the owner word -- 0 for none, else
   /// the exclusive writer's id + 1. A miss touches one slot, one cache
   /// line at the paper's 16 processors (two words).
   std::vector<std::uint64_t> entries_;
-  /// Sparse backend: page -> slot, plus recycled slots.
-  FlatMap<std::uint32_t> index_;
-  std::vector<std::uint32_t> free_slots_;
   /// Scratch backing AccessOutcome::invalidate_high (reused per write).
   std::vector<std::uint64_t> scratch_high_;
 

@@ -12,10 +12,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
-#include "repro/common/flat_map.hpp"
 #include "repro/common/hash.hpp"
 #include "repro/common/strong_id.hpp"
 
@@ -23,14 +23,8 @@ namespace repro::memsys {
 
 class PageCache {
  public:
-  /// `capacity_pages` == L2 size / page size; must be >= 1. `sparse`
-  /// swaps the dense page -> slot index (O(max page id), one per
-  /// processor) for an open-addressed map over resident pages only --
-  /// the 512-node scale sweeps would otherwise pay that array 512
-  /// times. The LRU list itself is identical either way, so digests
-  /// (which walk the list in recency order) never depend on the
-  /// backend.
-  explicit PageCache(std::size_t capacity_pages, bool sparse = false);
+  /// `capacity_pages` == L2 size / page size; must be >= 1.
+  explicit PageCache(std::size_t capacity_pages);
 
   struct TouchResult {
     bool hit = false;
@@ -70,9 +64,12 @@ class PageCache {
  private:
   /// Touched on every simulated access, so the LRU is an intrusive
   /// doubly-linked list over a fixed node pool (indices, no
-  /// allocation) with a dense page -> node index (virtual pages are
-  /// compact, see vm::AddressSpace): one indexed load per lookup
-  /// instead of a hash probe and list-node churn.
+  /// allocation) with a chunked page -> node index: one shift, one
+  /// mask and two indexed loads per lookup instead of a hash probe and
+  /// list-node churn. Chunks of kChunkPages entries are allocated on
+  /// the first insert of a page in their range, so a cache's index
+  /// costs the few chunks its pages fall in, not O(max page id) -- a
+  /// 512-node machine holds 512 of these indexes over one page space.
   struct Node {
     std::uint64_t page = 0;
     std::int32_t prev = -1;
@@ -82,23 +79,29 @@ class PageCache {
   void unlink(std::int32_t n);
   void push_front(std::int32_t n);
 
+  static constexpr unsigned kChunkShift = 8;
+  static constexpr std::size_t kChunkPages = std::size_t{1} << kChunkShift;
+  static constexpr std::uint64_t kChunkMask = kChunkPages - 1;
+
   /// Node index holding `page`, -1 when absent.
   [[nodiscard]] std::int32_t slot_of(VPage page) const {
-    if (sparse_) {
-      const std::int32_t* slot = index_.find(page.value());
-      return slot == nullptr ? -1 : *slot;
+    const std::uint64_t chunk = page.value() >> kChunkShift;
+    if (chunk >= where_.size() || where_[chunk] == nullptr) {
+      return -1;
     }
-    return page.value() < where_.size() ? where_[page.value()] : -1;
+    return where_[chunk][page.value() & kChunkMask];
   }
   void set_slot(VPage page, std::int32_t n);
-  void drop_slot(VPage page);
+  void drop_slot(VPage page) {
+    where_[page.value() >> kChunkShift][page.value() & kChunkMask] = -1;
+  }
 
   std::size_t capacity_;
-  bool sparse_;
   std::size_t size_ = 0;
-  std::vector<Node> nodes_;           // fixed pool, one per cache slot
-  std::vector<std::int32_t> where_;   // dense: page id -> node, -1 absent
-  FlatMap<std::int32_t> index_;       // sparse: resident pages only
+  std::vector<Node> nodes_;  // fixed pool, one per cache slot
+  /// Page id -> node, -1 absent; chunk c covers pages c*kChunkPages
+  /// onward and is null until one of them is inserted.
+  std::vector<std::unique_ptr<std::int32_t[]>> where_;
   std::int32_t head_ = -1;            // most recent
   std::int32_t tail_ = -1;            // next eviction victim
   std::int32_t free_ = -1;            // free-slot chain through `next`

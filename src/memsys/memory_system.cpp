@@ -22,18 +22,17 @@ MemorySystem::MemorySystem(const MachineConfig& config,
       topology_(&topology),
       backend_(&backend),
       latency_(config_, topology),
-      directory_(config_.num_procs(), config_.sparse_tables()) {
+      directory_(config_.num_procs()) {
   config_.validate();
   REPRO_REQUIRE(topology.num_nodes() == config_.num_nodes);
   caches_.reserve(config_.num_procs());
   for (std::size_t p = 0; p < config_.num_procs(); ++p) {
-    caches_.emplace_back(config_.cache_capacity_pages(),
-                         config_.sparse_tables());
+    caches_.emplace_back(config_.cache_capacity_pages());
   }
   if (config_.tlb_entries > 0) {
     tlbs_.reserve(config_.num_procs());
     for (std::size_t p = 0; p < config_.num_procs(); ++p) {
-      tlbs_.emplace_back(config_.tlb_entries, config_.sparse_tables());
+      tlbs_.emplace_back(config_.tlb_entries);
     }
   }
   queues_.reserve(config_.num_nodes);
@@ -260,7 +259,7 @@ void MemorySystem::flush_all() {
   for (std::uint32_t p = 0; p < config_.num_procs(); ++p) {
     caches_[p].clear();
   }
-  directory_ = Directory(config_.num_procs(), config_.sparse_tables());
+  directory_ = Directory(config_.num_procs());
   if (line_model_ != nullptr) {
     line_model_->clear();
   }

@@ -6,8 +6,8 @@
 
 namespace repro::memsys {
 
-PageCache::PageCache(std::size_t capacity_pages, bool sparse)
-    : capacity_(capacity_pages), sparse_(sparse) {
+PageCache::PageCache(std::size_t capacity_pages)
+    : capacity_(capacity_pages) {
   REPRO_REQUIRE(capacity_pages >= 1);
   REPRO_REQUIRE(capacity_pages <= static_cast<std::size_t>(INT32_MAX));
   nodes_.resize(capacity_pages);
@@ -18,23 +18,16 @@ PageCache::PageCache(std::size_t capacity_pages, bool sparse)
 }
 
 void PageCache::set_slot(VPage page, std::int32_t n) {
-  if (sparse_) {
-    index_[page.value()] = n;
-    return;
+  const std::uint64_t chunk = page.value() >> kChunkShift;
+  if (chunk >= where_.size()) {
+    where_.resize(chunk + 1);
   }
-  if (page.value() >= where_.size()) {
-    where_.resize(
-        std::max<std::size_t>(page.value() + 1, where_.size() * 2), -1);
+  std::unique_ptr<std::int32_t[]>& entries = where_[chunk];
+  if (entries == nullptr) {
+    entries = std::make_unique_for_overwrite<std::int32_t[]>(kChunkPages);
+    std::fill_n(entries.get(), kChunkPages, -1);
   }
-  where_[page.value()] = n;
-}
-
-void PageCache::drop_slot(VPage page) {
-  if (sparse_) {
-    index_.erase(page.value());
-  } else {
-    where_[page.value()] = -1;
-  }
+  entries[page.value() & kChunkMask] = n;
 }
 
 void PageCache::unlink(std::int32_t n) {
@@ -108,16 +101,11 @@ bool PageCache::invalidate(VPage page) {
 void PageCache::clear() {
   for (std::int32_t n = head_; n >= 0;) {
     Node& node = nodes_[static_cast<std::size_t>(n)];
-    if (!sparse_) {
-      where_[node.page] = -1;
-    }
+    drop_slot(VPage(node.page));
     const std::int32_t next = node.next;
     node.next = free_;
     free_ = n;
     n = next;
-  }
-  if (sparse_) {
-    index_.clear();
   }
   head_ = -1;
   tail_ = -1;

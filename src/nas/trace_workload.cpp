@@ -1,7 +1,9 @@
 #include "repro/nas/trace_workload.hpp"
 
 #include <optional>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "repro/common/assert.hpp"
 #include "repro/sim/trace_replayer.hpp"
@@ -66,10 +68,21 @@ class TraceWorkload final : public Workload {
       REPRO_REQUIRE_MSG(range.first.value() == a.first_page,
                         "trace allocation layout diverged on replay");
     }
+    // Every page the trace names must lie in the layout just replayed:
+    // the page structures size themselves by page id, so one stray op
+    // page would otherwise allocate tables out to it.
+    page_end_ = machine.address_space().total_pages();
+    checked_.assign(replayer_.reader().num_programs(), false);
   }
 
   void register_hot(upm::Upmlib& upm) const override {
     for (const tracefmt::TraceRange& r : replayer_.meta().hot_ranges) {
+      REPRO_REQUIRE_MSG(r.pages >= 1 && r.first_page <= page_end_ &&
+                            r.pages <= page_end_ - r.first_page,
+                        ("trace hot range of " + std::to_string(r.pages) +
+                         " page(s) at page " + std::to_string(r.first_page) +
+                         " lies outside the trace's allocations")
+                            .c_str());
       upm.memrefcnt(vm::PageRange{VPage(r.first_page), r.pages});
     }
   }
@@ -194,11 +207,17 @@ class TraceWorkload final : public Workload {
     sim::ReplayItem item;
     while (replayer_.next(item)) {
       switch (item.kind) {
-        case sim::ReplayItem::Kind::kRegion:
+        case sim::ReplayItem::Kind::kRegion: {
+          const sim::RegionProgram& program =
+              replayer_.program(item.program_id);
+          if (!checked_[item.program_id]) {
+            check_pages(program);
+            checked_[item.program_id] = true;
+          }
           restore_binding(rt, item.binding);
-          rt.run(replayer_.name(item.name_id),
-                 replayer_.program(item.program_id));
+          rt.run(replayer_.name(item.name_id), program);
           break;
+        }
         case sim::ReplayItem::Kind::kAdvance:
           rt.advance(item.ns);
           break;
@@ -212,8 +231,24 @@ class TraceWorkload final : public Workload {
     }
   }
 
+  /// Rejects a program with an access op past the replayed layout.
+  void check_pages(const sim::RegionProgram& program) const {
+    for (std::uint32_t i = 0; i < program.size(); ++i) {
+      REPRO_REQUIRE_MSG(!program.is_access(i) ||
+                            program.page(i).value() < page_end_,
+                        ("trace op page " +
+                         std::to_string(program.page(i).value()) +
+                         " lies outside the trace's allocations")
+                            .c_str());
+    }
+  }
+
   sim::TraceReplayer replayer_;
   std::optional<sim::ReplayItem> pending_;
+  /// One past the last page of the replayed allocations.
+  std::uint64_t page_end_ = 0;
+  /// Program ids whose op pages check_pages has accepted.
+  std::vector<bool> checked_;
 };
 
 }  // namespace

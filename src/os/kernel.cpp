@@ -49,9 +49,8 @@ Kernel::Kernel(const memsys::MachineConfig& config,
     : config_(config),
       topology_(&topology),
       phys_(config.num_nodes, config.frames_per_node, topology),
-      table_(config.sparse_tables()),
       counters_(config.total_frames(), config.num_nodes,
-                config.counter_bits, config.sparse_tables()),
+                config.counter_bits),
       policy_(std::make_unique<vm::FirstTouchPlacement>(
           config.num_nodes, config.procs_per_node)) {
   config_.validate();

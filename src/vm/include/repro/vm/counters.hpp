@@ -7,19 +7,20 @@
 // are hot, while UPMlib resets them at iteration boundaries and so keeps
 // full-precision per-iteration traces.
 //
-// Both backends allocate lazily and read untouched frames as one shared
+// Storage is allocated lazily and untouched frames read as one shared
 // zero row, so a machine's bring-up and digest cost follow the frames a
 // run touches, not its installed memory (the full array of a 16-node
 // machine, 16 x 32768 frames x 16 counters, is 32 MiB to zero).
-// The dense backend (<= 64 procs) groups frames into fixed chunks of
-// kChunkFrames rows, each allocated zeroed on its first increment, and
-// keeps a per-chunk bitmap of the frames that may hold a nonzero
-// counter: digest() and reset_all() walk only those. The sparse
-// backend (past 64 procs) allocates single rows behind an
-// open-addressed index. Digests are backend-identical and equal a full
-// scan of the frames x nodes array: both mix frames x nodes and then
-// every nonzero counter at its frame-major flat index, in ascending
-// frame order.
+// Frames are grouped into fixed chunks of rows, each allocated zeroed
+// on its first increment, with a per-chunk bitmap of the frames that
+// may hold a nonzero counter: digest() and reset_all() walk only
+// those. A chunk holds at most kChunkCounters counters, so past 128
+// nodes its frame count shrinks (64 frames up to 128 nodes, 16 at 512)
+// and a node that touches a few frames does not pay for 64 rows of 512
+// counters.
+// The digest equals a full scan of the frames x nodes array: it mixes
+// frames x nodes and then every nonzero counter at its frame-major
+// flat index, in ascending frame order.
 #pragma once
 
 #include <cstdint>
@@ -27,7 +28,6 @@
 #include <span>
 #include <vector>
 
-#include "repro/common/flat_map.hpp"
 #include "repro/common/strong_id.hpp"
 
 namespace repro::vm {
@@ -35,7 +35,7 @@ namespace repro::vm {
 class RefCounters {
  public:
   RefCounters(std::size_t num_frames, std::size_t num_nodes,
-              unsigned counter_bits, bool sparse = false);
+              unsigned counter_bits);
 
   /// Deep copies: the allocated chunks only, so a copy costs what the
   /// run touched (the harness fast-forward keeps one to rewind the
@@ -57,7 +57,7 @@ class RefCounters {
   /// kernel daemon after a migration).
   void reset(FrameId frame);
 
-  /// Zeroes everything (walks only touched frames in the dense backend).
+  /// Zeroes everything (walks only touched frames).
   void reset_all();
 
   [[nodiscard]] std::uint32_t max_value() const { return max_; }
@@ -73,38 +73,40 @@ class RefCounters {
   /// without one they are pure statistics. Costs O(touched frames).
   [[nodiscard]] std::uint64_t digest() const;
 
-  /// Frames per dense-backend chunk (one touched-bitmap word each).
-  static constexpr std::size_t kChunkFrames = 64;
+  /// Counters per chunk at most (32 KiB), in at most 64 frames (one
+  /// touched-bitmap word per chunk).
+  static constexpr std::size_t kChunkCounters = 8192;
+  static constexpr std::size_t kMaxChunkFrames = 64;
+  /// Frames per chunk: the largest power of two whose rows fit in
+  /// kChunkCounters, at least 1 and at most kMaxChunkFrames.
+  [[nodiscard]] std::size_t chunk_frames() const {
+    return std::size_t{1} << chunk_shift_;
+  }
 
  private:
   std::size_t num_frames_;
   std::size_t num_nodes_;
   std::uint32_t max_;
-  bool sparse_;
+  unsigned chunk_shift_;  // log2(chunk_frames())
   std::vector<std::uint32_t> zero_row_;
 
-  // Dense backend: chunk c holds the rows of frames c*kChunkFrames
-  // onward, frame-major ([frame][node]), and is null until its first
+  // Chunk c holds the rows of frames c*chunk_frames() onward,
+  // frame-major ([frame][node]), and is null until its first
   // increment. Bit f of touched_[c] is set by an increment of frame
-  // c*kChunkFrames+f and cleared when that row is zeroed, so a clear
+  // c*chunk_frames()+f and cleared when that row is zeroed, so a clear
   // bit means an all-zero row.
   std::vector<std::unique_ptr<std::uint32_t[]>> chunks_;
   std::vector<std::uint64_t> touched_;
 
-  // Sparse backend: rows allocated on first increment, never freed
-  // (row indices stay stable), zeroed on reset.
-  FlatMap<std::uint32_t> row_of_;      // frame -> row index
-  std::vector<std::uint32_t> rows_;    // row-major pool, num_nodes_ each
-
   /// Row for `frame`, or nullptr when no storage backs it yet (it then
   /// reads as all zeros).
   [[nodiscard]] const std::uint32_t* find_row(FrameId frame) const;
-  /// Row for `frame`, allocating a zeroed one when absent. The dense
-  /// backend's common case (chunk already allocated) stays small enough
-  /// to inline into increment; everything else goes through add_row.
+  /// Row for `frame`, allocating a zeroed chunk when absent. The
+  /// common case (chunk already allocated) stays small enough to
+  /// inline into increment; a chunk's first allocation goes through
+  /// add_row.
   [[nodiscard]] std::uint32_t* ensure_row(FrameId frame);
-  /// ensure_row's slow path: a dense frame's first chunk allocation, or
-  /// any sparse frame.
+  /// ensure_row's slow path: allocates `frame`'s chunk.
   [[nodiscard]] std::uint32_t* add_row(std::uint64_t frame);
 };
 

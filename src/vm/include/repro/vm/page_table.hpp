@@ -3,14 +3,11 @@
 // migration can charge the right shootdown cost) and how often the page
 // has migrated.
 //
-// Two interchangeable backends (chosen at construction, see
-// memsys::TableBackend): a dense array over the compact virtual page
-// space (the hot default at the paper's 16 nodes) and a sparse
-// open-addressed index that keeps only mapped pages, for the 128/512
-// node scale sweeps where a dense O(pages) array per structure would
-// dominate the simulator's footprint. Digests and iteration order are
-// backend-independent: both enumerate mapped pages in ascending page
-// order.
+// The table is one dense array over the compact virtual page space (see
+// vm::AddressSpace), 32 bytes per page at every machine size: the
+// machine has one page table, so its footprint is O(pages), not
+// O(pages x processors). Digests and entries() enumerate mapped pages
+// in ascending page order.
 #pragma once
 
 #include <cstdint>
@@ -20,7 +17,6 @@
 #include <utility>
 #include <vector>
 
-#include "repro/common/flat_map.hpp"
 #include "repro/common/hash.hpp"
 #include "repro/common/strong_id.hpp"
 
@@ -41,9 +37,8 @@ class PageTable {
     /// Written since the last clear_dirty() (drives the replication
     /// policy: only clean pages may replicate).
     bool dirty = false;
-    /// Dense-slot state: the dense table is an array over the virtual
-    /// page space, so unmapped pages occupy empty slots. Sparse slots
-    /// are mapped iff indexed.
+    /// The table is an array over the virtual page space, so unmapped
+    /// pages occupy empty slots.
     bool mapped = false;
 
     Entry() = default;
@@ -94,8 +89,6 @@ class PageTable {
     std::unique_ptr<Rare> rare_;
   };
 
-  explicit PageTable(bool sparse = false) : sparse_(sparse) {}
-
   /// Maps a page and returns its fresh entry; the page must be
   /// unmapped.
   Entry& map(VPage page, FrameId frame);
@@ -108,16 +101,11 @@ class PageTable {
   FrameId remap(VPage page, FrameId frame);
 
   /// The translation hot path: the page's entry, or null when it is
-  /// unmapped. One bounds check and one indexed load in dense mode
-  /// (virtual pages are dense, see vm::AddressSpace); one hash probe
-  /// in sparse mode. Callers that go on to update the mapping (mapper
-  /// set, dirty bit, replicas) do it on this entry instead of probing
-  /// the table again per field.
+  /// unmapped. One bounds check and one indexed load (virtual pages
+  /// are dense, see vm::AddressSpace). Callers that go on to update
+  /// the mapping (mapper set, dirty bit, replicas) do it on this entry
+  /// instead of probing the table again per field.
   [[nodiscard]] const Entry* find(VPage page) const {
-    if (sparse_) {
-      const std::uint32_t* slot = index_.find(page.value());
-      return slot == nullptr ? nullptr : &slots_[*slot];
-    }
     if (page.value() >= table_.size() || !table_[page.value()].mapped) {
       return nullptr;
     }
@@ -155,13 +143,12 @@ class PageTable {
   [[nodiscard]] unsigned mapper_count(VPage page) const;
 
   [[nodiscard]] std::size_t mapped_pages() const { return mapped_count_; }
-  [[nodiscard]] bool sparse() const { return sparse_; }
 
   /// Digest (in page order) of the placement-relevant state of every
   /// mapping: frame, mapper set, dirty bit and the replica list (in
   /// order -- resolve() scans replicas front to back, so replica order
   /// breaks hop-distance ties). The monotone `migrations` counter is a
-  /// statistic and is excluded. Backend-independent by construction.
+  /// statistic and is excluded.
   [[nodiscard]] std::uint64_t digest() const;
 
   /// Materialized snapshot of the mapped entries, in page order (for
@@ -169,21 +156,12 @@ class PageTable {
   [[nodiscard]] std::vector<std::pair<VPage, Entry>> entries() const;
 
  private:
-  bool sparse_;
-
-  // Dense backend: indexed by page id.
+  // Indexed by page id.
   std::vector<Entry> table_;
-
-  // Sparse backend: page -> slot in a recycled entry pool.
-  FlatMap<std::uint32_t> index_;
-  std::vector<Entry> slots_;
-  std::vector<std::uint32_t> free_slots_;
 
   std::size_t mapped_count_ = 0;
 
   Entry& mutable_entry(VPage page);
-  /// Mapped pages in ascending page order (sparse backend helper).
-  [[nodiscard]] std::vector<std::uint64_t> sorted_pages() const;
 };
 
 }  // namespace repro::vm

@@ -54,41 +54,22 @@ PageTable::Entry& PageTable::mutable_entry(VPage page) {
 
 PageTable::Entry& PageTable::map(VPage page, FrameId frame) {
   REPRO_REQUIRE_MSG(!is_mapped(page), "page already mapped");
-  Entry* entry;
-  if (sparse_) {
-    std::uint32_t slot;
-    if (!free_slots_.empty()) {
-      slot = free_slots_.back();
-      free_slots_.pop_back();
-    } else {
-      slot = static_cast<std::uint32_t>(slots_.size());
-      slots_.emplace_back();
-    }
-    index_[page.value()] = slot;
-    entry = &slots_[slot];
-  } else {
-    if (page.value() >= table_.size()) {
-      table_.resize(std::max<std::size_t>(page.value() + 1,
-                                          table_.size() * 2));
-    }
-    entry = &table_[page.value()];
+  if (page.value() >= table_.size()) {
+    table_.resize(std::max<std::size_t>(page.value() + 1,
+                                        table_.size() * 2));
   }
-  *entry = Entry{};
-  entry->frame = frame;
-  entry->mapped = true;
+  Entry& entry = table_[page.value()];
+  entry = Entry{};
+  entry.frame = frame;
+  entry.mapped = true;
   ++mapped_count_;
-  return *entry;
+  return entry;
 }
 
 FrameId PageTable::unmap(VPage page) {
   Entry& e = mutable_entry(page);
   const FrameId old = e.frame;
   e = Entry{};
-  if (sparse_) {
-    const std::uint32_t slot = *index_.find(page.value());
-    index_.erase(page.value());
-    free_slots_.push_back(slot);
-  }
   --mapped_count_;
   return old;
 }
@@ -139,19 +120,14 @@ std::vector<FrameId> PageTable::take_replicas(VPage page) {
   return out;
 }
 
-std::vector<std::uint64_t> PageTable::sorted_pages() const {
-  std::vector<std::uint64_t> pages;
-  pages.reserve(mapped_count_);
-  index_.for_each(
-      [&](std::uint64_t page, std::uint32_t) { pages.push_back(page); });
-  std::sort(pages.begin(), pages.end());
-  return pages;
-}
-
 std::uint64_t PageTable::digest() const {
   StateHash hash;
   hash.mix(mapped_count_);
-  const auto mix_entry = [&hash](std::uint64_t page, const Entry& e) {
+  for (std::size_t page = 0; page < table_.size(); ++page) {
+    const Entry& e = table_[page];
+    if (!e.mapped) {
+      continue;
+    }
     hash.mix(page);
     hash.mix(e.frame.value());
     hash.mix(e.mapper_mask);
@@ -171,17 +147,6 @@ std::uint64_t PageTable::digest() const {
     for (const FrameId replica : replicas) {
       hash.mix(replica.value());
     }
-  };
-  if (sparse_) {
-    for (const std::uint64_t page : sorted_pages()) {
-      mix_entry(page, slots_[*index_.find(page)]);
-    }
-  } else {
-    for (std::size_t p = 0; p < table_.size(); ++p) {
-      if (table_[p].mapped) {
-        mix_entry(p, table_[p]);
-      }
-    }
   }
   return hash.value();
 }
@@ -189,15 +154,9 @@ std::uint64_t PageTable::digest() const {
 std::vector<std::pair<VPage, PageTable::Entry>> PageTable::entries() const {
   std::vector<std::pair<VPage, Entry>> out;
   out.reserve(mapped_count_);
-  if (sparse_) {
-    for (const std::uint64_t page : sorted_pages()) {
-      out.emplace_back(VPage(page), slots_[*index_.find(page)]);
-    }
-  } else {
-    for (std::size_t p = 0; p < table_.size(); ++p) {
-      if (table_[p].mapped) {
-        out.emplace_back(VPage(p), table_[p]);
-      }
+  for (std::size_t p = 0; p < table_.size(); ++p) {
+    if (table_[p].mapped) {
+      out.emplace_back(VPage(p), table_[p]);
     }
   }
   return out;

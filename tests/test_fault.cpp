@@ -675,11 +675,6 @@ TEST(Checkpoint, IdentityCoversTheCoherenceModel) {
        [](RunConfig& c) { c.machine.procs_per_node = 2; }},
       {"machine.topology",
        [](RunConfig& c) { c.machine.topology = "ring"; }},
-      {"machine.table_backend",
-       [](RunConfig& c) {
-         c.machine.table_backend = memsys::TableBackend::kSparse;
-       },
-       true},
       {"machine.page_size",
        [](RunConfig& c) { c.machine.page_size = 4 * kKiB; }},
       {"machine.cache_line", [](RunConfig& c) { c.machine.cache_line = 64; }},

@@ -2,7 +2,7 @@
 //
 // The real MemorySystem + Kernel (+ kernel migration daemon) are driven
 // with random read/write streams beside a test-only reference built
-// from std::list and std::map, the shapes the dense and sparse tables
+// from std::list and std::map, the shapes the page-indexed tables
 // replaced. The reference re-derives, access by access, what each
 // structure must hold: per-processor LRU page caches (and TLBs), the
 // page-grain directory, the page table with its replica lists, the
@@ -753,8 +753,9 @@ TEST(PageGrainLockstep, SixteenProcessors) {
   }
 }
 
-// Past 64 processors: sparse tables, multi-word sharer and mapper sets.
-TEST(PageGrainLockstep, SparseAt128Processors) {
+// Past 64 processors: multi-word sharer and mapper sets, and 128
+// chunked page-cache indexes over one page space.
+TEST(PageGrainLockstep, WideSetsAt128Processors) {
   for (const bool daemon : {false, true}) {
     run_lockstep({128, 1, 128, 8, 4, 44}, daemon);
   }

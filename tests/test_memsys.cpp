@@ -2,7 +2,14 @@
 // directory, memory queues and the combined access engine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <list>
+#include <optional>
+#include <random>
+
 #include "repro/common/assert.hpp"
+#include "repro/common/hash.hpp"
 #include "repro/memsys/backend.hpp"
 #include "repro/memsys/config.hpp"
 #include "repro/memsys/directory.hpp"
@@ -69,7 +76,6 @@ TEST(Config, ValidationCatchesNonsense) {
   config = MachineConfig{};
   config.num_nodes = 128;  // > 64 procs: legal now (multi-word masks),
   EXPECT_NO_THROW(config.validate());
-  EXPECT_TRUE(config.sparse_tables());  // and auto-selects sparse tables
   config.num_nodes = 131072;  // but the sanity ceiling still exists
   EXPECT_THROW(config.validate(), ContractViolation);
 }
@@ -160,6 +166,81 @@ TEST_P(PageCacheSweep, SweepWithinCapacityAlwaysHits) {
 INSTANTIATE_TEST_SUITE_P(Capacities, PageCacheSweep,
                          ::testing::Values(1, 2, 16, 256));
 
+// Random touch / invalidate / clear traffic against a std::list LRU
+// (front = most recent). The pages come from three windows that each
+// straddle a boundary of the cache's chunked page index, one of them
+// at page 2^20, so a wrong chunk mask, an unfilled fresh chunk or a
+// stale entry left behind by clear() shows up as a wrong hit flag,
+// victim, residency or digest.
+TEST(PageCache, MatchesAReferenceLruAcrossChunks) {
+  for (const std::size_t capacity :
+       {std::size_t{1}, std::size_t{4}, std::size_t{64}}) {
+    SCOPED_TRACE(capacity);
+    const std::uint64_t window = 2 * capacity + 4;
+    const std::uint64_t bases[] = {256 - window / 2, 768 - window / 2,
+                                   (1ULL << 20) - window / 2};
+    std::mt19937_64 rng(capacity);
+    const auto random_page = [&] {
+      return bases[rng() % 3] + rng() % window;
+    };
+    PageCache cache(capacity);
+    std::list<std::uint64_t> reference;
+    const auto expect_same_digest = [&] {
+      StateHash expected;
+      expected.mix(reference.size());
+      for (const std::uint64_t page : reference) {
+        expected.mix(page);
+      }
+      StateHash actual;
+      cache.digest(actual);
+      ASSERT_EQ(actual.value(), expected.value());
+    };
+    for (std::uint32_t step = 0; step < 20000; ++step) {
+      SCOPED_TRACE(step);
+      const std::uint64_t page = random_page();
+      const auto it = std::find(reference.begin(), reference.end(), page);
+      const std::uint64_t op = rng() % 64;
+      if (op == 0) {
+        cache.clear();
+        for (const std::uint64_t dropped : reference) {
+          ASSERT_FALSE(cache.contains(VPage(dropped))) << dropped;
+        }
+        reference.clear();
+      } else if (op < 8) {
+        ASSERT_EQ(cache.invalidate(VPage(page)), it != reference.end());
+        if (it != reference.end()) {
+          reference.erase(it);
+        }
+      } else {
+        const PageCache::TouchResult result = cache.touch(VPage(page));
+        ASSERT_EQ(result.hit, it != reference.end());
+        std::optional<VPage> victim;
+        if (it != reference.end()) {
+          reference.erase(it);
+        } else if (reference.size() == capacity) {
+          victim = VPage(reference.back());
+          reference.pop_back();
+        }
+        reference.push_front(page);
+        ASSERT_EQ(result.evicted, victim);
+      }
+      ASSERT_EQ(cache.size(), reference.size());
+      if (!reference.empty()) {
+        ASSERT_EQ(cache.lru_page(), VPage(reference.back()));
+      }
+      const std::uint64_t probe = random_page();
+      ASSERT_EQ(cache.contains(VPage(probe)),
+                std::find(reference.begin(), reference.end(), probe) !=
+                    reference.end())
+          << probe;
+      if (step % 97 == 0) {
+        ASSERT_NO_FATAL_FAILURE(expect_same_digest());
+      }
+    }
+    ASSERT_NO_FATAL_FAILURE(expect_same_digest());
+  }
+}
+
 TEST(Directory, WriteInvalidatesSharers) {
   Directory dir(4);
   dir.on_read(ProcId(0), VPage(9));
@@ -197,6 +278,20 @@ TEST(Directory, EvictRemovesSharerAndGarbageCollects) {
   EXPECT_EQ(dir.tracked_pages(), 0u);
   // Evicting an untracked page is a no-op.
   EXPECT_NO_THROW(dir.on_evict(ProcId(1), VPage(2)));
+}
+
+TEST(Directory, WriteInvalidatesSharersBeyondWordZero) {
+  constexpr std::size_t kProcs = 130;
+  Directory directory(kProcs);
+  for (std::uint32_t proc = 0; proc < kProcs; proc += 13) {
+    static_cast<void>(directory.on_read(ProcId(proc), VPage(3)));
+  }
+  // Readers at procs 0, 13, ..., 117 (ten of them); the writer (65)
+  // is one of them, so nine other copies must be invalidated.
+  const auto outcome = directory.on_write(ProcId(65), VPage(3));
+  EXPECT_EQ(outcome.invalidations(), 9u);
+  EXPECT_FALSE(outcome.invalidate_high.empty());
+  EXPECT_TRUE(directory.is_exclusive(ProcId(65), VPage(3)));
 }
 
 TEST(MemQueue, NoWaitWhenIdle) {

@@ -132,7 +132,8 @@ void expect_same_stats(const memsys::ProcStats& a,
 }
 
 /// A machine for the engine-order oracle. 16 nodes is the paper's
-/// Origin; 512 nodes takes the sparse tables and 9 bits of thread id.
+/// Origin; 512 nodes takes multi-word sharer sets and 9 bits of thread
+/// id.
 struct EngineShape {
   std::size_t nodes;
   const char* topology;

@@ -231,10 +231,7 @@ TEST(TaskWorkloads, MgtAndCgtDigestsIdenticalAcrossJobsAndReruns) {
 }
 
 // The largest sweep point: 512 logical nodes (hier:8x8x8), one task
-// workload end to end. The kAuto backend must pick the sparse page
-// structures here, or the dense O(pages x nodes) arrays would blow the
-// test's memory and the suite's timeout (this is the cell the ctest
-// TIMEOUT was raised for).
+// workload end to end, 512 page caches over one page space.
 TEST(TaskWorkloads, TaskWorkloadsCompleteAt512Nodes) {
   harness::RunConfig config;
   config.benchmark = "MGT";
@@ -244,7 +241,6 @@ TEST(TaskWorkloads, TaskWorkloadsCompleteAt512Nodes) {
   config.machine.num_nodes = 512;
   config.machine.topology = "hier:8x8x8";
   config.machine.frames_per_node = 1024;
-  ASSERT_TRUE(config.machine.sparse_tables());
   const harness::RunResult result = harness::run_benchmark(config);
   EXPECT_GT(result.total, 0u);
   EXPECT_EQ(result.iteration_times.size(), 2u);

@@ -1154,6 +1154,80 @@ TEST(ReplayHarness, RedefinitionInASkippedIterationStillThrows) {
   EXPECT_THROW((void)harness::run_benchmark(config), tracefmt::TraceError);
 }
 
+/// Writes a one-iteration replayable trace for the default 16-processor
+/// machine: one 8-page array, which replays at pages 1..8 after the
+/// null guard page, and a region (cold start and iteration 1) in
+/// which every thread reads a page of it and thread 0 also reads
+/// `op_page`.
+void write_replay_trace(const std::string& path, std::uint64_t op_page,
+                        const tracefmt::TraceRange& hot) {
+  constexpr std::uint32_t kThreads = 16;
+  tracefmt::TraceMeta meta;
+  meta.benchmark = "XX";
+  meta.source_label = "ft-base";
+  meta.num_procs = kThreads;
+  meta.num_threads = kThreads;
+  meta.iterations = 1;
+  meta.page_size = 16384;
+  meta.allocations.push_back(tracefmt::TraceAllocation{"a", 1, 8});
+  meta.hot_ranges.push_back(hot);
+  RegionBuilder builder(kThreads);
+  for (std::uint32_t t = 0; t < kThreads; ++t) {
+    builder.access(ThreadId(t), VPage(1 + t % 8), 1, t % 2 == 0, 10);
+  }
+  builder.access(ThreadId(0), VPage(op_page), 1, false, 10);
+  const RegionProgram program = RegionProgram::compile(std::move(builder));
+  tracefmt::TraceWriter writer(path, meta);
+  writer.cold_begin();
+  writer.region("sweep", {}, columns_of(program));
+  writer.iteration_begin(1);
+  writer.region("sweep", {}, columns_of(program));
+  (void)writer.finish();
+}
+
+/// Replays `path` as one UPMlib distribution cell; returns the
+/// contract violation's message, or "" when the replay ran.
+std::string replay_violation(const std::string& path) {
+  harness::RunConfig config = tiny_config("ft", true);
+  config.iterations = 1;
+  config.replay = path;
+  try {
+    (void)harness::run_benchmark(config);
+  } catch (const ContractViolation& e) {
+    return e.what();
+  }
+  return {};
+}
+
+TEST(ReplayHarness, OpPageOutsideTheAllocationsIsRejected) {
+  TempFile file("op_page.rtrc");
+  const tracefmt::TraceRange hot{1, 8};
+  write_replay_trace(file.path, 8, hot);  // the array's last page
+  EXPECT_EQ(replay_violation(file.path), "");
+  write_replay_trace(file.path, 9, hot);  // the first page past it
+  EXPECT_NE(replay_violation(file.path).find(
+                "trace op page 9 lies outside the trace's allocations"),
+            std::string::npos);
+}
+
+TEST(ReplayHarness, HotRangeOutsideTheAllocationsIsRejected) {
+  TempFile file("hot_range.rtrc");
+  write_replay_trace(file.path, 8, {1, 8});
+  EXPECT_EQ(replay_violation(file.path), "");
+  // Past the end by one page, starting at the end, empty, and two
+  // whose end wraps around 2^64.
+  for (const tracefmt::TraceRange& hot :
+       {tracefmt::TraceRange{1, 9}, tracefmt::TraceRange{9, 1},
+        tracefmt::TraceRange{2, 0}, tracefmt::TraceRange{~0ULL, 2},
+        tracefmt::TraceRange{2, ~0ULL - 1}}) {
+    SCOPED_TRACE(hot.first_page);
+    write_replay_trace(file.path, 8, hot);
+    EXPECT_NE(replay_violation(file.path).find(
+                  "lies outside the trace's allocations"),
+              std::string::npos);
+  }
+}
+
 // ---------------------------------------------------------------------
 // ReplayGolden: every golden cell replays byte-identically.
 

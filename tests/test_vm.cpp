@@ -263,20 +263,94 @@ TEST(PhysicalMemory, LazyFreeListsMatchEagerLists) {
 }
 
 TEST(RefCounters, CopyIsDeepAndDigestsEqual) {
-  for (const bool sparse : {false, true}) {
-    RefCounters counters(256, 4, 11, sparse);
-    counters.increment(FrameId(3), NodeId(1), 10);
-    counters.increment(FrameId(200), NodeId(2), 7);
-    const RefCounters copy = counters;
-    EXPECT_EQ(copy.digest(), counters.digest());
-    counters.increment(FrameId(3), NodeId(1), 1);
-    counters.reset(FrameId(200));
-    EXPECT_EQ(copy.read(FrameId(3), NodeId(1)), 10u);
-    EXPECT_EQ(copy.read(FrameId(200), NodeId(2)), 7u);
-    EXPECT_NE(copy.digest(), counters.digest());
-    counters = copy;
-    EXPECT_EQ(counters.digest(), copy.digest());
-    EXPECT_EQ(counters.read(FrameId(200), NodeId(2)), 7u);
+  RefCounters counters(256, 4, 11);
+  counters.increment(FrameId(3), NodeId(1), 10);
+  counters.increment(FrameId(200), NodeId(2), 7);
+  const RefCounters copy = counters;
+  EXPECT_EQ(copy.digest(), counters.digest());
+  counters.increment(FrameId(3), NodeId(1), 1);
+  counters.reset(FrameId(200));
+  EXPECT_EQ(copy.read(FrameId(3), NodeId(1)), 10u);
+  EXPECT_EQ(copy.read(FrameId(200), NodeId(2)), 7u);
+  EXPECT_NE(copy.digest(), counters.digest());
+  counters = copy;
+  EXPECT_EQ(counters.digest(), copy.digest());
+  EXPECT_EQ(counters.read(FrameId(200), NodeId(2)), 7u);
+}
+
+/// The counter digest's definition: a scan of the whole frames x nodes
+/// array mixing every nonzero counter at its frame-major flat index.
+/// RefCounters walks only touched frames and must match it exactly.
+std::uint64_t full_scan_digest(const RefCounters& counters) {
+  StateHash hash;
+  hash.mix(counters.num_frames() * counters.num_nodes());
+  for (std::uint64_t f = 0; f < counters.num_frames(); ++f) {
+    const auto row = counters.read(FrameId(f));
+    for (std::size_t n = 0; n < row.size(); ++n) {
+      if (row[n] != 0) {
+        hash.mix(f * counters.num_nodes() + n);
+        hash.mix(row[n]);
+      }
+    }
+  }
+  return hash.value();
+}
+
+TEST(RefCounters, ChunksHoldAtMost32KibOfCounters) {
+  EXPECT_EQ(RefCounters(256, 1, 11).chunk_frames(), 64u);
+  EXPECT_EQ(RefCounters(256, 16, 11).chunk_frames(), 64u);
+  EXPECT_EQ(RefCounters(256, 128, 11).chunk_frames(), 64u);
+  EXPECT_EQ(RefCounters(256, 200, 11).chunk_frames(), 32u);
+  EXPECT_EQ(RefCounters(256, 512, 11).chunk_frames(), 16u);
+  EXPECT_EQ(RefCounters(256, 16384, 11).chunk_frames(), 1u);
+}
+
+TEST(RefCounters, DigestEqualsAFullScanUnderRandomTraffic) {
+  // Not a multiple of either chunk size: the last chunk is partial.
+  constexpr std::size_t kFrames = 2001;
+  for (const std::size_t nodes : {std::size_t{16}, std::size_t{512}}) {
+    SCOPED_TRACE(nodes);
+    RefCounters counters(kFrames, nodes, /*counter_bits=*/11);
+    ASSERT_NE(kFrames % counters.chunk_frames(), 0u);
+    // Saturating 11-bit counters, frame-major.
+    std::vector<std::uint32_t> reference(kFrames * nodes, 0);
+    // A full scan costs frames x nodes reads: scan the wide machine
+    // less often.
+    const std::size_t scan_every = nodes / 16;
+    std::mt19937_64 rng(99);
+    for (std::uint32_t step = 0; step < 4000; ++step) {
+      if (step == 2500) {
+        // Mid-sequence: everything back to zero, then more increments
+        // land on the same (still allocated) chunks.
+        counters.reset_all();
+        std::fill(reference.begin(), reference.end(), 0u);
+      }
+      const std::uint64_t roll = rng();
+      const FrameId frame(step % 64 == 0 ? kFrames - 1 : roll % kFrames);
+      const auto node = static_cast<std::uint32_t>((roll >> 16) % nodes);
+      std::uint32_t* row = &reference[frame.value() * nodes];
+      if ((roll >> 40) % 16 == 0) {
+        counters.reset(frame);
+        std::fill(row, row + nodes, 0u);
+      } else {
+        const auto n = static_cast<std::uint32_t>((roll >> 24) % 600);
+        counters.increment(frame, NodeId(node), n);
+        row[node] = std::min(row[node] + n, counters.max_value());
+      }
+      if (step % scan_every == 0) {
+        ASSERT_EQ(counters.digest(), full_scan_digest(counters)) << step;
+      }
+    }
+    for (std::uint64_t f = 0; f < kFrames; ++f) {
+      const auto row = counters.read(FrameId(f));
+      ASSERT_TRUE(std::equal(row.begin(), row.end(), &reference[f * nodes]))
+          << "frame " << f;
+    }
+    EXPECT_EQ(counters.digest(), full_scan_digest(counters));
+    // Untouched frames read as zeros again.
+    counters.reset_all();
+    EXPECT_EQ(counters.digest(), full_scan_digest(counters));
+    EXPECT_EQ(counters.digest(), RefCounters(kFrames, nodes, 11).digest());
   }
 }
 
@@ -308,6 +382,18 @@ TEST(PageTable, MapperTrackingAndShootdownReset) {
   // Migration (remap) clears the mappings: that is the TLB shootdown.
   table.remap(VPage(1), FrameId(2));
   EXPECT_EQ(table.mapper_count(VPage(1)), 0u);
+}
+
+TEST(PageTable, WideMapperSetsCountPastSixtyFourProcs) {
+  PageTable table;
+  PageTable::Entry& entry = table.map(VPage(9), FrameId(1));
+  for (std::uint32_t proc = 0; proc < 200; proc += 2) {
+    entry.note_mapper(ProcId(proc));
+  }
+  EXPECT_EQ(table.mapper_count(VPage(9)), 100u);
+  // A remap (migration) must clear the whole wide set.
+  static_cast<void>(table.remap(VPage(9), FrameId(2)));
+  EXPECT_EQ(table.mapper_count(VPage(9)), 0u);
 }
 
 TEST(Placement, FirstTouchUsesTouchersNode) {
