@@ -14,7 +14,6 @@
 #include <iostream>
 #include <string>
 
-#include "repro/common/env.hpp"
 #include "repro/common/stats.hpp"
 #include "repro/common/table.hpp"
 #include "repro/harness/cli.hpp"
@@ -40,10 +39,9 @@ double slowdown_vs_ft(const std::string& bench, const FigureOptions& options,
 
 int main(int argc, char** argv) {
   FigureOptions options;
-  bool fast = false;
   std::string bench = "CG";
   Cli cli("ablation_machine");
-  cli.add_flag("fast", &fast, "trim the long benchmarks (REPRO_FAST)");
+  cli.add_flag("fast", &options.fast, "trim the long benchmarks");
   cli.add_flag("no-fast-forward", &options.no_fast_forward,
                "simulate every iteration in full (disable the "
                "steady-state fast-forward)");
@@ -57,9 +55,6 @@ int main(int argc, char** argv) {
       return 2;
     case Cli::Status::kOk:
       break;
-  }
-  if (fast) {
-    Env::global().set("REPRO_FAST", "1");
   }
 
   std::cout << "Machine ablations on NAS " << bench << "\n\n";

@@ -12,7 +12,6 @@
 #include <iostream>
 #include <string>
 
-#include "repro/common/env.hpp"
 #include "repro/common/stats.hpp"
 #include "repro/common/table.hpp"
 #include "repro/harness/cli.hpp"
@@ -27,9 +26,8 @@ using namespace repro::harness;
 
 int main(int argc, char** argv) {
   FigureOptions options;
-  bool fast = false;
   Cli cli("ablation_upmlib");
-  cli.add_flag("fast", &fast, "trim the long benchmarks (REPRO_FAST)");
+  cli.add_flag("fast", &options.fast, "trim the long benchmarks");
   cli.add_flag("no-fast-forward", &options.no_fast_forward,
                "simulate every iteration in full (disable the "
                "steady-state fast-forward)");
@@ -44,9 +42,6 @@ int main(int argc, char** argv) {
       return 2;
     case Cli::Status::kOk:
       break;
-  }
-  if (fast) {
-    Env::global().set("REPRO_FAST", "1");
   }
 
   {

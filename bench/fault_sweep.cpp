@@ -8,8 +8,8 @@
 // -- does the adaptive engine still converge, and how much of its gain
 // survives? The matrix is {benchmarks} x {fault rates} x {ft,rr,wc} x
 // {base,upmlib}. Rate-0 cells carry an empty FaultPlan, so they are
-// byte-identical to fig4_upmlib's cells (same configs, no injector) --
-// the sweep's own built-in control group.
+// byte-identical to Figure 4's cells in `reproduce` (same configs, no
+// injector) -- the sweep's own built-in control group.
 //
 // Fault cells enable UPMlib's counter hysteresis (two consecutive
 // qualifying passes before a migration) so one corrupted counter read
@@ -26,7 +26,6 @@
 #include <string>
 #include <vector>
 
-#include "repro/common/env.hpp"
 #include "repro/common/stats.hpp"
 #include "repro/common/table.hpp"
 #include "repro/harness/cli.hpp"
@@ -63,13 +62,12 @@ bool parse_rates(const std::string& csv, std::vector<double>* out) {
 
 int main(int argc, char** argv) {
   FigureOptions options;
-  bool fast = false;
   std::string benchmark;
   std::string json_path;
   std::string rates_csv = "0,0.01,0.05";
   std::uint64_t fault_seed = fault::FaultPlan{}.seed;
   Cli cli("fault_sweep");
-  cli.add_flag("fast", &fast, "trim the long benchmarks (REPRO_FAST)");
+  cli.add_flag("fast", &options.fast, "trim the long benchmarks");
   cli.add_uint("iterations", &options.iterations_override,
                "override the per-benchmark iteration count", /*min=*/1);
   cli.add_string("benchmark", &benchmark, "run a single benchmark");
@@ -103,9 +101,6 @@ int main(int argc, char** argv) {
     std::cerr << "error: --rates must be a comma-separated list of "
                  "values in [0,1]\n";
     return 2;
-  }
-  if (fast) {
-    Env::global().set("REPRO_FAST", "1");
   }
   const std::vector<std::string> benchmarks =
       benchmark.empty() ? nas::workload_names()

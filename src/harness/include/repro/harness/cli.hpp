@@ -16,9 +16,9 @@ namespace repro::harness {
 
 /// Parses `--flag` / `--name=VALUE` style argument lists.
 ///
-///   Cli cli("fig1_placement");
-///   cli.add_flag("fast", &fast, "trim long benchmarks");
-///   cli.add_uint("jobs", &jobs, "worker threads", /*min=*/1);
+///   Cli cli("reproduce");
+///   cli.add_flag("fast", &options.fast, "trim long benchmarks");
+///   cli.add_uint("jobs", &options.jobs, "worker threads", /*min=*/1);
 ///   switch (cli.parse(argc, argv)) {
 ///     case Cli::Status::kHelp: std::cout << cli.usage(); return 0;
 ///     case Cli::Status::kError:

@@ -57,7 +57,9 @@ struct RunConfig {
   bool trace = false;
   /// Directory to export TRACE_<benchmark>_<label>.trace (canonical
   /// dump) and .chrome.json (chrome://tracing / Perfetto) into; created
-  /// if missing. Empty = keep the trace in memory only.
+  /// if missing. A compute_scale K other than 1 names the files
+  /// TRACE_<benchmark>-xK_<label>. Empty = keep the trace in memory
+  /// only.
   std::string trace_dir;
   /// Disables the steady-state fast-forward (see
   /// repro::harness::FastForward): every timed iteration is simulated

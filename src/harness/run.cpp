@@ -401,8 +401,14 @@ RunResult run_benchmark(const RunConfig& config) {
     result.iteration_metrics =
         trace::MetricsRegistry(*sink).per_iteration();
     if (!trace_dir.empty()) {
-      const std::string stem =
-          trace_dir + "/TRACE_" + benchmark + "_" + result.label;
+      // A scaled cell carries its unscaled twin's label, so the scale
+      // joins the stem: TRACE_BT-x4_ft-base beside TRACE_BT_ft-base.
+      const std::string scaled =
+          config.compute_scale == 1
+              ? ""
+              : "-x" + std::to_string(config.compute_scale);
+      const std::string stem = trace_dir + "/TRACE_" + benchmark + scaled +
+                               "_" + result.label;
       // Render in memory, land atomically: a killed run leaves either
       // no dump or a complete one, never a truncated file.
       atomic_write_file(stem + ".trace", trace::canonical_dump(*sink));

@@ -34,24 +34,22 @@ bool Directory::live(const std::uint64_t* e) const {
   return false;
 }
 
-std::uint32_t Directory::find_slot(VPage page) const {
-  return page.value() * stride_ < entries_.size()
-             ? static_cast<std::uint32_t>(page.value())
-             : kNoSlot;
+const std::uint64_t* Directory::find(VPage page) const {
+  const std::size_t at = page.value() * stride_;
+  return at < entries_.size() ? &entries_[at] : nullptr;
 }
 
-std::uint32_t Directory::ensure_slot(VPage page) {
-  if (page.value() * stride_ >= entries_.size()) {
-    entries_.resize(std::max<std::size_t>((page.value() + 1) * stride_,
-                                          entries_.size() * 2),
-                    0);
+std::uint64_t* Directory::entry(VPage page) {
+  const std::size_t at = page.value() * stride_;
+  if (at >= entries_.size()) {
+    entries_.resize(std::max(at + stride_, entries_.size() * 2), 0);
   }
-  return static_cast<std::uint32_t>(page.value());
+  return &entries_[at];
 }
 
 Directory::AccessOutcome Directory::on_read(ProcId proc, VPage page) {
   REPRO_REQUIRE(proc.value() < num_procs_);
-  std::uint64_t* e = entry(ensure_slot(page));
+  std::uint64_t* e = entry(page);
   if (!live(e)) {
     ++tracked_;
   }
@@ -66,7 +64,7 @@ Directory::AccessOutcome Directory::on_read(ProcId proc, VPage page) {
 
 Directory::AccessOutcome Directory::on_write(ProcId proc, VPage page) {
   REPRO_REQUIRE(proc.value() < num_procs_);
-  std::uint64_t* e = entry(ensure_slot(page));
+  std::uint64_t* e = entry(page);
   if (!live(e)) {
     ++tracked_;
   }
@@ -88,11 +86,11 @@ Directory::AccessOutcome Directory::on_write(ProcId proc, VPage page) {
 
 void Directory::on_evict(ProcId proc, VPage page) {
   REPRO_REQUIRE(proc.value() < num_procs_);
-  const std::uint32_t slot = find_slot(page);
-  if (slot == kNoSlot) {
+  const std::size_t at = page.value() * stride_;
+  if (at >= entries_.size()) {
     return;
   }
-  std::uint64_t* e = entry(slot);
+  std::uint64_t* e = &entries_[at];
   if (!live(e)) {
     return;
   }
@@ -108,16 +106,15 @@ void Directory::on_evict(ProcId proc, VPage page) {
 }
 
 std::uint64_t Directory::digest() const {
-  // Slots whose sharer set emptied are reset, so live entries are
+  // Entries whose sharer set emptied are reset, so live entries are
   // exactly the behaviourally relevant ones; page order is
   // deterministic. High words are mixed only on > 64-proc machines,
   // keeping 16-node digests byte-identical to the single-word layout.
   // The owner word holds the digest's owner value (id + 1, 0 = none).
   StateHash hash;
   hash.mix(tracked_);
-  const std::size_t slots = entries_.size() / stride_;
-  for (std::size_t p = 0; p < slots; ++p) {
-    const std::uint64_t* e = entry(static_cast<std::uint32_t>(p));
+  for (std::size_t p = 0; p * stride_ < entries_.size(); ++p) {
+    const std::uint64_t* e = &entries_[p * stride_];
     if (live(e)) {
       hash.mix(p);
       for (std::size_t i = 0; i < stride_; ++i) {
@@ -129,17 +126,13 @@ std::uint64_t Directory::digest() const {
 }
 
 std::uint64_t Directory::sharers(VPage page) const {
-  const std::uint32_t slot = find_slot(page);
-  return slot == kNoSlot ? 0 : entry(slot)[0];
+  const std::uint64_t* e = find(page);
+  return e == nullptr ? 0 : e[0];
 }
 
 bool Directory::is_exclusive(ProcId proc, VPage page) const {
-  const std::uint32_t slot = find_slot(page);
-  if (slot == kNoSlot) {
-    return false;
-  }
-  const std::uint64_t* e = entry(slot);
-  if (e[words_per_entry_] != proc.value() + 1ULL) {
+  const std::uint64_t* e = find(page);
+  if (e == nullptr || e[words_per_entry_] != proc.value() + 1ULL) {
     return false;
   }
   for (std::size_t i = 0; i < words_per_entry_; ++i) {

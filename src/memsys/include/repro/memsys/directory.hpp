@@ -64,33 +64,25 @@ class Directory {
   [[nodiscard]] std::uint64_t digest() const;
 
  private:
-  static constexpr std::uint32_t kNoSlot = UINT32_MAX;
-
-  /// Slot `slot`'s entry: its sharer words, then its owner word.
-  [[nodiscard]] std::uint64_t* entry(std::uint32_t slot) {
-    return &entries_[static_cast<std::size_t>(slot) * stride_];
-  }
-  [[nodiscard]] const std::uint64_t* entry(std::uint32_t slot) const {
-    return &entries_[static_cast<std::size_t>(slot) * stride_];
-  }
-  /// True while any sharer bit is set. A dead slot's owner word is 0
+  /// True while any sharer bit is set. A dead entry's owner word is 0
   /// too (has_owner implies the owner is a sharer).
   [[nodiscard]] bool live(const std::uint64_t* e) const;
 
-  /// Slot of `page`, or kNoSlot when the page has no live entry.
-  [[nodiscard]] std::uint32_t find_slot(VPage page) const;
-  /// Slot of `page`, allocating an empty entry when absent.
-  std::uint32_t ensure_slot(VPage page);
+  /// `page`'s entry (its sharer words, then its owner word), or nullptr
+  /// when the array does not reach the page: it has no live entry.
+  [[nodiscard]] const std::uint64_t* find(VPage page) const;
+  /// `page`'s entry, growing the array to reach it.
+  [[nodiscard]] std::uint64_t* entry(VPage page);
 
   std::size_t num_procs_;
   std::size_t words_per_entry_;
-  /// Words per slot: the sharer words plus one owner word.
+  /// Words per entry: the sharer words plus one owner word.
   std::size_t stride_;
 
-  /// One array of slots, `stride_` words each: sharer bitmap words
-  /// (ceil(num_procs / 64)), then the owner word -- 0 for none, else
-  /// the exclusive writer's id + 1. A miss touches one slot, one cache
-  /// line at the paper's 16 processors (two words).
+  /// One entry per page, `stride_` words each, indexed by page id:
+  /// sharer bitmap words (ceil(num_procs / 64)), then the owner word --
+  /// 0 for none, else the exclusive writer's id + 1. A miss touches one
+  /// entry, one cache line at the paper's 16 processors (two words).
   std::vector<std::uint64_t> entries_;
   /// Scratch backing AccessOutcome::invalidate_high (reused per write).
   std::vector<std::uint64_t> scratch_high_;

@@ -25,7 +25,7 @@ enum class UpmMode : std::uint8_t {
 };
 
 struct WorkloadParams {
-  /// 0 = the benchmark's default iteration count (paper: BT 200, SP 15,
+  /// 0 = the benchmark's default iteration count (paper: BT 200, SP 400,
   /// CG 400, MG 4, FT 6).
   std::uint32_t iterations = 0;
   /// Fig. 6 synthetic scaling: each solver function body is enclosed in

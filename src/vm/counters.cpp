@@ -121,18 +121,6 @@ void RefCounters::reset(FrameId frame) {
   }
 }
 
-void RefCounters::reset_all() {
-  for (std::size_t c = 0; c < touched_.size(); ++c) {
-    for (std::uint64_t bits = touched_[c]; bits != 0; bits &= bits - 1) {
-      std::uint32_t* row =
-          chunks_[c].get() +
-          static_cast<std::size_t>(std::countr_zero(bits)) * num_nodes_;
-      std::fill(row, row + num_nodes_, 0u);
-    }
-    touched_[c] = 0;
-  }
-}
-
 NodeId RefCounters::argmax_node(FrameId frame) const {
   const auto counts = read(frame);
   const auto it = std::max_element(counts.begin(), counts.end());

@@ -13,11 +13,10 @@
 // machine, 16 x 32768 frames x 16 counters, is 32 MiB to zero).
 // Frames are grouped into fixed chunks of rows, each allocated zeroed
 // on its first increment, with a per-chunk bitmap of the frames that
-// may hold a nonzero counter: digest() and reset_all() walk only
-// those. A chunk holds at most kChunkCounters counters, so past 128
-// nodes its frame count shrinks (64 frames up to 128 nodes, 16 at 512)
-// and a node that touches a few frames does not pay for 64 rows of 512
-// counters.
+// may hold a nonzero counter: digest() walks only those. A chunk holds
+// at most kChunkCounters counters, so past 128 nodes its frame count
+// shrinks (64 frames up to 128 nodes, 16 at 512) and a node that
+// touches a few frames does not pay for 64 rows of 512 counters.
 // The digest equals a full scan of the frames x nodes array: it mixes
 // frames x nodes and then every nonzero counter at its frame-major
 // flat index, in ascending frame order.
@@ -56,9 +55,6 @@ class RefCounters {
   /// Zeroes one frame's counters (OS service used by UPMlib and by the
   /// kernel daemon after a migration).
   void reset(FrameId frame);
-
-  /// Zeroes everything (walks only touched frames).
-  void reset_all();
 
   [[nodiscard]] std::uint32_t max_value() const { return max_; }
   [[nodiscard]] std::size_t num_nodes() const { return num_nodes_; }

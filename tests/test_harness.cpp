@@ -2,12 +2,15 @@
 // the figure plumbing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <set>
 #include <sstream>
 
 #include "repro/common/assert.hpp"
-#include "repro/common/env.hpp"
+#include "repro/harness/checkpoint.hpp"
 #include "repro/harness/cli.hpp"
 #include "repro/harness/figures.hpp"
 #include "repro/harness/json.hpp"
@@ -98,20 +101,158 @@ TEST(RunResult, PhaseTimeMatchesBySuffix) {
 
 TEST(Figures, EffectiveIterationsHonoursFastMode) {
   FigureOptions options;
-  {
-    ScopedEnv fast("REPRO_FAST", "1");
-    EXPECT_EQ(effective_iterations("BT", options), 20u);
-    EXPECT_EQ(effective_iterations("SP", options), 40u);
-    EXPECT_EQ(effective_iterations("CG", options), 40u);
-    EXPECT_EQ(effective_iterations("MG", options), 0u);  // paper default
-  }
-  {
-    ScopedEnv slow("REPRO_FAST", "0");
-    EXPECT_EQ(effective_iterations("BT", options), 0u);
-  }
+  EXPECT_EQ(effective_iterations("BT", options), 0u);  // paper default
+  options.fast = true;
+  EXPECT_EQ(effective_iterations("BT", options), 20u);
+  EXPECT_EQ(effective_iterations("SP", options), 40u);
+  EXPECT_EQ(effective_iterations("CG", options), 40u);
+  EXPECT_EQ(effective_iterations("MG", options), 0u);
   options.iterations_override = 7;
-  ScopedEnv fast("REPRO_FAST", "1");
   EXPECT_EQ(effective_iterations("BT", options), 7u);
+}
+
+TEST(FigurePlan, UnionDedupsSharedCells) {
+  // Enumeration only: nothing is simulated.
+  const FigureOptions options;
+  std::map<Figure, std::set<std::uint64_t>> ids;
+  std::size_t figure_cells_total = 0;
+  for (const Figure figure : kAllFigures) {
+    for (const std::string& bench : nas::workload_names()) {
+      for (const RunConfig& cell : figure_cells(figure, bench, options, 4)) {
+        ids[figure].insert(config_identity(cell));
+        ++figure_cells_total;
+      }
+    }
+  }
+  EXPECT_EQ(figure_cells_total, 132u);
+  const std::set<std::uint64_t>& fig4 = ids[Figure::kFig4];
+  EXPECT_TRUE(std::ranges::includes(fig4, ids[Figure::kFig1]));
+  EXPECT_TRUE(std::ranges::includes(fig4, ids[Figure::kTable2]));
+  EXPECT_LT(ids[Figure::kTable2].size(), fig4.size());
+  // What each later figure adds to the ones printed before it.
+  std::set<std::uint64_t> seen = fig4;
+  const auto added = [&seen](const std::set<std::uint64_t>& figure) {
+    std::size_t fresh = 0;
+    for (const std::uint64_t id : figure) {
+      if (seen.insert(id).second) {
+        ++fresh;
+      }
+    }
+    return fresh;
+  };
+  EXPECT_EQ(added(ids[Figure::kFig5]), 2u);  // BT and SP ft-recrep
+  EXPECT_EQ(added(ids[Figure::kFig6]), 4u);  // the scaled BT cells
+  EXPECT_EQ(seen.size(), 66u);
+
+  const FigurePlan plan({kAllFigures.begin(), kAllFigures.end()},
+                        nas::workload_names(), options, 4);
+  ASSERT_EQ(plan.cells().size(), 66u);
+  std::set<std::uint64_t> planned;
+  for (std::size_t i = 0; i < plan.cells().size(); ++i) {
+    const RunConfig& cell = plan.cells()[i];
+    planned.insert(config_identity(cell));
+    EXPECT_EQ(cell.compute_scale, i < 4 ? 4u : 1u) << i;
+  }
+  EXPECT_EQ(planned, seen);
+}
+
+/// Renders `figures` the way one binary per figure did: each figure's
+/// cells in their own run_experiments call.
+std::string render_each(const std::vector<Figure>& figures,
+                        const std::vector<std::string>& benchmarks,
+                        const FigureOptions& options, std::uint32_t scale,
+                        const std::string& csv_path,
+                        const std::string& json_dir) {
+  std::ostringstream os;
+  for (const Figure figure : figures) {
+    std::vector<std::string> shown;
+    std::vector<RunConfig> cells;
+    for (const std::string& bench : benchmarks) {
+      const std::vector<RunConfig> own =
+          figure_cells(figure, bench, options, scale);
+      if (!own.empty()) {
+        shown.push_back(bench);
+        cells.insert(cells.end(), own.begin(), own.end());
+      }
+    }
+    if (shown.empty()) {
+      continue;
+    }
+    const std::vector<RunResult> flat =
+        run_experiments(cells, options.sweep());
+    // Every shown benchmark has the same number of cells.
+    const std::size_t per_bench = flat.size() / shown.size();
+    std::vector<std::vector<RunResult>> results(shown.size());
+    for (std::size_t i = 0; i < flat.size(); ++i) {
+      results[i / per_bench].push_back(flat[i]);
+    }
+    render_figure(os, figure, shown, results, scale, csv_path, json_dir);
+  }
+  return os.str();
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+TEST(FigurePlan, RendersWhatEachFigureRendersFromItsOwnSweep) {
+  FigureOptions options;
+  options.iterations_override = 2;
+  const std::string root = ::testing::TempDir() + "/repro_figure_plan";
+  std::filesystem::remove_all(root);
+  std::filesystem::create_directories(root);
+  struct Case {
+    std::vector<Figure> figures;
+    std::vector<std::string> benchmarks;
+  };
+  for (const Case& c :
+       {Case{{Figure::kFig1, Figure::kFig4, Figure::kTable2}, {"CG"}},
+        Case{{Figure::kFig5, Figure::kFig6}, {"BT", "SP"}}}) {
+    const FigurePlan plan(c.figures, c.benchmarks, options, 4);
+    const SweepOutcome outcome = run_sweep(plan.cells(), options.sweep());
+    ASSERT_TRUE(outcome.ok());
+    std::ostringstream planned;
+    EXPECT_TRUE(plan.render(planned, outcome, root + "/plan.csv",
+                            root + "/plan")
+                    .empty());
+    EXPECT_EQ(planned.str(), render_each(c.figures, c.benchmarks, options, 4,
+                                         root + "/each.csv", root + "/each"));
+    EXPECT_NE(planned.str().find(c.benchmarks.size() == 1 ? "Table 2"
+                                                          : "Figure 6"),
+              std::string::npos);
+  }
+  EXPECT_FALSE(read_file(root + "/plan.csv").empty());
+  EXPECT_EQ(read_file(root + "/plan.csv"), read_file(root + "/each.csv"));
+  for (const char* name : {"BENCH_fig1_CG.json", "BENCH_fig4_CG.json"}) {
+    EXPECT_FALSE(read_file(root + "/plan/" + name).empty()) << name;
+    EXPECT_EQ(read_file(root + "/plan/" + name),
+              read_file(root + "/each/" + name))
+        << name;
+  }
+  std::filesystem::remove_all(root);
+}
+
+TEST(FigurePlan, LeavesOutOnlyTheFiguresThatReadAFailedCell) {
+  FigureOptions options;
+  options.iterations_override = 2;
+  const FigurePlan plan({Figure::kFig1, Figure::kFig4}, {"CG"}, options, 4);
+  SweepOutcome outcome = run_sweep(plan.cells(), options.sweep());
+  ASSERT_TRUE(outcome.ok());
+  // Fail a cell only Fig. 4 reads, the way run_sweep reports one: the
+  // first cell past Fig. 1's eight.
+  const std::size_t upmlib = 8;
+  ASSERT_EQ(plan.cells()[upmlib].label(), "ft-upmlib");
+  outcome.results[upmlib] = RunResult{};
+  CellFailure failure;
+  failure.index = upmlib;
+  outcome.failures.push_back(failure);
+  std::ostringstream os;
+  EXPECT_EQ(plan.render(os, outcome, "", ""),
+            std::vector<Figure>{Figure::kFig4});
+  EXPECT_NE(os.str().find("Figure 1"), std::string::npos);
+  EXPECT_EQ(os.str().find("Figure 4"), std::string::npos);
 }
 
 TEST(Figures, ResultsTableAndFindResult) {

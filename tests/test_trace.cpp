@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <random>
@@ -758,6 +759,30 @@ TEST(TracingOn, DigestIdenticalAcrossConsecutiveRuns) {
   ASSERT_NE(a.trace, nullptr);
   ASSERT_NE(b.trace, nullptr);
   EXPECT_EQ(canonical_dump(*a.trace), canonical_dump(*b.trace));
+}
+
+TEST(TracingOn, ScaledCellDumpsBesideItsUnscaledTwin) {
+  // Both cells carry the label ft-base; the scale names the dump, so
+  // one directory keeps both.
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "repro_trace_scaled";
+  std::filesystem::remove_all(dir);
+  harness::RunConfig config = tiny_config("BT");
+  config.trace_dir = dir.string();
+  (void)run_benchmark(config);
+  config.compute_scale = 2;
+  (void)run_benchmark(config);
+  std::vector<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    names.push_back(entry.path().filename().string());
+  }
+  std::ranges::sort(names);
+  EXPECT_EQ(names, (std::vector<std::string>{
+                       "TRACE_BT-x2_ft-base.chrome.json",
+                       "TRACE_BT-x2_ft-base.trace",
+                       "TRACE_BT_ft-base.chrome.json",
+                       "TRACE_BT_ft-base.trace"}));
+  std::filesystem::remove_all(dir);
 }
 
 TEST(TracingOn, IterationMetricsCoverTimedIterations) {
